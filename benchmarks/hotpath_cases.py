@@ -15,7 +15,11 @@ import random
 import time
 from typing import List, Tuple
 
+from repro.core.controller import AlphaShiftController
 from repro.core.ensemble import EnsembleConfig, EnsembleTimeout
+from repro.core.estimator import BackendLatencyEstimator
+from repro.lb.backend import Backend, BackendPool
+from repro.lb.maglev import MaglevTable
 from repro.net.addr import Endpoint
 from repro.net.packet import Packet, PacketSlab
 from repro.net.pipe import Pipe
@@ -173,6 +177,49 @@ def run_pipe_stream_slab(
     assert slab.live == 0
     assert sim.events_processed == packets * batches
     return count[0], seconds, sim.peak_queue_depth
+
+
+def run_lb_control_path(
+    samples: int = 40_000, rebuilds: int = 100
+) -> Tuple[int, float, int, float]:
+    """The LB's control path, sized like the ledger's ``lb_replay``.
+
+    Two timed arms over 16 backends: ``samples`` ``T_LB`` samples, each
+    folded into the estimator and followed by ``maybe_shift`` (latencies
+    stay inside the hysteresis band, so every call ranks all backends
+    and none shifts); then ``rebuilds`` full builds of a 4099-slot
+    Maglev table, each for other weights.  Returns ``(samples,
+    sample_seconds, rebuilds, rebuild_seconds)``.
+    """
+    names = ["server%d" % i for i in range(16)]
+    rng = random.Random(7)
+    estimator = BackendLatencyEstimator()
+    controller = AlphaShiftController(
+        BackendPool([Backend(name) for name in names]), estimator
+    )
+    stream = [
+        (names[i % 16], i * 25 * MICROSECONDS, 200_000 + rng.randrange(20_000))
+        for i in range(samples)
+    ]
+    observe = estimator.observe
+    maybe_shift = controller.maybe_shift
+    start = time.perf_counter()
+    for backend, now, t_lb in stream:
+        observe(backend, now, t_lb)
+        maybe_shift(now)
+    sample_seconds = time.perf_counter() - start
+    assert controller.shift_count == 0
+
+    table = MaglevTable(4099)
+    weight_sets = [
+        {name: rng.uniform(0.2, 3.0) for name in names} for _ in range(rebuilds)
+    ]
+    start = time.perf_counter()
+    for weights in weight_sets:
+        table.build(weights)
+    rebuild_seconds = time.perf_counter() - start
+    assert table.builds == rebuilds
+    return samples, sample_seconds, rebuilds, rebuild_seconds
 
 
 def run_fleet_elastic_1k() -> Tuple[int, float, int]:

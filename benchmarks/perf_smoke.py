@@ -33,6 +33,7 @@ from hotpath_cases import (  # noqa: E402
     run_engine_run_lane,
     run_ensemble_observe,
     run_fleet_elastic_1k,
+    run_lb_control_path,
     run_pipe_stream,
     run_pipe_stream_slab,
 )
@@ -66,6 +67,10 @@ def measure(fleet: bool = True) -> dict:
         "pipe_pump_10x1k": _best_rate(run_pipe_stream),
         "pipe_slab_5x10k": _best_rate(run_pipe_stream_slab),
     }
+    # One run times both control-path arms; best-of is taken per arm.
+    control = [run_lb_control_path() for _ in range(BEST_OF)]
+    rates["lb_control_sample_40k"] = max(r[0] / r[1] for r in control)
+    rates["lb_control_rebuild_100"] = max(r[2] / r[3] for r in control)
     if fleet:
         # End-to-end arm: every layer at once (transport, slab dataplane,
         # feedback, autoscaler).  One run, not best-of-5 — it dominates

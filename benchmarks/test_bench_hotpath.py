@@ -1,8 +1,9 @@
 """PERF-HOTPATH — the three per-packet layers, isolated.
 
 Microbenches for the fused ENSEMBLETIMEOUT observe (O(log k) prefix
-roll vs the naive k-instance loop) and the pipe delivery pump
-(one outstanding engine event per pipe vs one per packet in flight).
+roll vs the naive k-instance loop), the pipe delivery pump
+(one outstanding engine event per pipe vs one per packet in flight) and
+the LB control path (per-sample ranking, per-shift Maglev rebuild).
 Writes ``reports/hotpath.txt`` with the measured ratios and records
 throughputs into ``BENCH_engine.json`` for the CI perf gate.
 """
@@ -11,6 +12,7 @@ from conftest import record_perf, write_report
 from hotpath_cases import (
     make_gap_trace,
     run_ensemble_observe,
+    run_lb_control_path,
     run_pipe_stream,
     run_pipe_stream_slab,
 )
@@ -60,6 +62,10 @@ def test_hotpath_report():
     naive_n, naive_s = _best_of(3, run_ensemble_observe, trace, fused=False)
     pipe_n, pipe_s, pipe_peak = _best_of(5, run_pipe_stream)
     slab_n, slab_s, slab_peak = _best_of(5, run_pipe_stream_slab)
+    control = [run_lb_control_path() for _ in range(5)]
+    sample_n, _, rebuild_n, _ = control[0]
+    sample_s = min(run[1] for run in control)
+    rebuild_s = min(run[3] for run in control)
 
     fused = record_perf("ensemble_observe_fused_100k", fused_n, fused_s)
     naive = record_perf("ensemble_observe_naive_100k", naive_n, naive_s)
@@ -69,6 +75,8 @@ def test_hotpath_report():
     slab = record_perf(
         "pipe_slab_5x10k", slab_n, slab_s, peak_queue_depth=slab_peak
     )
+    record_perf("lb_control_sample_40k", sample_n, sample_s)
+    record_perf("lb_control_rebuild_100", rebuild_n, rebuild_s)
 
     speedup = fused["events_per_sec"] / naive["events_per_sec"]
     lines = [
@@ -88,6 +96,11 @@ def test_hotpath_report():
         "  vectorized delivery:          %12.0f pkts/sec" % slab["events_per_sec"],
         "  engine peak queue depth:      %12d (one event per pipe)"
         % slab["peak_queue_depth"],
+        "",
+        "LB control path, 16 backends (estimator observe + maybe_shift;",
+        "full Maglev build at 4099 slots):",
+        "  per T_LB sample:              %12.0f ns" % (sample_s / sample_n * 1e9),
+        "  per weighted rebuild:         %12.3f ms" % (rebuild_s / rebuild_n * 1e3),
     ]
     write_report("hotpath", "\n".join(lines))
     # The fused path must beat the naive loop decisively; the pump must

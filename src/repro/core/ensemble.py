@@ -52,19 +52,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.core.fixed_timeout import FixedTimeout
 from repro.units import MICROSECONDS, MILLISECONDS
 
-try:  # optional acceleration; the pure-python path is always kept
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
 
-
-def _cliff_python(counts: Sequence[int]) -> int:
-    """``argmaxᵢ Nᵢ / max(Nᵢ₊₁, 1)`` — reference implementation."""
+def detect_cliff_index(counts: Sequence[int]) -> int:
+    """``argmaxᵢ Nᵢ / max(Nᵢ₊₁, 1)``; ties resolve to the lowest index."""
     best_index = 0
     best_ratio = -1.0
     for i in range(len(counts) - 1):
@@ -73,23 +68,6 @@ def _cliff_python(counts: Sequence[int]) -> int:
             best_ratio = ratio
             best_index = i
     return best_index
-
-
-def _cliff_numpy(counts: Sequence[int]) -> int:
-    """Vectorized cliff detection.
-
-    Byte-identical to :func:`_cliff_python`: the division is the same
-    IEEE-754 double divide, and ``argmax`` resolves ties to the first
-    index exactly like the reference loop's strict ``>`` comparison.
-    """
-    arr = _np.asarray(counts, dtype=_np.float64)
-    ratios = arr[:-1] / _np.maximum(arr[1:], 1.0)
-    return int(ratios.argmax())
-
-
-#: The cliff detector in use: numpy when importable, else pure python.
-#: Differential tests call both implementations directly.
-detect_cliff_index = _cliff_python if _np is None else _cliff_numpy
 
 
 def default_timeouts() -> List[int]:
@@ -253,45 +231,6 @@ class EnsembleTimeout:
             samples[i] += 1
             last_batch[i] = now
         return result
-
-    def observe_batch(self, times: Sequence[int]) -> List[Tuple[int, int]]:
-        """Feed a sorted burst of packet arrivals at once.
-
-        Returns the emitted samples as ``(time, t_lb)`` pairs — exactly
-        the non-None results of calling :meth:`observe` per time, in
-        order.  The win over the loop-of-calls spelling is that the
-        overwhelmingly common case (fused mode, mid-batch packet, no
-        epoch boundary) is recognized with hoisted locals and no method
-        call; everything else falls through to :meth:`observe`, so the
-        two spellings are byte-identical by construction.
-        """
-        out: List[Tuple[int, int]] = []
-        append = out.append
-        observe = self.observe
-        if self.fused:
-            epoch = self._epoch_len
-            d0 = self._deltas[0]
-            for now in times:
-                epoch_start = self._epoch_start
-                last_pkt = self._last_pkt
-                if (
-                    epoch_start is not None
-                    and last_pkt is not None
-                    and now - epoch_start < epoch
-                    and now - last_pkt <= d0
-                ):
-                    # Mid-batch for every δ, mid-epoch: nothing rolls.
-                    self._last_pkt = now
-                    continue
-                t_lb = observe(now)
-                if t_lb is not None:
-                    append((now, t_lb))
-        else:
-            for now in times:
-                t_lb = observe(now)
-                if t_lb is not None:
-                    append((now, t_lb))
-        return out
 
     def _observe_naive(self, now: int) -> Optional[int]:
         """The literal Algorithm 2 inner loop (reference implementation)."""

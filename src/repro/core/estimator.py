@@ -2,15 +2,17 @@
 
 Flows measured by ENSEMBLETIMEOUT are pinned to backends (conntrack),
 so each sample can be attributed to the backend serving that flow.  The
-estimator maintains, per backend:
+estimator maintains, per backend, the one statistic ``metric`` names:
 
-* a time-decaying EWMA (robust to uneven per-backend sample rates), and
-* an exact sliding-window p95 (matches the paper's tail-latency focus).
+* ``"ewma"`` — a time-decaying EWMA (robust to uneven per-backend sample
+  rates), or
+* ``"p95"`` / ``"p50"`` — an exact quantile over a sliding window (p95
+  matches the paper's tail-latency focus).
 
-The controller asks for a ranking; ``metric`` selects which statistic
-ranks backends.  Backends with fewer than ``min_samples`` recent samples
-are excluded from ranking decisions — shifting traffic based on one
-noisy sample is how thundering herds start (paper §5, question 4).
+The controller asks for a ranking by that statistic.  Backends with
+fewer than ``min_samples`` samples are excluded from ranking decisions —
+shifting traffic based on one noisy sample is how thundering herds start
+(paper §5, question 4).
 
 With a :class:`~repro.resilience.quality.SignalQualityTracker`
 attached (:meth:`BackendLatencyEstimator.attach_quality`), the
@@ -33,18 +35,22 @@ if TYPE_CHECKING:  # pragma: no cover - type-only (resilience imports core)
     from repro.resilience.quality import SignalQualityTracker
 
 
+#: Window quantile each ``metric`` ranks by (``"ewma"`` keeps no window).
+_QUANTILES = {"ewma": None, "p95": 0.95, "p50": 0.50}
+
+
 @dataclass
 class EstimatorConfig:
     """Estimator tunables."""
 
     metric: str = "ewma"            # "ewma" | "p95" | "p50"
-    window: int = 64                # samples kept per backend
-    tau: int = 10 * MILLISECONDS    # EWMA time constant
+    window: int = 64                # samples kept per backend (p95/p50)
+    tau: int = 10 * MILLISECONDS    # EWMA time constant (ewma)
     min_samples: int = 3            # samples needed before ranking
 
     def validate(self) -> None:
         """Raise ValueError on malformed parameters."""
-        if self.metric not in ("ewma", "p95", "p50"):
+        if self.metric not in _QUANTILES:
             raise ValueError("unknown metric %r" % self.metric)
         if self.window <= 0 or self.tau <= 0 or self.min_samples <= 0:
             raise ValueError("estimator parameters must be positive")
@@ -64,29 +70,43 @@ class BackendEstimate:
 
 
 class _BackendState:
-    __slots__ = ("ewma", "window", "samples", "last_sample_at")
+    __slots__ = ("stat", "samples", "last_sample_at")
 
-    def __init__(self, config: EstimatorConfig):
-        self.ewma = TimeDecayEwma(tau=config.tau)
-        self.window = WindowedQuantile(window=config.window)
+    def __init__(self, stat):
+        #: TimeDecayEwma or WindowedQuantile, whichever ``metric`` reads.
+        self.stat = stat
         self.samples = 0
         self.last_sample_at = 0
 
 
 class BackendLatencyEstimator:
-    """Aggregates ``T_LB`` samples into per-backend latency estimates."""
+    """Aggregates ``T_LB`` samples into per-backend latency estimates.
+
+    ``config.metric`` is read once, at construction: it decides which
+    statistic each backend keeps.
+    """
 
     def __init__(self, config: Optional[EstimatorConfig] = None):
         self.config = config or EstimatorConfig()
         self.config.validate()
+        self._quantile: Optional[float] = _QUANTILES[self.config.metric]
         self._backends: Dict[str, _BackendState] = {}
+        #: Sorted backend names; None after the set of names changed.
+        self._order: Optional[List[str]] = None
         self.total_samples = 0
         self._quality: Optional["SignalQualityTracker"] = None
+        self._fresh = self._invalid = None  # SignalGrade members, once attached
         self._metrics = None
 
     def attach_quality(self, tracker: "SignalQualityTracker") -> None:
         """Grade served estimates with ``tracker`` (fed on observe)."""
+        # Bound here, once, not per ranking call: resilience imports
+        # core, so the grades cannot be imported when this module loads.
+        from repro.resilience.quality import SignalGrade
+
         self._quality = tracker
+        self._fresh = SignalGrade.FRESH
+        self._invalid = SignalGrade.INVALID
 
     def attach_metrics(self, metrics) -> None:
         """Attach estimator instruments (see :mod:`repro.obs.plane`)."""
@@ -103,61 +123,35 @@ class BackendLatencyEstimator:
             raise ValueError("negative latency sample: %d" % t_lb)
         state = self._backends.get(backend)
         if state is None:
-            state = _BackendState(self.config)
-            self._backends[backend] = state
-        state.ewma.observe(now, float(t_lb))
-        state.window.observe(float(t_lb))
+            if self._quantile is None:
+                stat = TimeDecayEwma(tau=self.config.tau)
+            else:
+                stat = WindowedQuantile(window=self.config.window)
+            state = self._backends[backend] = _BackendState(stat)
+            self._order = None
+        value = float(t_lb)
+        if self._quantile is None:
+            state.stat.observe(now, value)
+        else:
+            state.stat.observe(value)
         state.samples += 1
         state.last_sample_at = now
         self.total_samples += 1
         if self._quality is not None:
-            self._quality.observe(backend, now, float(t_lb))
+            self._quality.observe(backend, now, value)
         if self._metrics is not None:
             self._metrics.samples.labels(backend=backend).inc()
             if t_lb > 0:  # the log-bucketed histogram needs positive values
-                self._metrics.latency.labels(backend=backend).observe(float(t_lb))
-
-    def observe_batch(self, backend: str, samples) -> None:
-        """Fold a burst of ``(time, t_lb)`` samples for one backend.
-
-        Equivalent to calling :meth:`observe` per sample, with the
-        per-backend state lookup and the instrument/quality presence
-        checks hoisted out of the loop — the seam the batched T_LB
-        observe path (:meth:`EnsembleTimeout.observe_batch` output)
-        feeds directly.
-        """
-        if not samples:
-            return
-        state = self._backends.get(backend)
-        if state is None:
-            state = _BackendState(self.config)
-            self._backends[backend] = state
-        ewma_observe = state.ewma.observe
-        window_observe = state.window.observe
-        quality = self._quality
-        metrics = self._metrics
-        for now, t_lb in samples:
-            if t_lb < 0:
-                raise ValueError("negative latency sample: %d" % t_lb)
-            value = float(t_lb)
-            ewma_observe(now, value)
-            window_observe(value)
-            state.samples += 1
-            state.last_sample_at = now
-            self.total_samples += 1
-            if quality is not None:
-                quality.observe(backend, now, value)
-            if metrics is not None:
-                metrics.samples.labels(backend=backend).inc()
-                if t_lb > 0:  # the log-bucketed histogram needs positive values
-                    metrics.latency.labels(backend=backend).observe(value)
+                self._metrics.latency.labels(backend=backend).observe(value)
 
     def estimate(self, backend: str) -> Optional[float]:
         """Current estimate for ``backend`` (ns), or None if unknown."""
         state = self._backends.get(backend)
         if state is None:
             return None
-        return self._metric_value(state)
+        if self._quantile is None:
+            return state.stat.value
+        return state.stat.quantile(self._quantile)
 
     def sample_counts(self) -> Dict[str, int]:
         """Samples folded in per backend so far (pure read, sorted)."""
@@ -170,53 +164,80 @@ class BackendLatencyEstimator:
         whose signal has been invalidated are excluded and estimates
         with a stale signal carry ``stale=True``.
         """
-        grade = None
-        if self._quality is not None and now is not None:
-            from repro.resilience.quality import SignalGrade
-
-            grade = {
-                name: self._quality.grade(name, now) for name in self._backends
-            }
-        result = []
-        for name, state in sorted(self._backends.items()):
-            if state.samples < self.config.min_samples:
-                continue
-            stale = False
-            if grade is not None:
-                if grade[name] is SignalGrade.INVALID:
-                    continue
-                stale = grade[name] is not SignalGrade.FRESH
-            value = self._metric_value(state)
-            if value is None:
-                continue
-            result.append(
-                BackendEstimate(
-                    backend=name,
-                    value=value,
-                    samples=state.samples,
-                    last_sample_at=state.last_sample_at,
-                    stale=stale,
-                )
-            )
-        return result
+        estimates: List[BackendEstimate] = []
+        self._walk(now, estimates)
+        return estimates
 
     def worst_and_best(self, now: Optional[int] = None) -> Optional[tuple]:
-        """(worst, best) :class:`BackendEstimate` pair, or None if < 2."""
-        estimates = self.snapshot(now)
-        if len(estimates) < 2:
+        """(worst, best) :class:`BackendEstimate` pair, or None if < 2.
+
+        The pair a stable sort of :meth:`snapshot` by value would end
+        and start with: among equal maxima the last name is worst, among
+        equal minima the first name is best.
+        """
+        return self._walk(now, None)
+
+    def _walk(
+        self, now: Optional[int], collect: Optional[List[BackendEstimate]]
+    ) -> Optional[tuple]:
+        """The one pass over rankable backends, in name order.
+
+        Appends every estimate to ``collect`` when given; otherwise
+        compares raw values and builds only the two estimates returned.
+        The controller runs this on every sample, hence no per-backend
+        allocation and no sort.
+        """
+        names = self._order
+        if names is None:
+            names = self._order = sorted(self._backends)
+        backends = self._backends
+        min_samples = self.config.min_samples
+        quantile = self._quantile
+        grade = fresh = invalid = None
+        if self._quality is not None and now is not None:
+            grade = self._quality.grade
+            fresh = self._fresh
+            invalid = self._invalid
+        stale = False
+        worst = best = None  # names
+        worst_value = best_value = 0.0
+        worst_stale = best_stale = False
+        for name in names:
+            state = backends[name]
+            if state.samples < min_samples:
+                continue
+            if grade is not None:
+                graded = grade(name, now)
+                if graded is invalid:
+                    continue
+                stale = graded is not fresh
+            if quantile is None:
+                value = state.stat.value
+            else:
+                value = state.stat.quantile(quantile)
+            if collect is not None:
+                collect.append(self._estimate(name, value, stale))
+                continue
+            if worst is None or value >= worst_value:
+                worst, worst_value, worst_stale = name, value, stale
+            if best is None or value < best_value:
+                best, best_value, best_stale = name, value, stale
+        if worst == best:  # nothing ranked, or a single backend
             return None
-        ranked = sorted(estimates, key=lambda e: e.value)
-        return ranked[-1], ranked[0]
+        return (
+            self._estimate(worst, worst_value, worst_stale),
+            self._estimate(best, best_value, best_stale),
+        )
+
+    def _estimate(self, name: str, value: float, stale: bool) -> BackendEstimate:
+        state = self._backends[name]
+        return BackendEstimate(
+            name, value, state.samples, state.last_sample_at, stale
+        )
 
     def forget(self, backend: str) -> None:
         """Drop a backend's state (pool churn)."""
-        self._backends.pop(backend, None)
+        if self._backends.pop(backend, None) is not None:
+            self._order = None
         if self._quality is not None:
             self._quality.forget(backend)
-
-    def _metric_value(self, state: _BackendState) -> Optional[float]:
-        if self.config.metric == "ewma":
-            return state.ewma.value
-        if self.config.metric == "p95":
-            return state.window.quantile(0.95)
-        return state.window.quantile(0.50)

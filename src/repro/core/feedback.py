@@ -279,10 +279,8 @@ class InbandFeedback:
         ladder never sees the draining backend's decaying signal as a
         reason to HOLD.
         """
-        self.estimator.forget(name)
+        self.estimator.forget(name)  # drops the quality tracker's state too
         self._was_invalid.pop(name, None)
-        if self.quality is not None:
-            self.quality.forget(name)
 
     def _evaluate(self, now: int) -> None:
         """Walk the ladder and feed invalidation edges to the breakers."""

@@ -149,38 +149,46 @@ class MaglevTable:
         return offset, self._skips[name]
 
     def _build_full(self, names: Sequence[str], targets: Dict[str, int]) -> None:
-        """The canonical construction: reassign every slot from scratch."""
-        table: List[Optional[str]] = [None] * self._size
-        owned: Dict[str, List[int]] = {name: [] for name in names}
-        next_index = {name: 0 for name in names}
-        filled = 0
-        # Round-robin turns; a backend stops once it hits its slot target.
-        while filled < self._size:
-            progressed = False
-            for name in names:
-                mine = owned[name]
-                if len(mine) >= targets[name]:
-                    continue
-                progressed = True
-                offset, skip = self._perm(name)
-                j = next_index[name]
-                while True:
-                    slot = (offset + j * skip) % self._size
-                    j += 1
-                    if table[slot] is None:
-                        table[slot] = name
-                        mine.append(slot)
-                        filled += 1
-                        break
-                next_index[name] = j
-                if filled == self._size:
-                    break
-            if not progressed:  # all targets met (can't happen: targets sum to size)
-                break
+        """The canonical construction: reassign every slot from scratch.
+
+        Round-robin turns in name order, one claim per turn; a backend
+        stops once it hits its slot target.  Targets sum to the table
+        size, so round ``r`` is exactly the backends whose target
+        exceeds ``r`` and the table is full when the last one stops.
+        Each backend's walk is a cursor stepped by its skip, with the
+        probes counted for ``_next_index`` (where ``_patch`` resumes).
+        """
+        size = self._size
+        table: List[Optional[str]] = [None] * size
+        perms = [self._perm(name) for name in names]
+        cursors = [offset for offset, _skip in perms]
+        skips = [skip for _offset, skip in perms]
+        probes = [0] * len(names)
+        owned: List[List[int]] = [[] for _ in names]
+        quotas = [targets[name] for name in names]
+        claimed = 0
+        for quota in sorted(set(quotas)):
+            turn = [i for i, q in enumerate(quotas) if q >= quota]
+            for _ in range(quota - claimed):
+                for i in turn:
+                    slot = cursors[i]
+                    skip = skips[i]
+                    taken = 1
+                    while table[slot] is not None:
+                        slot += skip
+                        if slot >= size:
+                            slot -= size
+                        taken += 1
+                    table[slot] = names[i]
+                    owned[i].append(slot)
+                    slot += skip
+                    cursors[i] = slot if slot < size else slot - size
+                    probes[i] += taken
+            claimed = quota
 
         self._table = table
-        self._owned = owned
-        self._next_index = next_index
+        self._owned = dict(zip(names, owned))
+        self._next_index = dict(zip(names, probes))
         self.last_moved = None
 
     def _patch(self, names: Sequence[str], targets: Dict[str, int]) -> None:

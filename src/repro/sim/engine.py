@@ -76,6 +76,11 @@ from repro.errors import SimulationError
 #: costs more than skipping a handful of tombstones at pop time.
 _COMPACT_MIN_QUEUE = 64
 
+#: Most run-lane entries one chunk copies out of its column.  A callback
+#: that schedules anything ends the chunk, so the copy is wasted work
+#: bounded by this — not by the column's whole remainder.
+_RUN_CHUNK = 256
+
 
 class EventHandle:
     """A scheduled event that can be cancelled before it fires.
@@ -610,8 +615,9 @@ class Simulator:
 
         The chunk is bounded by the heap head's key (events interleave
         exactly as per-event pushes would), by ``until``/``max_events``,
-        and by the scheduling version: the tight loop bails as soon as a
-        callback schedules anything, letting the caller re-merge.
+        by ``_RUN_CHUNK``, and by the scheduling version: the tight loop
+        bails as soon as a callback schedules anything, letting the
+        caller re-merge.
         """
         queue = self._queue
         times = run[3]
@@ -633,6 +639,8 @@ class Simulator:
                 hi = idx + 1
         else:
             hi = n
+        if hi - idx > _RUN_CHUNK:
+            hi = idx + _RUN_CHUNK
         if until is not None and times[hi - 1] > until:
             hi = bisect_right(times, until, idx, hi)
         if max_events is not None:
