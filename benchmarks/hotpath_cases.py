@@ -21,7 +21,7 @@ from repro.core.estimator import BackendLatencyEstimator
 from repro.lb.backend import Backend, BackendPool
 from repro.lb.maglev import MaglevTable
 from repro.net.addr import Endpoint
-from repro.net.packet import Packet, PacketSlab
+from repro.net.packet import PacketSlab
 from repro.net.pipe import Pipe
 from repro.sim.engine import Simulator
 from repro.units import GIGABITS_PER_SECOND, MICROSECONDS
@@ -91,11 +91,9 @@ def make_gap_trace(n: int = 100_000, seed: int = 7) -> List[int]:
     return trace
 
 
-def run_ensemble_observe(
-    trace: List[int], fused: bool = True
-) -> Tuple[int, float]:
+def run_ensemble_observe(trace: List[int]) -> Tuple[int, float]:
     """Feed ``trace`` through one EnsembleTimeout; returns (packets, s)."""
-    ensemble = EnsembleTimeout(EnsembleConfig(), fused=fused)
+    ensemble = EnsembleTimeout(EnsembleConfig())
     observe = ensemble.observe
     start = time.perf_counter()
     for now in trace:
@@ -109,73 +107,40 @@ def run_pipe_stream(
 ) -> Tuple[int, float, int]:
     """Stream ``batches`` waves of ``packets`` through one 10 Gb/s pipe.
 
-    Returns ``(delivered, seconds, peak_queue_depth)``; the peak depth
-    shows the delivery pump holding the engine heap at O(pipes) instead
-    of O(packets in flight).
+    Each packet is a slab record: allocated, sent, delivered by the pump
+    and freed by the receiver.  Returns ``(delivered, seconds,
+    peak_queue_depth)``; the peak depth shows the delivery pump holding
+    the engine heap at O(pipes) instead of O(packets in flight).
     """
     sim = Simulator()
+    slab = PacketSlab()
     pipe = Pipe(
         sim,
         "bench",
         prop_delay=10 * MICROSECONDS,
         bandwidth_bps=10 * GIGABITS_PER_SECOND,
+        slab=slab,
     )
-    delivered: List[Packet] = []
-    pipe.connect(delivered.append)
-    src, dst = Endpoint("a", 1), Endpoint("b", 2)
-    start = time.perf_counter()
-    for _ in range(batches):
-        for _ in range(packets):
-            pipe.send(Packet(src=src, dst=dst, payload_len=100))
-        sim.run()
-    seconds = time.perf_counter() - start
-    assert len(delivered) == packets * batches
-    return len(delivered), seconds, sim.peak_queue_depth
-
-
-def run_pipe_stream_slab(
-    packets: int = 10_000, batches: int = 5
-) -> Tuple[int, float, int]:
-    """Slab-mode pipe stream: alloc_batch → send_batch → bulk drain → free.
-
-    Same shape as :func:`run_pipe_stream` but through the slab
-    dataplane's vectorized seams: array-structured packet records
-    (integer handles) allocated per wave, sent as one batch, delivered
-    by the pump's bulk same-instant drain into a batch receiver, and
-    recycled wholesale.  This is the slab dataplane's packet ceiling
-    the CI gate tracks.
-    """
-    sim = Simulator()
-    slab = PacketSlab()
-    pipe = Pipe(sim, "bench", prop_delay=10 * MICROSECONDS, slab=slab)
-    src_i = slab.intern_endpoint(Endpoint("a", 1))
-    dst_i = slab.intern_endpoint(Endpoint("b", 2))
-    fid = slab.intern_flow(src_i, dst_i)
     count = [0]
     free = slab.free
-    free_batch = slab.free_batch
 
     def deliver(handle: int) -> None:
         count[0] += 1
         free(handle)
 
-    def deliver_batch(handles: List[int]) -> None:
-        count[0] += len(handles)
-        free_batch(handles)
-
     pipe.connect(deliver)
-    pipe.connect_batch(deliver_batch)
-    alloc_batch = slab.alloc_batch
-    send_batch = pipe.send_batch
-    seqs = range(packets)
+    src_i = slab.intern_endpoint(Endpoint("a", 1))
+    dst_i = slab.intern_endpoint(Endpoint("b", 2))
+    fid = slab.intern_flow(src_i, dst_i)
+    alloc, send = slab.alloc, pipe.send
     start = time.perf_counter()
     for _ in range(batches):
-        send_batch(alloc_batch(src_i, dst_i, fid, 0, seqs, 0, 100, None, 0))
+        for _ in range(packets):
+            send(alloc(src_i, dst_i, fid, 0, 0, 0, 100, None, 0))
         sim.run()
     seconds = time.perf_counter() - start
     assert count[0] == packets * batches
     assert slab.live == 0
-    assert sim.events_processed == packets * batches
     return count[0], seconds, sim.peak_queue_depth
 
 

@@ -35,7 +35,6 @@ from hotpath_cases import (  # noqa: E402
     run_fleet_elastic_1k,
     run_lb_control_path,
     run_pipe_stream,
-    run_pipe_stream_slab,
 )
 
 BENCH_JSON = pathlib.Path(__file__).resolve().parent / "BENCH_engine.json"
@@ -58,14 +57,8 @@ def measure(fleet: bool = True) -> dict:
         "engine_fire_10k": _best_rate(run_engine_fire_events),
         "engine_handle_10k": _best_rate(run_engine_handle_events),
         "engine_run_lane_1m": _best_rate(run_engine_run_lane),
-        "ensemble_observe_fused_100k": _best_rate(
-            run_ensemble_observe, trace, fused=True
-        ),
-        "ensemble_observe_naive_100k": _best_rate(
-            run_ensemble_observe, trace, fused=False
-        ),
+        "ensemble_observe_fused_100k": _best_rate(run_ensemble_observe, trace),
         "pipe_pump_10x1k": _best_rate(run_pipe_stream),
-        "pipe_slab_5x10k": _best_rate(run_pipe_stream_slab),
     }
     # One run times both control-path arms; best-of is taken per arm.
     control = [run_lb_control_path() for _ in range(BEST_OF)]

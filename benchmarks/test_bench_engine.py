@@ -16,7 +16,7 @@ from hotpath_cases import (
 
 from repro.net.addr import Endpoint
 from repro.net.network import Network
-from repro.net.packet import Packet
+from repro.net.packet import PacketSlab
 from repro.net.pipe import Pipe
 from repro.sim.engine import Simulator, Timer
 from repro.units import GIGABITS_PER_SECOND, MICROSECONDS
@@ -108,17 +108,21 @@ class TestPacketPath:
     def test_pipe_transit_1k_packets(self, benchmark):
         def run():
             sim = Simulator()
+            slab = PacketSlab()
             pipe = Pipe(
                 sim,
                 "bench",
                 prop_delay=10 * MICROSECONDS,
                 bandwidth_bps=10 * GIGABITS_PER_SECOND,
+                slab=slab,
             )
             delivered = []
-            pipe.connect(lambda pkt: delivered.append(pkt))
-            src, dst = Endpoint("a", 1), Endpoint("b", 2)
+            pipe.connect(delivered.append)
+            src = slab.intern_endpoint(Endpoint("a", 1))
+            dst = slab.intern_endpoint(Endpoint("b", 2))
+            fid = slab.intern_flow(src, dst)
             for _ in range(1_000):
-                pipe.send(Packet(src=src, dst=dst, payload_len=100))
+                pipe.send(slab.alloc(src, dst, fid, 0, 0, 0, 100, None, 0))
             sim.run()
             return len(delivered)
 
@@ -128,11 +132,13 @@ class TestPacketPath:
         sim = Simulator()
         network = Network(sim)
 
+        slab = network.slab
+
         class Sink:
             name = "sink"
 
             def on_packet(self, packet):
-                pass
+                slab.free(packet)
 
         class Source:
             name = "source"
@@ -144,10 +150,14 @@ class TestPacketPath:
         network.add_node(Sink())
         network.connect("source", "sink", prop_delay=0)
         network.set_default_route("source", "sink")
-        src, dst = Endpoint("source", 1), Endpoint("sink", 2)
+        src = slab.intern_endpoint(Endpoint("source", 1))
+        dst = slab.intern_endpoint(Endpoint("sink", 2))
+        fid = slab.intern_flow(src, dst)
 
         def send_and_drain():
-            network.send_from("source", Packet(src=src, dst=dst))
+            network.send_from(
+                "source", slab.alloc(src, dst, fid, 0, 0, 0, 0, None, sim.now)
+            )
             sim.run()
 
         benchmark(send_and_drain)

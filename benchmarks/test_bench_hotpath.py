@@ -1,9 +1,9 @@
 """PERF-HOTPATH — the three per-packet layers, isolated.
 
 Microbenches for the fused ENSEMBLETIMEOUT observe (O(log k) prefix
-roll vs the naive k-instance loop), the pipe delivery pump
-(one outstanding engine event per pipe vs one per packet in flight) and
-the LB control path (per-sample ranking, per-shift Maglev rebuild).
+roll), the pipe delivery pump (one outstanding engine event per pipe vs
+one per packet in flight) and the LB control path (per-sample ranking,
+per-shift Maglev rebuild).
 Writes ``reports/hotpath.txt`` with the measured ratios and records
 throughputs into ``BENCH_engine.json`` for the CI perf gate.
 """
@@ -14,7 +14,6 @@ from hotpath_cases import (
     run_ensemble_observe,
     run_lb_control_path,
     run_pipe_stream,
-    run_pipe_stream_slab,
 )
 
 
@@ -28,15 +27,7 @@ class TestEnsembleObserve:
         trace = make_gap_trace()
 
         def run():
-            return run_ensemble_observe(trace, fused=True)[0]
-
-        assert benchmark(run) == len(trace)
-
-    def test_naive_observe_100k_packets(self, benchmark):
-        trace = make_gap_trace()
-
-        def run():
-            return run_ensemble_observe(trace, fused=False)[0]
+            return run_ensemble_observe(trace)[0]
 
         assert benchmark(run) == len(trace)
 
@@ -48,54 +39,34 @@ class TestPipeSend:
 
         assert benchmark(run) == 10_000
 
-    def test_pipe_slab_5x10k_packets(self, benchmark):
-        def run():
-            return run_pipe_stream_slab()[0]
-
-        assert benchmark(run) == 50_000
-
 
 def test_hotpath_report():
-    """Record fused-vs-naive and pipe throughput; render the report."""
+    """Record ensemble, pipe and control-path throughput; render the report."""
     trace = make_gap_trace()
-    fused_n, fused_s = _best_of(5, run_ensemble_observe, trace, fused=True)
-    naive_n, naive_s = _best_of(3, run_ensemble_observe, trace, fused=False)
+    fused_n, fused_s = _best_of(5, run_ensemble_observe, trace)
     pipe_n, pipe_s, pipe_peak = _best_of(5, run_pipe_stream)
-    slab_n, slab_s, slab_peak = _best_of(5, run_pipe_stream_slab)
     control = [run_lb_control_path() for _ in range(5)]
     sample_n, _, rebuild_n, _ = control[0]
     sample_s = min(run[1] for run in control)
     rebuild_s = min(run[3] for run in control)
 
     fused = record_perf("ensemble_observe_fused_100k", fused_n, fused_s)
-    naive = record_perf("ensemble_observe_naive_100k", naive_n, naive_s)
     pipe = record_perf(
         "pipe_pump_10x1k", pipe_n, pipe_s, peak_queue_depth=pipe_peak
-    )
-    slab = record_perf(
-        "pipe_slab_5x10k", slab_n, slab_s, peak_queue_depth=slab_peak
     )
     record_perf("lb_control_sample_40k", sample_n, sample_s)
     record_perf("lb_control_rebuild_100", rebuild_n, rebuild_s)
 
-    speedup = fused["events_per_sec"] / naive["events_per_sec"]
     lines = [
         "hot-path microbenchmarks (best-of-N wall clock)",
         "",
         "ensemble observe, 100k packets, paper ladder (k=7):",
         "  fused (O(log k) prefix roll): %12.0f obs/sec" % fused["events_per_sec"],
-        "  naive (k-instance loop):      %12.0f obs/sec" % naive["events_per_sec"],
-        "  speedup: %.2fx" % speedup,
         "",
-        "pipe send+deliver, 10 waves x 1k packets, 10 Gb/s wire:",
+        "pipe send+deliver, 10 waves x 1k slab packets, 10 Gb/s wire:",
         "  delivery pump:                %12.0f pkts/sec" % pipe["events_per_sec"],
         "  engine peak queue depth:      %12d (one event per pipe)"
         % pipe["peak_queue_depth"],
-        "",
-        "slab pipe, 5 waves x 10k packets, batch seams + bulk drain:",
-        "  vectorized delivery:          %12.0f pkts/sec" % slab["events_per_sec"],
-        "  engine peak queue depth:      %12d (one event per pipe)"
-        % slab["peak_queue_depth"],
         "",
         "LB control path, 16 backends (estimator observe + maybe_shift;",
         "full Maglev build at 4099 slots):",
@@ -103,10 +74,5 @@ def test_hotpath_report():
         "  per weighted rebuild:         %12.3f ms" % (rebuild_s / rebuild_n * 1e3),
     ]
     write_report("hotpath", "\n".join(lines))
-    # The fused path must beat the naive loop decisively; the pump must
-    # hold the heap at O(pipes), not O(packets in flight); the slab
-    # batch seams must beat the per-packet object pump.
-    assert speedup > 1.5
+    # The pump must hold the heap at O(pipes), not O(packets in flight).
     assert pipe["peak_queue_depth"] < 50
-    assert slab["peak_queue_depth"] < 50
-    assert slab["events_per_sec"] > pipe["events_per_sec"]

@@ -4,8 +4,7 @@ recovery.
 A backend whose estimate exceeds ``threshold ×`` the pool's best loses
 ``(1 − decrease)`` of its weight; all others gain an additive
 ``increase`` share.  The TCP-flavoured answer to the paper's open
-question #4, trading convergence speed for stability; migrated here
-from ``repro.core.strategies``.
+question #4, trading convergence speed for stability.
 """
 
 from __future__ import annotations

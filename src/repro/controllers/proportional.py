@@ -2,8 +2,7 @@
 
 Smooth, stateless in the control sense, and a natural gradient-free
 baseline: a backend twice as slow gets half the traffic (power = 1).
-One of the paper's open-question-#4 alternatives, migrated here from
-``repro.core.strategies``.
+One of the paper's open-question-#4 alternatives.
 """
 
 from __future__ import annotations

@@ -43,9 +43,9 @@ case) is O(1): nothing rolls.  Since every instance shares the same
 ``time_last_pkt``, the fused path keeps one shared last-packet stamp
 plus flat per-instance arrays instead of *k* objects.
 
-The naive per-instance path is preserved behind
-``EnsembleTimeout(..., fused=False)`` so differential tests can verify
-the two produce byte-identical samples, counts, and cliff choices.
+``tests/test_ensemble.py`` keeps the literal k-instance loop as the
+oracle the fused path must match: same samples, counts, and cliff
+choices.
 """
 
 from __future__ import annotations
@@ -104,18 +104,12 @@ class EnsembleTimeout:
 
     ``observe(now)`` is called for every packet of the flow arriving at
     the LB and returns a ``T_LB`` sample when the *currently selected*
-    timeout's FIXEDTIMEOUT instance produced one, else None.
-
-    ``fused=True`` (the default) uses the O(log k) prefix-roll fast path
-    documented in the module docstring; ``fused=False`` runs the literal
-    k FIXEDTIMEOUT instances from the pseudocode.  Both paths produce
-    identical samples, :meth:`sample_counts`, and ``cliff_history``.
+    timeout's FIXEDTIMEOUT instance produced one, else None, using the
+    O(log k) prefix-roll path documented in the module docstring.
     """
 
     __slots__ = (
         "config",
-        "fused",
-        "_instances",
         "_deltas",
         "_last_batch",
         "_last_pkt",
@@ -128,22 +122,17 @@ class EnsembleTimeout:
         "cliff_history",
     )
 
-    def __init__(self, config: Optional[EnsembleConfig] = None, fused: bool = True):
+    def __init__(self, config: Optional[EnsembleConfig] = None):
         self.config = config or EnsembleConfig()
         self.config.validate()
-        self.fused = fused
         self._deltas = list(self.config.timeouts)
         # Cached once: observe() reads the epoch length per packet and
         # the config is immutable after validate().
         self._epoch_len = self.config.epoch
         k = len(self._deltas)
-        if fused:
-            self._instances = None
-            self._last_batch: List[int] = [0] * k
-            self._last_pkt: Optional[int] = None
-            self._samples_produced = [0] * k
-        else:
-            self._instances = [FixedTimeout(delta) for delta in self._deltas]
+        self._last_batch: List[int] = [0] * k
+        self._last_pkt: Optional[int] = None
+        self._samples_produced = [0] * k
         self._counts = [0] * k
         self._epoch_start: Optional[int] = None
         self._current = self.config.initial_index
@@ -163,15 +152,12 @@ class EnsembleTimeout:
 
     @property
     def instances(self) -> List[FixedTimeout]:
-        """Per-timeout FIXEDTIMEOUT state (views when fused).
+        """Per-timeout FIXEDTIMEOUT state, as snapshot views.
 
-        In naive mode these are the live Algorithm 1 instances; in fused
-        mode equivalent snapshots are materialized on demand, so
-        introspection and differential tests can compare state without
-        slowing the hot path.
+        Equivalent Algorithm 1 instances are materialized on demand, so
+        introspection and oracle tests can compare state without slowing
+        the hot path.
         """
-        if self._instances is not None:
-            return list(self._instances)
         views = []
         for i, delta in enumerate(self._deltas):
             view = FixedTimeout(delta)
@@ -200,9 +186,6 @@ class EnsembleTimeout:
         elif now - epoch_start >= self._epoch_len:
             self._end_epoch(now)
 
-        if not self.fused:
-            return self._observe_naive(now)
-
         last_pkt = self._last_pkt
         self._last_pkt = now
         if last_pkt is None:
@@ -230,17 +213,6 @@ class EnsembleTimeout:
             counts[i] += 1
             samples[i] += 1
             last_batch[i] = now
-        return result
-
-    def _observe_naive(self, now: int) -> Optional[int]:
-        """The literal Algorithm 2 inner loop (reference implementation)."""
-        result: Optional[int] = None
-        for index, instance in enumerate(self._instances):
-            t_lb = instance.observe(now)
-            if t_lb is not None:
-                self._counts[index] += 1
-                if index == self._current:
-                    result = t_lb
         return result
 
     def _end_epoch(self, now: int) -> None:

@@ -35,7 +35,7 @@ from repro.core.estimator import BackendLatencyEstimator, EstimatorConfig
 from repro.core.flowtable import FlowTable
 from repro.lb.dataplane import LoadBalancer
 from repro.net.addr import FlowKey
-from repro.net.packet import FLAG_FIN, FLAG_RST, FLAG_SYN, Packet
+from repro.net.packet import FLAG_FIN, FLAG_RST, FLAG_SYN
 
 _FIN_OR_RST = FLAG_FIN | FLAG_RST
 _SYN_OR_FIN = FLAG_SYN | FLAG_FIN
@@ -106,17 +106,8 @@ class _FlowState:
         self.max_end_seq = 0
         self.tainted = False
 
-    def observe_seq(self, packet: Packet) -> None:
-        """Track sequence progress; flag retransmissions."""
-        if packet.payload_len == 0 and not packet.is_syn:
-            return  # pure ACKs carry no new sequence range
-        if packet.end_seq <= self.max_end_seq:
-            self.tainted = True
-        else:
-            self.max_end_seq = packet.end_seq
-
     def observe_seq_fields(self, flags: int, seq: int, payload_len: int) -> None:
-        """Field-wise :meth:`observe_seq` for slab-handle packets."""
+        """Track sequence progress; flag retransmissions."""
         if payload_len == 0 and not flags & FLAG_SYN:
             return  # pure ACKs carry no new sequence range
         end_seq = seq + payload_len
@@ -187,8 +178,8 @@ class InbandFeedback:
         self._tracer = None
         #: Insight plane's flight recorder (None unless attached).
         self._recorder = None
-        #: The network's PacketSlab (None in object mode); the tap reads
-        #: packet fields straight from its columns.
+        #: The network's PacketSlab; the tap reads packet fields straight
+        #: from its columns.
         self._slab = lb.network.slab
         if resilience is not None and resilience.enabled:
             self._wire_resilience(resilience)
@@ -298,23 +289,17 @@ class InbandFeedback:
             self._was_invalid[name] = invalid
 
     def _on_packet(
-        self, now: int, flow: FlowKey, backend: str, packet
+        self, now: int, flow: FlowKey, backend: str, packet: int
     ) -> None:
-        # ``packet`` is a Packet in object mode, an integer slab handle
-        # in slab mode; only its flags (and, when censoring, its sequence
-        # range) are read, so both forms are handled field-wise.
+        # Only the handle's flags (and, when censoring, its sequence
+        # range) are read.
         state = self._get_or_create(flow, now)
         slab = self._slab
-        if slab is not None and type(packet) is int:
-            flags = slab.flags[packet]
-            if self._censor:
-                state.observe_seq_fields(
-                    flags, slab.seq[packet], slab.payload_len[packet]
-                )
-        else:
-            flags = packet.flags
-            if self._censor:
-                state.observe_seq(packet)
+        flags = slab.flags[packet]
+        if self._censor:
+            state.observe_seq_fields(
+                flags, slab.seq[packet], slab.payload_len[packet]
+            )
         metrics = self._metrics
         recorder = self._recorder
         if metrics is None and recorder is None:

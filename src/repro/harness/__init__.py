@@ -13,12 +13,7 @@ Fault injection lives in :mod:`repro.faults` (the chaos plane);
 ``ScenarioConfig.faults`` is the hook that arms it on a built scenario.
 """
 
-from repro.harness.config import (
-    DelayInjection,
-    NetworkParams,
-    PolicyName,
-    ScenarioConfig,
-)
+from repro.harness.config import NetworkParams, PolicyName, ScenarioConfig
 from repro.harness.scenario import Scenario, build_scenario
 from repro.harness.runner import ScenarioResult, run_scenario
 from repro.harness.report import format_series, format_table
@@ -42,7 +37,6 @@ __all__ = [
     "run_reaction",
     "run_error_decomposition",
     "NetworkParams",
-    "DelayInjection",
     "PolicyName",
     "ScenarioConfig",
     "Scenario",

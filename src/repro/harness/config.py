@@ -9,7 +9,6 @@ seed) produce identical traces.
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -17,7 +16,7 @@ from repro.app.client import MemtierConfig
 from repro.app.server import ServerConfig
 from repro.core.feedback import FeedbackConfig
 from repro.errors import ConfigError
-from repro.faults.model import DelayFault, FaultSpec
+from repro.faults.model import FaultSpec
 from repro.fleet.config import FleetConfig
 from repro.insight.config import InsightConfig
 from repro.obs.config import ObsConfig
@@ -84,54 +83,6 @@ class NetworkParams:
 
 
 @dataclass
-class DelayInjection:
-    """Extra one-way delay on the LB→server pipe of one backend.
-
-    .. deprecated::
-        ``DelayInjection`` is a compatibility alias kept so existing
-        benchmarks and configs keep working unchanged.  New code should
-        put a :class:`repro.faults.DelayFault` in
-        ``ScenarioConfig.faults`` instead; at build time every injection
-        is converted (:meth:`to_fault`) and routed through the chaos
-        plane like any other fault.
-
-    This is the Fig 3 stimulus: ``DelayInjection(at=seconds(10),
-    server="server0", extra=1*MILLISECONDS)``.  ``end=None`` keeps the
-    inflation until the run ends.
-    """
-
-    at: int
-    server: str
-    extra: int
-    end: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        warnings.warn(
-            "DelayInjection is deprecated; put a repro.faults.DelayFault "
-            "in ScenarioConfig.faults instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-
-    def validate(self) -> None:
-        """Raise ConfigError on malformed values."""
-        if self.at < 0 or self.extra < 0:
-            raise ConfigError("injection times/delays must be >= 0")
-        if self.end is not None and self.end <= self.at:
-            raise ConfigError("injection end must follow start")
-
-    def to_fault(self) -> DelayFault:
-        """The equivalent chaos-plane fault spec."""
-        duration = None if self.end is None else self.end - self.at
-        return DelayFault(
-            start=self.at,
-            duration=duration,
-            extra=self.extra,
-            node=self.server,
-        )
-
-
-@dataclass
 class ScenarioConfig:
     """Everything one experiment needs."""
 
@@ -148,9 +99,6 @@ class ScenarioConfig:
     server: ServerConfig = field(default_factory=ServerConfig)
     server_overrides: Optional[List[ServerConfig]] = None
     feedback: FeedbackConfig = field(default_factory=FeedbackConfig)
-    #: Deprecated alias for ``faults`` — converted via
-    #: :meth:`DelayInjection.to_fault` at build time.
-    injections: List[DelayInjection] = field(default_factory=list)
     #: Declarative chaos-plane faults (see :mod:`repro.faults`).
     faults: List[FaultSpec] = field(default_factory=list)
     #: Signal-integrity guardrails (see :mod:`repro.resilience`);
@@ -168,12 +116,6 @@ class ScenarioConfig:
     insight: InsightConfig = field(default_factory=InsightConfig)
     #: Ignore requests completing before this time in summary stats.
     warmup: int = 0
-    #: Slab dataplane: store packet records in a :class:`PacketSlab`
-    #: (flat parallel arrays addressed by integer handle) instead of
-    #: per-packet objects.  Byte-identical results either way — the
-    #: differential suite proves it — so this stays on; ``False`` keeps
-    #: the object dataplane for A/B runs and the differential tests.
-    slab: bool = True
 
     def validate(self) -> None:
         """Raise ConfigError on malformed values."""
@@ -209,10 +151,6 @@ class ScenarioConfig:
                 raise ConfigError(
                     "server_overrides are not supported with the fleet plane"
                 )
-        for injection in self.injections:
-            injection.validate()
-            if injection.at >= self.duration:
-                raise ConfigError("injection starts after the run ends")
         for fault in self.faults:
             if not isinstance(fault, FaultSpec):
                 raise ConfigError(
@@ -225,8 +163,8 @@ class ScenarioConfig:
                 )
 
     def all_faults(self) -> List[FaultSpec]:
-        """Every fault for this run: legacy injections plus ``faults``."""
-        return [inj.to_fault() for inj in self.injections] + list(self.faults)
+        """Every fault for this run."""
+        return list(self.faults)
 
     def server_config(self, index: int) -> ServerConfig:
         """Effective config for server ``index``."""

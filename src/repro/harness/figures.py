@@ -48,7 +48,6 @@ from repro.lb.dataplane import LoadBalancer
 from repro.lb.policies import MaglevPolicy
 from repro.net.addr import Endpoint, FlowKey
 from repro.net.network import Network
-from repro.net.packet import Packet, PacketSlab
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 from repro.telemetry.quantiles import exact_quantile
@@ -98,8 +97,6 @@ class BacklogConfig:
     #: Flow-control window: small enough to stay window-limited (bursty).
     window: int = 16 * 1024
     mss: int = 1448
-    #: Slab dataplane (see :attr:`ScenarioConfig.slab`); byte-identical.
-    slab: bool = True
 
 
 @dataclass
@@ -116,7 +113,7 @@ class BacklogRun:
 def build_backlog(config: BacklogConfig) -> BacklogRun:
     """Assemble the single-flow Fig 2 scenario (no probes attached yet)."""
     sim = Simulator()
-    network = Network(sim, PacketSlab() if config.slab else None)
+    network = Network(sim)
     streams = RandomStreams(config.seed)
     jitter_rng = streams.get("net.jitter")
 
@@ -237,7 +234,7 @@ def run_fig2a(
         d: TimeSeries(name="T_LB@%dus" % (d // MICROSECONDS)) for d in deltas
     }
 
-    def probe(now: int, flow: FlowKey, backend: str, packet: Packet) -> None:
+    def probe(now: int, flow: FlowKey, backend: str, packet: int) -> None:
         for delta in deltas:
             per_flow = trackers[delta]
             tracker = per_flow.get(flow)
@@ -322,7 +319,7 @@ def run_fig2b(
     estimates = TimeSeries(name="T_LB_ensemble")
     chosen = TimeSeries(name="delta_m")
 
-    def probe(now: int, flow: FlowKey, backend: str, packet: Packet) -> None:
+    def probe(now: int, flow: FlowKey, backend: str, packet: int) -> None:
         tracker = ensembles.get(flow)
         if tracker is None:
             tracker = EnsembleTimeout(ensemble_config)

@@ -29,7 +29,6 @@ from repro.lb.dataplane import LoadBalancer
 from repro.lb.policies import MaglevPolicy
 from repro.net.addr import Endpoint
 from repro.net.network import Network
-from repro.net.packet import PacketSlab
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 from repro.telemetry.timeseries import TimeSeries
@@ -128,7 +127,7 @@ def run_multilb(config: Optional[MultiLbConfig] = None) -> MultiLbResult:
     config = config or MultiLbConfig()
     config.validate()
     sim = Simulator()
-    network = Network(sim, PacketSlab())
+    network = Network(sim)
     streams = RandomStreams(config.seed)
     bw = 10 * GIGABITS_PER_SECOND
 

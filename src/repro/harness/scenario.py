@@ -40,7 +40,6 @@ from repro.lb.policies import (
 from repro.lb.health import HealthChecker
 from repro.net.addr import Endpoint
 from repro.net.network import Network
-from repro.net.packet import PacketSlab
 from repro.resilience.breaker import BreakerBoard
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
@@ -69,7 +68,7 @@ class Scenario:
     clients: List[MemtierClient]
     feedback: Optional[InbandFeedback] = None
     oracle: Optional[OracleFeedback] = None
-    #: Chaos plane, armed when the config declares faults/injections.
+    #: Chaos plane, armed when the config declares faults.
     injector: Optional[Injector] = None
     #: Resilience plane (None unless ``config.resilience.enabled``).
     breakers: Optional[BreakerBoard] = None
@@ -96,7 +95,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     """Construct the simulated deployment described by ``config``."""
     config.validate()
     sim = Simulator()
-    network = Network(sim, PacketSlab() if config.slab else None)
+    network = Network(sim)
     streams = RandomStreams(config.seed)
     net_params = config.network
 
@@ -266,8 +265,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         scenario.fleet.start()
 
     # --- chaos plane -------------------------------------------------------
-    # Legacy DelayInjections and declarative faults share one path: both
-    # become FaultSpecs, get compiled to windows, and are armed on the
+    # Declarative faults are compiled to windows and armed on the
     # simulator by the injector (deterministic revert-on-expiry).
     faults = config.all_faults()
     if faults:

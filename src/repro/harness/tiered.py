@@ -40,7 +40,6 @@ from repro.lb.dataplane import LoadBalancer
 from repro.lb.policies import MaglevPolicy
 from repro.net.addr import Endpoint
 from repro.net.network import Network
-from repro.net.packet import PacketSlab
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 from repro.transport.endpoint import Host
@@ -142,7 +141,7 @@ def run_tiered(config: Optional[TieredScenarioConfig] = None) -> TieredResult:
     config = config or TieredScenarioConfig()
     config.validate()
     sim = Simulator()
-    network = Network(sim, PacketSlab())
+    network = Network(sim)
     streams = RandomStreams(config.seed)
     bw = 10 * GIGABITS_PER_SECOND
 

@@ -19,9 +19,9 @@ from typing import Dict, Hashable, Optional
 
 from repro.units import MILLISECONDS, SECONDS
 
-# Keys are opaque to the table: the LB passes FlowKey tuples in object
-# mode and interned integer flow ids in slab mode (int hashing is much
-# cheaper than a 4-field tuple hash on the per-packet path).
+# Keys are opaque to the table: the LB passes the slab's interned integer
+# flow ids (int hashing is much cheaper than a 4-field tuple hash on the
+# per-packet path).
 FlowId = Hashable
 
 

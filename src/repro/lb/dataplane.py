@@ -28,18 +28,19 @@ from repro.lb.conntrack import ConnTrack
 from repro.lb.policies import RoutingPolicy
 from repro.net.addr import Endpoint, FlowKey
 from repro.net.network import Network
-from repro.net.packet import FLAG_ACK, FLAG_FIN, FLAG_RST, FLAG_SYN, Packet
+from repro.net.packet import FLAG_ACK, FLAG_FIN, FLAG_RST, FLAG_SYN
 
 if TYPE_CHECKING:  # pragma: no cover - resilience imports lb submodules
     from repro.resilience.breaker import BreakerBoard
 
 _FIN_OR_RST = FLAG_FIN | FLAG_RST
 
-#: Signature of a measurement tap.  In slab mode the last argument is
-#: the integer slab handle instead of a Packet; the in-repo taps ignore
-#: it (they key off ``flow``/``backend``), and cold-path consumers
-#: materialize a snapshot via ``network.slab.materialize(handle)``.
-PacketTap = Callable[[int, FlowKey, str, Packet], None]
+#: Signature of a measurement tap: ``(now, flow, backend, handle)``.
+#: The handle is the packet's slab handle, valid only during the call;
+#: the in-repo taps key off ``flow``/``backend`` or read slab columns,
+#: and cold-path consumers materialize a snapshot via
+#: ``network.slab.materialize(handle)``.
+PacketTap = Callable[[int, FlowKey, str, int], None]
 
 
 @dataclass
@@ -105,11 +106,10 @@ class LoadBalancer:
         self.stats = LoadBalancerStats()
         self._taps: List[PacketTap] = []
         self._metrics = None
-        # Slab mode: packets arrive as integer handles; conntrack keys
-        # are interned flow ids (ints) instead of FlowKey tuples, which
-        # skips the 4-field tuple hash on every lookup.  Policies and
-        # taps still receive the interned FlowKey object (free: a list
-        # index), so hashing-sensitive policies route identically.
+        # Packets arrive as slab handles; conntrack keys are interned
+        # flow ids (ints) instead of FlowKey tuples, which skips the
+        # 4-field tuple hash on every lookup.  Policies and taps still
+        # receive the interned FlowKey object (free: a list index).
         self._slab = network.slab
         # Prebound hot-path handles: on_packet runs once per forwarded
         # packet, so skip the network.sim.now property chain and the
@@ -130,32 +130,21 @@ class LoadBalancer:
     # Node interface
     # ------------------------------------------------------------------
 
-    def on_packet(self, packet) -> None:
-        """Process one client→server packet (object or slab handle)."""
+    def on_packet(self, packet: int) -> None:
+        """Process one client→server packet (a slab handle)."""
         self.stats.packets_in += 1
         slab = self._slab
-        if slab is not None and type(packet) is int:
-            if slab.ep_host[slab.dst_i[packet]] != self.vip.host:
-                # Not for our VIP: a misrouted packet; drop (and free —
-                # the LB owns the handle on delivery).
-                self.stats.packets_dropped_no_backend += 1
-                slab.free(packet)
-                if self._metrics is not None:
-                    self._metrics.misroutes.inc()
-                return
-            flags = slab.flags[packet]
-            flow = slab.flow(packet)
-            key = slab.fid[packet]
-        else:
-            if packet.dst.host != self.vip.host:
-                # Not for our VIP: a misrouted packet; drop.
-                self.stats.packets_dropped_no_backend += 1
-                if self._metrics is not None:
-                    self._metrics.misroutes.inc()
-                return
-            flags = packet.flags
-            flow = packet.flow
-            key = flow
+        if slab.ep_host[slab.dst_i[packet]] != self.vip.host:
+            # Not for our VIP: a misrouted packet; drop (and free — the
+            # LB owns the handle on delivery).
+            self.stats.packets_dropped_no_backend += 1
+            slab.free(packet)
+            if self._metrics is not None:
+                self._metrics.misroutes.inc()
+            return
+        flags = slab.flags[packet]
+        flow = slab.flow(packet)
+        key = slab.fid[packet]
 
         now = self._sim._now
         backend = self.conntrack.lookup(key, now)

@@ -30,16 +30,16 @@ from repro.sim.engine import Simulator
 class Network:
     """Registry of nodes, pipes between them, and per-node routes.
 
-    When constructed with a :class:`PacketSlab`, the fabric runs in slab
-    mode: packets are integer handles into the slab's columns, hosts and
-    the LB address them by handle, and network taps receive materialized
-    :class:`Packet` snapshots (taps are the cold observation path).
+    Packets are integer handles into the network's :class:`PacketSlab`
+    (a fresh one unless ``slab`` is given); hosts and the LB address them
+    by handle, and network taps receive materialized :class:`Packet`
+    snapshots (taps are the cold observation path).
     """
 
     def __init__(self, sim: Simulator, slab: Optional[PacketSlab] = None):
         self._sim = sim
-        #: Slab backing packet records, or None for object mode.
-        self.slab = slab
+        #: Slab backing every packet record on this fabric.
+        self.slab = PacketSlab() if slab is None else slab
         self._nodes: Dict[str, Node] = {}
         self._pipes: Dict[Tuple[str, str], Pipe] = {}
         self._routes: Dict[str, Dict[str, str]] = {}
@@ -167,19 +167,16 @@ class Network:
     # Data plane
     # ------------------------------------------------------------------
 
-    def send_from(self, node_name: str, packet) -> bool:
-        """Route ``packet`` out of ``node_name`` toward its destination.
+    def send_from(self, node_name: str, packet: int) -> bool:
+        """Route slab handle ``packet`` out of ``node_name`` toward its
+        destination.
 
-        ``packet`` is a :class:`Packet` or a slab handle.  Resolves the
-        next hop (explicit route, then default route, then — if the
-        destination resolves to a directly-pipe-connected node — that
-        node).  Returns False if the pipe tail-dropped the packet.
+        Resolves the next hop (explicit route, then default route, then —
+        if the destination resolves to a directly-pipe-connected node —
+        that node).  Returns False if the pipe tail-dropped the packet.
         """
-        if type(packet) is int:
-            slab = self.slab
-            dst_host = slab.ep_host[slab.dst_i[packet]]
-        else:
-            dst_host = packet.dst.host
+        slab = self.slab
+        dst_host = slab.ep_host[slab.dst_i[packet]]
         key = (node_name, dst_host)
         pipe = self._hop_cache.get(key)
         if pipe is None:
@@ -195,7 +192,7 @@ class Network:
             self._run_taps(pipe.name, packet)
         return pipe.send(packet)
 
-    def send_via(self, src_node: str, next_hop: str, packet) -> bool:
+    def send_via(self, src_node: str, next_hop: str, packet: int) -> bool:
         """Send over an explicit hop, ignoring route tables.
 
         The load balancer uses this to forward a VIP-addressed packet to
@@ -208,12 +205,11 @@ class Network:
             self._run_taps(pipe.name, packet)
         return pipe.send(packet)
 
-    def _run_taps(self, pipe_name: str, packet) -> None:
-        # Taps are the cold observation path: slab handles are
-        # materialized once into an independent snapshot so trace
-        # records survive handle recycling.
-        if type(packet) is int:
-            packet = self.slab.materialize(packet)
+    def _run_taps(self, pipe_name: str, handle: int) -> None:
+        # Taps are the cold observation path: the handle is materialized
+        # once into an independent snapshot so trace records survive
+        # handle recycling.
+        packet = self.slab.materialize(handle)
         for tap in self._taps:
             tap(pipe_name, packet)
 

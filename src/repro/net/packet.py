@@ -1,4 +1,4 @@
-"""The packet model: object view and slab storage.
+"""The packet model: slab storage and its snapshot view.
 
 Packets are TCP-segment-shaped: a flow 4-tuple, flags, 32-bit-style
 sequence/ack numbers (we use unbounded ints — wraparound adds nothing to
@@ -11,17 +11,15 @@ byte of the message, and the receiver delivers ``message`` to the
 application once its cumulative in-order offset passes ``end_offset``.
 Retransmissions re-carry boundaries; receivers de-duplicate by offset.
 
-Two representations share this model:
-
-* :class:`Packet` — a plain object, one per packet.  This is the API
-  surface (tests, traces, reports construct and read these) and the
-  wire format of *object mode* simulations.
-* :class:`PacketSlab` — array-of-arrays storage for *slab mode*: every
-  field lives in a flat parallel column and a packet is just an integer
-  handle into them.  A free list recycles handles deterministically
-  (LIFO), endpoints and flow keys are interned once per connection, and
-  :meth:`PacketSlab.materialize` produces an independent :class:`Packet`
-  snapshot for cold paths (packet traces, reports, campaign audits).
+* :class:`PacketSlab` — the wire format: every field lives in a flat
+  parallel column and a packet is just an integer handle into them.  A
+  free list recycles handles deterministically (LIFO), endpoints and
+  flow keys are interned once per connection, and packet ids count up
+  per slab, so two identical runs in one process number their packets
+  identically.
+* :class:`Packet` — a plain object snapshot.
+  :meth:`PacketSlab.materialize` produces one for cold paths (packet
+  traces, reports, campaign audits) that outlive the handle.
 
 Flags are plain ints on the hot path — module-level ``FLAG_*`` constants
 mirror the :class:`TcpFlags` enum, whose members compare and combine
@@ -33,7 +31,7 @@ int ``&`` directly, skipping enum ``__and__`` machinery.
 from __future__ import annotations
 
 import enum
-from typing import Any, List, NamedTuple, Optional, Sequence
+from typing import Any, List, NamedTuple, Optional
 
 from repro.net.addr import Endpoint, FlowKey
 
@@ -82,17 +80,8 @@ class MessageBoundary(NamedTuple):
     message: Any
 
 
-_packet_counter = 0
-
-
-def _next_packet_id() -> int:
-    global _packet_counter
-    _packet_counter += 1
-    return _packet_counter
-
-
 class Packet:
-    """A simulated TCP segment (object view).
+    """A simulated TCP segment (snapshot view of a slab record).
 
     ``size_bytes`` (header + payload) is what links charge for
     serialization.  ``sent_at`` is stamped by the sender for tracing and
@@ -126,7 +115,7 @@ class Packet:
         payload_len: int = 0,
         boundaries: Optional[List[MessageBoundary]] = None,
         sent_at: int = 0,
-        packet_id: Optional[int] = None,
+        packet_id: int = 0,
         retransmit: bool = False,
     ):
         self.src = src
@@ -137,7 +126,7 @@ class Packet:
         self.payload_len = payload_len
         self.boundaries = [] if boundaries is None else boundaries
         self.sent_at = sent_at
-        self.packet_id = _next_packet_id() if packet_id is None else packet_id
+        self.packet_id = packet_id
         self.retransmit = retransmit
 
     @property
@@ -237,8 +226,7 @@ class PacketSlab:
     ``Endpoint``/:class:`FlowKey` objects to small ints once, and every
     packet carries ``src_i``/``dst_i``/``fid`` ints instead of object
     references.  ``flow(h)`` returns the real interned :class:`FlowKey`
-    (a list index, no allocation), which is what routing policies hash —
-    so backend selection is byte-identical to object mode.
+    (a list index, no allocation), which is what routing policies hash.
 
     Ownership discipline: whoever holds a handle owns it.  ``Pipe.send``
     takes ownership (drops free the handle); delivery transfers it to
@@ -262,6 +250,7 @@ class PacketSlab:
         "packet_id",
         "retransmit",
         "_free",
+        "_last_id",
         "_endpoints",
         "_ep_index",
         "ep_host",
@@ -282,6 +271,8 @@ class PacketSlab:
         self.packet_id: List[int] = []
         self.retransmit: List[bool] = []
         self._free: List[int] = []
+        #: Id of the most recent allocation (ids start at 1 per slab).
+        self._last_id = 0
         self._endpoints: List[Endpoint] = []
         self._ep_index: dict = {}
         #: Host name per endpoint index (routing reads this per packet).
@@ -336,13 +327,9 @@ class PacketSlab:
         sent_at: int,
         retransmit: bool = False,
     ) -> int:
-        """Allocate a packet record; returns its handle.
-
-        Draws from the same global packet-id counter as :class:`Packet`
-        construction, so ids match object mode packet-for-packet.
-        """
-        global _packet_counter
-        _packet_counter += 1
+        """Allocate a packet record; returns its handle."""
+        packet_id = self._last_id + 1
+        self._last_id = packet_id
         free = self._free
         if free:
             h = free.pop()
@@ -355,7 +342,7 @@ class PacketSlab:
             self.src_i[h] = src_i
             self.dst_i[h] = dst_i
             self.fid[h] = fid
-            self.packet_id[h] = _packet_counter
+            self.packet_id[h] = packet_id
             self.retransmit[h] = retransmit
         else:
             h = len(self.flags)
@@ -368,119 +355,15 @@ class PacketSlab:
             self.src_i.append(src_i)
             self.dst_i.append(dst_i)
             self.fid.append(fid)
-            self.packet_id.append(_packet_counter)
+            self.packet_id.append(packet_id)
             self.retransmit.append(retransmit)
         return h
-
-    def alloc_batch(
-        self,
-        src_i: int,
-        dst_i: int,
-        fid: int,
-        flags: int,
-        seqs: Sequence[int],
-        ack: int,
-        payload_len: int,
-        boundaries: Optional[List[MessageBoundary]],
-        sent_at: int,
-        retransmit: bool = False,
-    ) -> List[int]:
-        """Allocate one record per entry in ``seqs``; returns the handles.
-
-        Every field except ``seq`` is shared across the batch — the shape
-        a sender streaming one flow produces.  Handle values, recycling
-        order, and packet ids are exactly what ``len(seqs)`` sequential
-        :meth:`alloc` calls would have produced; the bulk path just
-        replaces the per-packet Python work with C-level column extends
-        when the free list is short.
-        """
-        global _packet_counter
-        n = len(seqs)
-        if n == 0:
-            return []
-        free = self._free
-        pid = _packet_counter
-        _packet_counter = pid + n
-        handles: List[int] = []
-        i = 0
-        if free:
-            # Drain the free list first (LIFO, matching sequential
-            # alloc), one column at a time so each loop stays tight.
-            take = len(free) if len(free) < n else n
-            grabbed = free[-take:]
-            del free[-take:]
-            grabbed.reverse()
-            cols = (
-                self.flags,
-                self.ack,
-                self.payload_len,
-                self.boundaries,
-                self.sent_at,
-                self.src_i,
-                self.dst_i,
-                self.fid,
-                self.retransmit,
-            )
-            values = (
-                flags,
-                ack,
-                payload_len,
-                boundaries,
-                sent_at,
-                src_i,
-                dst_i,
-                fid,
-                retransmit,
-            )
-            for col, value in zip(cols, values):
-                for h in grabbed:
-                    col[h] = value
-            seq_col = self.seq
-            id_col = self.packet_id
-            for h, s in zip(grabbed, seqs):
-                seq_col[h] = s
-            for h in grabbed:
-                pid += 1
-                id_col[h] = pid
-            handles = grabbed
-            i = take
-        if i < n:
-            k = n - i
-            base = len(self.flags)
-            self.flags.extend([flags] * k)
-            self.seq.extend(seqs[i:])
-            self.ack.extend([ack] * k)
-            self.payload_len.extend([payload_len] * k)
-            self.boundaries.extend([boundaries] * k)
-            self.sent_at.extend([sent_at] * k)
-            self.src_i.extend([src_i] * k)
-            self.dst_i.extend([dst_i] * k)
-            self.fid.extend([fid] * k)
-            self.packet_id.extend(range(pid + 1, pid + 1 + k))
-            self.retransmit.extend([retransmit] * k)
-            handles.extend(range(base, base + k))
-        return handles
 
     def free(self, handle: int) -> None:
         """Recycle ``handle``.  The owner calls this exactly once."""
         self._free.append(handle)
 
-    def free_batch(self, handles: Sequence[int]) -> None:
-        """Recycle a batch; equivalent to sequential :meth:`free` calls."""
-        self._free.extend(handles)
-
     # -- views ----------------------------------------------------------
-
-    def size_bytes(self, handle: int) -> int:
-        """Wire size charged to links."""
-        return HEADER_BYTES + self.payload_len[handle]
-
-    def end_seq(self, handle: int) -> int:
-        """Sequence number just past the payload (SYN/FIN consume one)."""
-        length = self.payload_len[handle]
-        if self.flags[handle] & _SYN_OR_FIN:
-            length += 1
-        return self.seq[handle] + length
 
     def flow(self, handle: int) -> FlowKey:
         """The packet's interned :class:`FlowKey` (no allocation)."""
@@ -505,17 +388,6 @@ class PacketSlab:
             sent_at=self.sent_at[handle],
             packet_id=self.packet_id[handle],
             retransmit=bool(self.retransmit[handle]),
-        )
-
-    def describe(self, handle: int) -> str:
-        """Terse human-readable summary for traces."""
-        return "#%d %s %s seq=%d ack=%d len=%d" % (
-            self.packet_id[handle],
-            self.flow(handle),
-            describe_flags(self.flags[handle]),
-            self.seq[handle],
-            self.ack[handle],
-            self.payload_len[handle],
         )
 
     # -- accounting -----------------------------------------------------

@@ -29,11 +29,10 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from itertools import repeat as _repeat
 from typing import Callable, Deque, Optional
 
 from repro.errors import NetworkError
-from repro.net.packet import HEADER_BYTES, Packet, PacketSlab
+from repro.net.packet import HEADER_BYTES, PacketSlab
 from repro.sim.engine import EventHandle, Simulator
 from repro.units import serialization_delay
 
@@ -80,6 +79,8 @@ class Pipe:
     jitter:
         Optional callable returning a non-negative ns jitter to add to
         each packet's propagation (e.g. ``lambda: rng.randrange(5_000)``).
+    slab:
+        The :class:`PacketSlab` whose handles this pipe carries.
     """
 
     def __init__(
@@ -90,7 +91,8 @@ class Pipe:
         bandwidth_bps: Optional[int] = None,
         queue_capacity: int = 1024,
         jitter: Optional[Callable[[], int]] = None,
-        slab: Optional[PacketSlab] = None,
+        *,
+        slab: PacketSlab,
     ):
         if prop_delay < 0:
             raise NetworkError("negative propagation delay on pipe %s" % name)
@@ -129,10 +131,9 @@ class Pipe:
         self._arrivals: Deque[tuple] = deque()
         self._pump_armed = False
         self.stats = PipeStats()
-        self._deliver: Optional[Callable[[Packet], None]] = None
-        self._deliver_batch: Optional[Callable[[list], None]] = None
-        # Slab mode: payloads are integer handles into these columns.
-        # The pipe owns a handle from send() until delivery or drop.
+        self._deliver: Optional[Callable[[int], None]] = None
+        # Packets are integer handles into this slab's columns.  The
+        # pipe owns a handle from send() until delivery or drop.
         self._slab = slab
 
     @property
@@ -246,40 +247,20 @@ class Pipe:
             or self._extra_jitter is not None
         )
 
-    def connect(self, deliver: Callable[[Packet], None]) -> None:
+    def connect(self, deliver: Callable[[int], None]) -> None:
         """Attach the receiving side's delivery callback."""
         self._deliver = deliver
 
-    def connect_batch(self, deliver_batch: Callable[[list], None]) -> None:
-        """Attach an optional *batch* delivery callback (slab mode only).
+    def send(self, packet: int) -> bool:
+        """Transmit slab handle ``packet``; returns False if it was dropped.
 
-        When set, the pump hands an entire same-instant batch of due slab
-        handles to ``deliver_batch(handles)`` in one call whenever that
-        is order-equivalent to per-packet dispatch: every queued arrival
-        shares the head's arrival instant and no other engine event's
-        key interleaves the batch's reserved seqs.  Receivers that
-        register this commit to handle-only traffic on the pipe and take
-        ownership of every handle in the list.  Per-packet
-        :meth:`connect` delivery remains the fallback (lone arrivals,
-        bounded runs, profiled runs, mixed-instant batches).
-        """
-        self._deliver_batch = deliver_batch
-
-    def send(self, packet) -> bool:
-        """Transmit ``packet`` (object or slab handle).
-
-        Returns False if it was dropped.  In slab mode the pipe takes
-        ownership of the handle: dropped handles are freed here,
-        delivered ones pass to the receiver.
+        The pipe takes ownership of the handle: dropped handles are freed
+        here, delivered ones pass to the receiver.
         """
         if self._deliver is None:
             raise NetworkError("pipe %s has no receiver connected" % self.name)
         slab = self._slab
-        if slab is not None and type(packet) is int:
-            size = HEADER_BYTES + slab.payload_len[packet]
-        else:
-            slab = None
-            size = packet.size_bytes
+        size = HEADER_BYTES + slab.payload_len[packet]
         stats = self.stats
         stats.packets_sent += 1
         stats.bytes_sent += size
@@ -288,15 +269,13 @@ class Pipe:
         if cold:
             if self._partitioned:
                 stats.packets_dropped_partition += 1
-                if slab is not None:
-                    slab.free(packet)
+                slab.free(packet)
                 return False
             if self._drop_prob > 0.0:
                 assert self._loss_rng is not None
                 if self._loss_rng.random() < self._drop_prob:
                     stats.packets_dropped_loss += 1
-                    if slab is not None:
-                        slab.free(packet)
+                    slab.free(packet)
                     return False
 
         sim = self._sim
@@ -310,8 +289,7 @@ class Pipe:
                 departures.popleft()
             if len(departures) >= self._queue_capacity:
                 stats.packets_dropped_queue += 1
-                if slab is not None:
-                    slab.free(packet)
+                slab.free(packet)
                 return False
             start = self._wire_free_at
             if start < now:
@@ -337,9 +315,10 @@ class Pipe:
         self._last_arrival = arrival
 
         # Reserve the tie-breaking seq now (as if the delivery event were
-        # scheduled here) but only keep one engine event outstanding.
-        # (reserve_seq() and note_parked(1) inlined — this is the hottest
-        # per-packet call site in the simulation.)
+        # scheduled here) but only keep one engine event outstanding, and
+        # count the packet as parked work for the load high-water mark.
+        # (Inlined — this is the hottest per-packet call site in the
+        # simulation.)
         seq = sim._seq + 1
         sim._seq = seq
         self._arrivals.append((arrival, seq, packet))
@@ -353,125 +332,43 @@ class Pipe:
             sim.schedule_fire_at(arrival, self._pump, seq=seq)
         return True
 
-    def send_batch(self, handles: list) -> int:
-        """Transmit a wave of slab handles; returns how many were accepted.
-
-        Fast path for the warm ideal-link case (slab mode, no faults, no
-        bandwidth): the wave shares one arrival instant, so stats, seq
-        reservation, and pump arming are each done once and the per-packet
-        work collapses to a C-level extend of the arrival queue.  Any
-        other configuration (faults armed, finite bandwidth, object mode)
-        falls back to per-packet :meth:`send`, which preserves exact
-        drop/serialization behavior.
-        """
-        slab = self._slab
-        if slab is None or self._cold or self._eff_bw is not None:
-            send = self.send
-            sent = 0
-            for handle in handles:
-                if send(handle):
-                    sent += 1
-            return sent
-        if self._deliver is None:
-            raise NetworkError("pipe %s has no receiver connected" % self.name)
-        n = len(handles)
-        if n == 0:
-            return 0
-        stats = self.stats
-        payload_len = slab.payload_len
-        size = HEADER_BYTES * n + sum(map(payload_len.__getitem__, handles))
-        stats.packets_sent += n
-        stats.bytes_sent += size
-        sim = self._sim
-        arrival = sim._now + self._total_delay
-        if arrival < self._last_arrival:
-            arrival = self._last_arrival
-        self._last_arrival = arrival
-        seq = sim.reserve_seq_block(n)
-        self._arrivals.extend(
-            zip(_repeat(arrival, n), range(seq, seq + n), handles)
-        )
-        sim.note_parked(n)
-        if not self._pump_armed:
-            self._pump_armed = True
-            sim.schedule_fire_at(arrival, self._pump, seq=seq)
-        return n
-
     def _pump(self) -> None:
         """Deliver every in-flight packet whose arrival is due; re-arm.
 
-        Batch drain: one engine event delivers the head packet and then —
-        when the engine is in an unbounded run (``sim.inline_ok``) — keeps
-        delivering successive arrivals inline for as long as each would
-        have been the very next engine event anyway (its ``(time, seq)``
-        key precedes the engine's next key and the run horizon).  Each
-        inline delivery advances the clock and the processed-events count
-        exactly as a separate pump firing would, so ``events_processed``,
-        callback order, and every timestamp stay byte-identical to the
-        one-event-per-packet scheme; only the heap traffic disappears.
+        One engine event delivers the head packet and then — when the
+        engine is in an unbounded run — keeps delivering successive
+        arrivals inline for as long as each would have been the very next
+        engine event anyway (its ``(time, seq)`` key precedes the engine's
+        next key and the run horizon).  Each inline delivery advances the
+        clock and the processed-events count exactly as a separate pump
+        firing would, so ``events_processed``, callback order, and every
+        timestamp stay byte-identical to the one-event-per-packet scheme;
+        only the heap traffic disappears.
 
-        When the batch leaves arrivals behind (or the engine is stepping
-        with a budget), the pump re-arms for the new head using its
-        reserved seq, preserving tie order against unrelated events.
+        When arrivals are left behind (or the engine is stepping with a
+        budget), the pump re-arms for the new head using its reserved
+        seq, preserving tie order against unrelated events.
         """
         sim = self._sim
         arrivals = self._arrivals
         stats = self.stats
         deliver = self._deliver
         assert deliver is not None
-        slab = self._slab
+        payload_len = self._slab.payload_len
 
         _arrival, _seq, packet = arrivals.popleft()
         if not arrivals and sim._inline_ok:
             # Fast path: lone arrival during an unbounded drain (the
             # overwhelmingly common case on lightly loaded pipes).  With
-            # nothing left to batch, the phantom/horizon machinery below
-            # degenerates to exactly this:
+            # nothing left to deliver inline, the phantom/horizon
+            # machinery below degenerates to exactly this:
             self._pump_armed = False
             sim._parked -= 1
             stats.packets_delivered += 1
-            if slab is not None and type(packet) is int:
-                stats.bytes_delivered += HEADER_BYTES + slab.payload_len[packet]
-            else:
-                stats.bytes_delivered += packet.size_bytes
+            stats.bytes_delivered += HEADER_BYTES + payload_len[packet]
             deliver(packet)
             return
-        deliver_batch = self._deliver_batch
-        if (
-            deliver_batch is not None
-            and sim._inline_ok
-            and sim._profiler is None
-            and slab is not None
-            and arrivals
-            and arrivals[-1][0] == _arrival
-        ):
-            # Bulk drain: every queued arrival shares this instant
-            # (arrivals are monotone, so last == head means all equal).
-            # If no other engine event's key interleaves the batch's
-            # reserved seqs, per-packet dispatch would deliver exactly
-            # this list in exactly this order with the clock pinned at
-            # _arrival — so hand the whole batch to the receiver in one
-            # call and account for it wholesale.
-            last_seq = arrivals[-1][1]
-            key = sim.next_key()
-            if key is None or key > (_arrival, last_seq):
-                batch = [packet]
-                batch.extend(entry[2] for entry in arrivals)
-                arrivals.clear()
-                self._pump_armed = False
-                n = len(batch)
-                sim._parked -= n
-                stats.packets_delivered += n
-                payload_len = slab.payload_len
-                stats.bytes_delivered += HEADER_BYTES * n + sum(
-                    map(payload_len.__getitem__, batch)
-                )
-                # The pump's own heap event covers the head; the rest
-                # were delivered inline.
-                sim.inline_fire_batch(_arrival, n - 1)
-                deliver_batch(batch)
-                return
-        if not sim.inline_ok:
+        if not sim._inline_ok:
             # Bounded run (step()/max_events): exact per-packet behavior.
             if arrivals:
                 head = arrivals[0]
@@ -480,10 +377,7 @@ class Pipe:
                 self._pump_armed = False
             sim._parked -= 1
             stats.packets_delivered += 1
-            if slab is not None and type(packet) is int:
-                stats.bytes_delivered += HEADER_BYTES + slab.payload_len[packet]
-            else:
-                stats.bytes_delivered += packet.size_bytes
+            stats.bytes_delivered += HEADER_BYTES + payload_len[packet]
             deliver(packet)
             return
 
@@ -494,7 +388,7 @@ class Pipe:
         # arrivals drain, the pump was disarmed, so a send() issued from
         # inside a delivery arms a real heap event exactly as before.
         profiler = sim._profiler
-        until = sim.inline_until
+        until = sim._until
         sim._parked -= 1
         # The first packet's delivery belongs to the pump's own heap
         # event (the engine already wraps and counts it); only inline
@@ -510,10 +404,7 @@ class Pipe:
                 self._pump_armed = False
                 armed_inline = False
             stats.packets_delivered += 1
-            if slab is not None and type(packet) is int:
-                stats.bytes_delivered += HEADER_BYTES + slab.payload_len[packet]
-            else:
-                stats.bytes_delivered += packet.size_bytes
+            stats.bytes_delivered += HEADER_BYTES + payload_len[packet]
             if profiler is None or first:
                 first = False
                 deliver(packet)
@@ -546,7 +437,7 @@ class Pipe:
             arrivals.popleft()
             packet = head[2]
             sim._parked -= 1
-            # inline_fire(t2), inlined:
+            # Account the inline delivery as one fired event at t2.
             sim._now = t2
             sim._events_processed += 1
         sim._phantom = 0

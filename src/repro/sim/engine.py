@@ -25,33 +25,24 @@ re-arm long deadlines (retransmit timers bumped on every ACK) cannot grow
 the heap without bound.  :attr:`Simulator.live_events` excludes
 tombstones; :attr:`Simulator.pending_events` includes them.
 
-Two batching surfaces let bulk producers skip the per-event heap churn:
+A sorted *column* of fire times sharing one callback
+(:meth:`Simulator.schedule_fire_many`) is kept in a side "run lane" (one
+entry per column, not per event) and merged against the heap in
+bisect-bounded chunks; a scheduling version counter forces a re-merge
+whenever a callback schedules new work, so ordering stays exactly what
+per-event pushes would have produced.
 
-* :meth:`Simulator.schedule_fire_many` accepts a sorted *column* of fire
-  times sharing one callback.  The column is kept in a side "run lane"
-  (one entry per column, not per event) and merged against the heap in
-  bisect-bounded chunks; a scheduling version counter forces a re-merge
-  whenever a callback schedules new work, so ordering stays exactly what
-  per-event pushes would have produced.
-* The pipe delivery pump (:mod:`repro.net.pipe`) delivers consecutive
-  arrivals *inline* inside one engine event.  The engine exposes the
-  contract it needs: :attr:`Simulator.inline_ok` /
-  :attr:`Simulator.inline_until` (set only while an unbounded drain is
-  running), :meth:`Simulator.next_key` (the heap/run-lane key the next
-  inline delivery must precede), and :meth:`Simulator.inline_fire`
-  (advances the clock and the event counter per delivered packet, so
-  ``events_processed`` and report footers are identical to the
-  one-event-per-packet trajectory).
-
-Work parked *outside* the heap (pipe arrival queues, run-lane columns)
-is tracked separately so load metrics stay honest: a 1k-packet batch
-must not read as queue depth 1.  :meth:`Simulator.note_parked` feeds
+The pipe delivery pump (:mod:`repro.net.pipe`) delivers consecutive
+arrivals *inline* inside one engine event while an unbounded drain runs,
+checking :meth:`Simulator.next_key` so no other event is overtaken, and
+advancing the clock and the event counter per delivered packet so
+``events_processed`` matches the one-event-per-packet trajectory.
+Packets parked in pipe arrival queues feed
 :attr:`Simulator.parked_packets`, :attr:`Simulator.pending_load`, and
-the :attr:`Simulator.peak_load` high-water mark, while the legacy
-:attr:`Simulator.peak_queue_depth` keeps its historical heap-entry
-semantics (a "phantom" entry stands in for the heap slot the old
-per-packet pump would have occupied mid-batch, so the metric's
-trajectory is unchanged).
+the :attr:`Simulator.peak_load` high-water mark, so a 1k-packet backlog
+does not read as queue depth 1; :attr:`Simulator.peak_queue_depth`
+keeps its historical heap-entry semantics (a "phantom" entry stands in
+for the heap slot the per-packet pump would have occupied mid-drain).
 
 Example
 -------
@@ -202,7 +193,7 @@ class Simulator:
 
         The per-pipe pump keeps one heap entry per pipe no matter how
         many packets wait behind it; this counter is where those packets
-        show up.  Fed by :meth:`note_parked`.
+        show up.
         """
         return self._parked
 
@@ -219,31 +210,6 @@ class Simulator:
     def peak_load(self) -> int:
         """High-water mark of :attr:`pending_load`."""
         return self._peak_load
-
-    def note_parked(self, delta: int) -> None:
-        """Adjust :attr:`parked_packets` by ``delta`` (may be negative).
-
-        Called by pipes as packets enter/leave their arrival queues, so
-        the load high-water mark sees every parked packet even though
-        only one heap entry per pipe exists.
-        """
-        self._parked += delta
-        if delta > 0:
-            load = (
-                len(self._queue) - self._tombstones + self._run_pending + self._parked
-            )
-            if load > self._peak_load:
-                self._peak_load = load
-
-    @property
-    def inline_ok(self) -> bool:
-        """True while an unbounded drain is running (inline delivery safe)."""
-        return self._inline_ok
-
-    @property
-    def inline_until(self) -> Optional[int]:
-        """Clock bound of the running drain (None = unbounded)."""
-        return self._until
 
     def next_key(self) -> Optional[Tuple[int, int]]:
         """``(time, seq)`` of the next live scheduled event, or None.
@@ -271,36 +237,6 @@ class Simulator:
             if key is None or run_key < key:
                 key = run_key
         return key
-
-    def inline_fire(self, time: int) -> None:
-        """Account one inline-delivered packet at virtual time ``time``.
-
-        The pump calls this for every arrival it delivers *after* the
-        first one in its engine event, so ``events_processed`` counts
-        exactly what the one-event-per-packet pump would have counted.
-        """
-        self._now = time
-        self._events_processed += 1
-
-    def inline_fire_batch(self, time: int, count: int) -> None:
-        """Account ``count`` inline deliveries at ``time`` in one call.
-
-        The pump's bulk drain uses this when an entire same-instant batch
-        is delivered through one callback: ``events_processed`` advances
-        by exactly what per-packet :meth:`inline_fire` calls would have
-        accumulated.
-        """
-        self._now = time
-        self._events_processed += count
-
-    def set_phantom(self, count: int) -> None:
-        """Stand-in heap entries for a batch drain in progress.
-
-        While the pump delivers arrivals inline, the old per-packet pump
-        would have kept one re-armed heap entry alive; ``count`` (0 or 1)
-        keeps :attr:`peak_queue_depth` on that exact trajectory.
-        """
-        self._phantom = count
 
     def set_profiler(self, profiler) -> None:
         """Install (or remove, with None) a per-event dispatch observer."""
@@ -423,17 +359,6 @@ class Simulator:
         """
         self._seq += 1
         return self._seq
-
-    def reserve_seq_block(self, n: int) -> int:
-        """Claim ``n`` consecutive tie-breaking seqs; returns the first.
-
-        Equivalent to ``n`` :meth:`reserve_seq` calls — the batch send
-        path uses this so a whole wave of packets keeps the exact tie
-        order per-packet sends would have reserved.
-        """
-        first = self._seq + 1
-        self._seq += n
-        return first
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Run until the queue drains (or ``max_events`` fire).

@@ -38,8 +38,6 @@ from repro.net.packet import (
     FLAG_RST,
     FLAG_SYN,
     MessageBoundary,
-    Packet,
-    TcpFlags,
 )
 from repro.sim.engine import Simulator, Timer
 
@@ -198,17 +196,14 @@ class Connection:
         self._rx_boundaries: Dict[int, Any] = {}
         self._delivered_offset = 0
 
-        # --- slab mode ---------------------------------------------------
-        # When the host runs on a PacketSlab, intern this connection's
-        # endpoints/flow once; _transmit then allocates slab records.
+        # --- packet slab -------------------------------------------------
+        # Intern this connection's endpoints/flow once; _transmit then
+        # allocates slab records addressed by the interned ints.
         slab = host.slab
         self._slab = slab
-        if slab is not None:
-            self._src_i = slab.intern_endpoint(local)
-            self._dst_i = slab.intern_endpoint(remote)
-            self._fid = slab.intern_flow(self._src_i, self._dst_i)
-        else:
-            self._src_i = self._dst_i = self._fid = -1
+        self._src_i = slab.intern_endpoint(local)
+        self._dst_i = slab.intern_endpoint(remote)
+        self._fid = slab.intern_flow(self._src_i, self._dst_i)
 
         # --- machinery ---------------------------------------------------
         self._rtt = RttEstimator(
@@ -322,27 +317,20 @@ class Connection:
     # Packet input (called by the Host demux)
     # ------------------------------------------------------------------
 
-    def handle_packet(self, packet) -> None:
-        """Process one inbound segment (a :class:`Packet` or slab handle).
+    def handle_packet(self, packet: int) -> None:
+        """Process one inbound segment (a slab handle).
 
-        Slab handles are ingested — fields copied to locals, handle freed
-        — before the state machine runs, so nothing downstream can retain
-        a recycled slot.
+        The handle is ingested — fields copied to locals, handle freed —
+        before the state machine runs, so nothing downstream can retain a
+        recycled slot.
         """
-        if type(packet) is int:
-            slab = self._slab
-            flags = slab.flags[packet]
-            seq = slab.seq[packet]
-            ack = slab.ack[packet]
-            payload_len = slab.payload_len[packet]
-            boundaries = slab.boundaries[packet]
-            slab.free(packet)
-        else:
-            flags = packet.flags
-            seq = packet.seq
-            ack = packet.ack
-            payload_len = packet.payload_len
-            boundaries = packet.boundaries
+        slab = self._slab
+        flags = slab.flags[packet]
+        seq = slab.seq[packet]
+        ack = slab.ack[packet]
+        payload_len = slab.payload_len[packet]
+        boundaries = slab.boundaries[packet]
+        slab.free(packet)
         self.stats.segments_received += 1
 
         if flags & FLAG_RST:
@@ -689,35 +677,20 @@ class Connection:
         retransmit: bool = False,
     ) -> None:
         self.stats.segments_sent += 1
-        slab = self._slab
-        if slab is not None:
-            self._host_transmit(
-                slab.alloc(
-                    self._src_i,
-                    self._dst_i,
-                    self._fid,
-                    flags,
-                    seq,
-                    self._rcv_nxt,
-                    payload_len,
-                    list(boundaries) if boundaries else None,
-                    self._sim._now,
-                    retransmit,
-                )
+        self._host_transmit(
+            self._slab.alloc(
+                self._src_i,
+                self._dst_i,
+                self._fid,
+                flags,
+                seq,
+                self._rcv_nxt,
+                payload_len,
+                list(boundaries) if boundaries else None,
+                self._sim._now,
+                retransmit,
             )
-            return
-        packet = Packet(
-            src=self.local,
-            dst=self.remote,
-            flags=flags,
-            seq=seq,
-            ack=self._rcv_nxt,
-            payload_len=payload_len,
-            boundaries=list(boundaries) if boundaries else [],
-            sent_at=self._sim.now,
-            retransmit=retransmit,
         )
-        self._host.transmit(packet)
 
     # ------------------------------------------------------------------
     # Retransmission

@@ -2,7 +2,8 @@
 
 A :class:`Host` is the meeting point of the network and transport
 layers.  It demultiplexes inbound packets to connections by the full
-(local endpoint, remote endpoint) pair — which naturally supports DSR,
+(local endpoint, remote endpoint) pair — interned endpoint indices of
+the network's packet slab — which naturally supports DSR,
 where a server host accepts packets addressed to the VIP alias and
 sources responses from it — and hands SYNs for listening ports to the
 registered :class:`Listener`.
@@ -15,7 +16,7 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.errors import TransportError
 from repro.net.addr import Endpoint
 from repro.net.network import Network
-from repro.net.packet import FLAG_ACK, FLAG_SYN, Packet
+from repro.net.packet import FLAG_ACK, FLAG_SYN
 from repro.transport.connection import Connection, TransportConfig
 
 _ConnKey = Tuple[str, int, str, int]  # local host, local port, remote host, remote port
@@ -59,15 +60,15 @@ class Host:
         self.network = network
         self.name = name
         self.sim = network.sim
-        #: The network's PacketSlab (None in object mode).  Connections
-        #: read this to decide how to transmit.
+        #: The network's PacketSlab; connections allocate from it.
         self.slab = network.slab
         self.default_config = default_config or TransportConfig()
         self._connections: Dict[_ConnKey, Connection] = {}
-        # Slab-mode demux twin: the (local endpoint index, remote
-        # endpoint index) pair packed into one int (local << 32 | remote)
-        # -> Connection.  A packed-int key skips both the 4-string tuple
-        # hash and the 2-tuple allocation on every delivery.
+        # Packet demux: the (local endpoint index, remote endpoint index)
+        # pair packed into one int (local << 32 | remote) -> Connection.
+        # A packed-int key skips both a 4-string tuple hash and a 2-tuple
+        # allocation on every delivery.  ``_connections`` keys the same
+        # connections by endpoint names for port allocation.
         self._conns_by_pair: Dict[int, Connection] = {}
         self._listeners: Dict[int, Listener] = {}
         self._next_ephemeral = 49_152
@@ -119,8 +120,7 @@ class Host:
             is_client=True,
         )
         self._connections[key] = conn
-        if self.slab is not None:
-            self._conns_by_pair[conn._src_i << 32 | conn._dst_i] = conn
+        self._conns_by_pair[conn._src_i << 32 | conn._dst_i] = conn
         conn.open()
         return conn
 
@@ -133,54 +133,26 @@ class Host:
     # Node interface
     # ------------------------------------------------------------------
 
-    def on_packet(self, packet) -> None:
-        """Demux an inbound packet (object or slab handle).
+    def on_packet(self, packet: int) -> None:
+        """Demux an inbound slab handle on its (dst, src) endpoint pair.
 
-        Slab handles demux on the interned (dst, src) endpoint-index
-        pair; the 4-string-tuple key path remains for object mode.  A
-        handle that matches nothing is freed here — the host owns it on
-        delivery.
+        A handle that matches nothing — a stale segment after teardown,
+        or an RST for an unknown flow — is dropped and freed here: the
+        host owns it on delivery.
         """
-        if type(packet) is int:
-            slab = self.slab
-            dst_i = slab.dst_i[packet]
-            src_i = slab.src_i[packet]
-            conn = self._conns_by_pair.get(dst_i << 32 | src_i)
-            if conn is not None:
-                conn.handle_packet(packet)
-                return
-            flags = slab.flags[packet]
-            if flags & FLAG_SYN and not flags & FLAG_ACK:
-                local = slab.endpoint(dst_i)
-                listener = self._listeners.get(local.port)
-                if listener is not None:
-                    remote = slab.endpoint(src_i)
-                    conn = Connection(
-                        host=self,
-                        local=local,
-                        remote=remote,
-                        config=(listener.config or self.default_config).copy(),
-                        is_client=False,
-                    )
-                    self._connections[self._key(local, remote)] = conn
-                    self._conns_by_pair[conn._src_i << 32 | conn._dst_i] = conn
-                    listener.on_connection(conn)
-                    conn.handle_packet(packet)
-                    return
-            slab.free(packet)
-            return
-
-        local = packet.dst
-        remote = packet.src
-        key = self._key(local, remote)
-        conn = self._connections.get(key)
+        slab = self.slab
+        dst_i = slab.dst_i[packet]
+        src_i = slab.src_i[packet]
+        conn = self._conns_by_pair.get(dst_i << 32 | src_i)
         if conn is not None:
             conn.handle_packet(packet)
             return
-
-        if packet.is_syn and not packet.is_ack:
+        flags = slab.flags[packet]
+        if flags & FLAG_SYN and not flags & FLAG_ACK:
+            local = slab.endpoint(dst_i)
             listener = self._listeners.get(local.port)
             if listener is not None:
+                remote = slab.endpoint(src_i)
                 conn = Connection(
                     host=self,
                     local=local,
@@ -188,23 +160,22 @@ class Host:
                     config=(listener.config or self.default_config).copy(),
                     is_client=False,
                 )
-                self._connections[key] = conn
+                self._connections[self._key(local, remote)] = conn
+                self._conns_by_pair[conn._src_i << 32 | conn._dst_i] = conn
                 listener.on_connection(conn)
                 conn.handle_packet(packet)
                 return
-        # No matching connection: silently drop (stale segment after
-        # teardown, or RST for an unknown flow).
+        slab.free(packet)
 
-    def transmit(self, packet) -> bool:
-        """Send a packet (object or slab handle) via the network's routing."""
+    def transmit(self, packet: int) -> bool:
+        """Send a slab handle via the network's routing."""
         return self.network.send_from(self.name, packet)
 
     def forget_connection(self, conn: Connection) -> None:
         """Remove a closed connection from the demux table."""
         key = self._key(conn.local, conn.remote)
         self._connections.pop(key, None)
-        if self.slab is not None:
-            self._conns_by_pair.pop(conn._src_i << 32 | conn._dst_i, None)
+        self._conns_by_pair.pop(conn._src_i << 32 | conn._dst_i, None)
 
     # ------------------------------------------------------------------
 

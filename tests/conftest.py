@@ -6,6 +6,7 @@ import pytest
 
 from repro.net.addr import Endpoint
 from repro.net.network import Network
+from repro.net.packet import PacketSlab
 from repro.sim.engine import Simulator
 from repro.transport.connection import TransportConfig
 from repro.transport.endpoint import Host
@@ -20,6 +21,38 @@ def sim() -> Simulator:
 @pytest.fixture
 def network(sim: Simulator) -> Network:
     return Network(sim)
+
+
+@pytest.fixture
+def slab() -> PacketSlab:
+    return PacketSlab()
+
+
+def make_packet(
+    slab: PacketSlab,
+    src: Endpoint = Endpoint("a", 1),
+    dst: Endpoint = Endpoint("b", 2),
+    flags: int = 0,
+    seq: int = 0,
+    ack: int = 0,
+    payload_len: int = 0,
+    boundaries=None,
+    sent_at: int = 0,
+) -> int:
+    """Allocate one hand-built packet on ``slab``; returns its handle."""
+    src_i = slab.intern_endpoint(src)
+    dst_i = slab.intern_endpoint(dst)
+    return slab.alloc(
+        src_i,
+        dst_i,
+        slab.intern_flow(src_i, dst_i),
+        int(flags),
+        seq,
+        ack,
+        payload_len,
+        boundaries,
+        sent_at,
+    )
 
 
 class PairTopology:

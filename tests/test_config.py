@@ -4,12 +4,8 @@ import pytest
 
 from repro.app.server import ServerConfig
 from repro.errors import ConfigError
-from repro.harness.config import (
-    DelayInjection,
-    NetworkParams,
-    PolicyName,
-    ScenarioConfig,
-)
+from repro.faults.model import DelayFault
+from repro.harness.config import NetworkParams, PolicyName, ScenarioConfig
 from repro.units import MICROSECONDS, MILLISECONDS, SECONDS
 
 
@@ -38,26 +34,18 @@ class TestNetworkParams:
 
 
 class TestDelayInjection:
-    def test_construction_warns_deprecated(self):
-        with pytest.deprecated_call():
-            DelayInjection(at=0, server="s0", extra=1000)
+    """The Fig 3 stimulus, spelled as a chaos-plane ``DelayFault``."""
 
     def test_valid(self):
-        with pytest.deprecated_call():
-            injection = DelayInjection(at=0, server="s0", extra=1000)
-        injection.validate()
+        DelayFault(start=0, node="s0", extra=1000).validate()
 
     def test_negative_rejected(self):
-        with pytest.deprecated_call():
-            injection = DelayInjection(at=-1, server="s0", extra=0)
         with pytest.raises(ConfigError):
-            injection.validate()
+            DelayFault(start=-1, node="s0", extra=0).validate()
 
     def test_end_before_start_rejected(self):
-        with pytest.deprecated_call():
-            injection = DelayInjection(at=100, server="s0", extra=1, end=100)
         with pytest.raises(ConfigError):
-            injection.validate()
+            DelayFault(start=100, duration=0, node="s0", extra=1).validate()
 
 
 class TestScenarioConfig:
@@ -89,9 +77,8 @@ class TestScenarioConfig:
             ScenarioConfig(duration=SECONDS, warmup=SECONDS).validate()
 
     def test_injection_within_duration(self):
-        with pytest.deprecated_call():
-            injection = DelayInjection(at=2 * SECONDS, server="server0", extra=1)
-        config = ScenarioConfig(duration=SECONDS, injections=[injection])
+        injection = DelayFault(start=2 * SECONDS, node="server0", extra=1)
+        config = ScenarioConfig(duration=SECONDS, faults=[injection])
         with pytest.raises(ConfigError):
             config.validate()
 

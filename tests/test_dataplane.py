@@ -7,8 +7,9 @@ from repro.lb.dataplane import LoadBalancer
 from repro.lb.policies import MaglevPolicy, RoundRobin
 from repro.net.addr import Endpoint
 from repro.net.network import Network
-from repro.net.packet import Packet, TcpFlags
-from repro.sim.engine import Simulator
+from repro.net.packet import TcpFlags
+
+from tests.conftest import make_packet
 
 
 class RecorderNode:
@@ -39,10 +40,11 @@ def build_lb(sim, n_servers=2, policy_cls=RoundRobin):
     return network, client, servers, pool, lb
 
 
-def vip_packet(port=40_000, flags=TcpFlags.SYN, payload=0):
-    return Packet(
-        src=Endpoint("client", port),
-        dst=Endpoint("vip", 80),
+def vip_packet(network, port=40_000, flags=TcpFlags.SYN, payload=0):
+    return make_packet(
+        network.slab,
+        Endpoint("client", port),
+        Endpoint("vip", 80),
         flags=flags,
         payload_len=payload,
     )
@@ -51,8 +53,8 @@ def vip_packet(port=40_000, flags=TcpFlags.SYN, payload=0):
 class TestForwarding:
     def test_syn_routed_by_policy(self, sim):
         network, client, servers, pool, lb = build_lb(sim)
-        network.send_from("client", vip_packet(port=1))
-        network.send_from("client", vip_packet(port=2))
+        network.send_from("client", vip_packet(network, port=1))
+        network.send_from("client", vip_packet(network, port=2))
         sim.run()
         assert len(servers[0].received) == 1
         assert len(servers[1].received) == 1
@@ -60,20 +62,20 @@ class TestForwarding:
 
     def test_destination_left_intact_for_dsr(self, sim):
         network, client, servers, pool, lb = build_lb(sim)
-        network.send_from("client", vip_packet())
+        network.send_from("client", vip_packet(network))
         sim.run()
         delivered = servers[0].received[0]
-        assert delivered.dst == Endpoint("vip", 80)
+        assert network.slab.materialize(delivered).dst == Endpoint("vip", 80)
 
     def test_affinity_overrides_policy(self, sim):
         network, client, servers, pool, lb = build_lb(sim)
         # Same flow: first SYN picks s0 (round robin), then data packets
         # must stick to s0 even though RR would rotate.
-        network.send_from("client", vip_packet(port=7, flags=TcpFlags.SYN))
+        network.send_from("client", vip_packet(network, port=7, flags=TcpFlags.SYN))
         sim.run()
         for _ in range(3):
             network.send_from(
-                "client", vip_packet(port=7, flags=TcpFlags.ACK, payload=100)
+                "client", vip_packet(network, port=7, flags=TcpFlags.ACK, payload=100)
             )
         sim.run()
         assert len(servers[0].received) == 4
@@ -83,7 +85,7 @@ class TestForwarding:
         network, client, servers, pool, lb = build_lb(sim, policy_cls=MaglevPolicy)
         # No SYN ever seen (conntrack lost): mid-stream packet still routed.
         network.send_from(
-            "client", vip_packet(port=9, flags=TcpFlags.ACK, payload=10)
+            "client", vip_packet(network, port=9, flags=TcpFlags.ACK, payload=10)
         )
         sim.run()
         assert lb.stats.conntrack_fallbacks == 1
@@ -91,20 +93,25 @@ class TestForwarding:
 
     def test_wrong_vip_dropped(self, sim):
         network, client, servers, pool, lb = build_lb(sim)
-        stray = Packet(src=Endpoint("client", 1), dst=Endpoint("other-vip", 80))
-        network.send_from("client", stray) if False else lb.on_packet(stray)
+        stray = make_packet(
+            network.slab, Endpoint("client", 1), Endpoint("other-vip", 80)
+        )
+        lb.on_packet(stray)
         assert lb.stats.packets_dropped_no_backend == 1
         assert all(not s.received for s in servers)
+        assert network.slab.live == 0  # the LB freed the handle it owned
 
     def test_fin_marks_conntrack_closing(self, sim):
         network, client, servers, pool, lb = build_lb(sim)
-        network.send_from("client", vip_packet(port=3))
+        network.send_from("client", vip_packet(network, port=3))
         sim.run()
         network.send_from(
-            "client", vip_packet(port=3, flags=TcpFlags.FIN | TcpFlags.ACK)
+            "client", vip_packet(network, port=3, flags=TcpFlags.FIN | TcpFlags.ACK)
         )
         sim.run()
-        entry = lb.conntrack._entries[vip_packet(port=3).flow]
+        # Conntrack keys on the interned flow id the delivered handle carries.
+        fid = network.slab.fid[servers[0].received[-1]]
+        entry = lb.conntrack._entries[fid]
         assert entry.closing_at is not None
 
 
@@ -113,7 +120,7 @@ class TestTaps:
         network, client, servers, pool, lb = build_lb(sim)
         seen = []
         lb.add_tap(lambda now, flow, backend, pkt: seen.append((now, flow, backend)))
-        network.send_from("client", vip_packet(port=5))
+        network.send_from("client", vip_packet(network, port=5))
         sim.run()
         assert len(seen) == 1
         now, flow, backend = seen[0]
@@ -124,9 +131,9 @@ class TestTaps:
         network, client, servers, pool, lb = build_lb(sim)
         seen = []
         lb.add_tap(lambda now, flow, backend, pkt: seen.append(pkt))
-        network.send_from("client", vip_packet(port=5))
+        network.send_from("client", vip_packet(network, port=5))
         sim.run()
-        network.send_from("client", vip_packet(port=5, flags=TcpFlags.ACK, payload=9))
+        network.send_from("client", vip_packet(network, port=5, flags=TcpFlags.ACK, payload=9))
         sim.run()
         assert len(seen) == 2
 
@@ -135,7 +142,7 @@ class TestStats:
     def test_per_backend_counters_and_share(self, sim):
         network, client, servers, pool, lb = build_lb(sim)
         for port in range(10):
-            network.send_from("client", vip_packet(port=port))
+            network.send_from("client", vip_packet(network, port=port))
         sim.run()
         assert lb.stats.packets_forwarded == 10
         share = lb.backend_share()

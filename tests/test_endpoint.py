@@ -8,7 +8,7 @@ from repro.net.network import Network
 from repro.transport.endpoint import Host
 from repro.units import MICROSECONDS, MILLISECONDS, SECONDS
 
-from tests.conftest import make_echo_server
+from tests.conftest import make_echo_server, make_packet
 
 
 class TestListeners:
@@ -84,13 +84,16 @@ class TestDemux:
         sim.run_until(5 * MILLISECONDS)
         conn.close()
         sim.run_until(20 * MILLISECONDS)
-        from repro.net.packet import Packet, TcpFlags
+        from repro.net.packet import TcpFlags
 
-        stale = Packet(
-            src=conn.remote, dst=conn.local, flags=TcpFlags.ACK, seq=1, ack=1
+        slab = pair.network.slab
+        live = slab.live
+        stale = make_packet(
+            slab, conn.remote, conn.local, flags=TcpFlags.ACK, seq=1, ack=1
         )
         pair.client.on_packet(stale)  # must not raise
         assert pair.client.connection_count == 0
+        assert slab.live == live  # the host freed the handle it owned
 
 
 class TestVipAlias:

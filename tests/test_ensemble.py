@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ensemble import EnsembleConfig, EnsembleTimeout, default_timeouts
+from repro.core.fixed_timeout import FixedTimeout
 from repro.units import MICROSECONDS, MILLISECONDS
 
 
@@ -163,13 +164,57 @@ class TestTimeoutAdaptation:
             assert 0 <= index < len(config.timeouts)
 
 
+class NaiveEnsemble:
+    """The literal Algorithm 2 loop over k FIXEDTIMEOUT instances.
+
+    The oracle the fused :class:`EnsembleTimeout` is checked against:
+    every packet visits every instance, and the epoch bookkeeping
+    follows the pseudocode (cliff = first maximum of Nᵢ / max(Nᵢ₊₁, 1);
+    an all-zero epoch keeps the previous timeout).
+    """
+
+    def __init__(self, config):
+        config.validate()
+        self.instances = [FixedTimeout(delta) for delta in config.timeouts]
+        self.epoch = config.epoch
+        self.epoch_start = None
+        self.current_index = config.initial_index
+        self.counts = [0] * len(self.instances)
+        self.cliff_history = []
+        self.epochs_completed = 0
+
+    def observe(self, now):
+        if self.epoch_start is None:
+            self.epoch_start = now
+        elif now - self.epoch_start >= self.epoch:
+            if any(self.counts):
+                ratios = [
+                    self.counts[i] / max(self.counts[i + 1], 1)
+                    for i in range(len(self.counts) - 1)
+                ]
+                self.current_index = ratios.index(max(ratios))
+            self.cliff_history.append((now, self.current_index))
+            self.counts = [0] * len(self.instances)
+            span = now - self.epoch_start
+            self.epoch_start += (span // self.epoch) * self.epoch
+            self.epochs_completed += 1
+        result = None
+        for index, instance in enumerate(self.instances):
+            t_lb = instance.observe(now)
+            if t_lb is not None:
+                self.counts[index] += 1
+                if index == self.current_index:
+                    result = t_lb
+        return result
+
+
 def assert_paths_agree(config, trace):
-    """Feed ``trace`` to a fused and a naive ensemble; all outputs match."""
-    fused = EnsembleTimeout(config, fused=True)
-    naive = EnsembleTimeout(config, fused=False)
+    """Feed ``trace`` to the fused ensemble and the oracle; all outputs match."""
+    fused = EnsembleTimeout(config)
+    naive = NaiveEnsemble(config)
     for now in trace:
         assert fused.observe(now) == naive.observe(now), "at t=%d" % now
-    assert fused.sample_counts() == naive.sample_counts()
+    assert fused.sample_counts() == naive.counts
     assert fused.cliff_history == naive.cliff_history
     assert fused.epochs_completed == naive.epochs_completed
     assert fused.current_index == naive.current_index
@@ -181,7 +226,7 @@ def assert_paths_agree(config, trace):
 
 
 class TestFusedDifferential:
-    """The O(log k) fused path is byte-identical to the naive k-loop."""
+    """The O(log k) fused path matches the literal Algorithm 2 loop."""
 
     def test_gaps_straddling_every_delta(self):
         """Bursty trace whose gaps land on, below, and above each δᵢ."""
@@ -249,9 +294,6 @@ class TestFusedDifferential:
             t += gap
             trace.append(t)
         assert_paths_agree(config, trace)
-
-    def test_fused_is_default(self):
-        assert EnsembleTimeout().fused is True
 
 
 class TestEpochBoundaries:

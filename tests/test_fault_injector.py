@@ -291,15 +291,6 @@ class TestResolution:
         with pytest.raises(ConfigError, match="matches no"):
             built(ServerSlowdownFault(start=100 * MS, node="client0"))
 
-    def test_legacy_unknown_injection_target_still_rejected(self):
-        from repro.harness.config import DelayInjection
-
-        with pytest.deprecated_call():
-            injection = DelayInjection(at=100 * MS, server="serverX", extra=1)
-        config = ScenarioConfig(duration=1 * SECONDS, injections=[injection])
-        with pytest.raises(ConfigError):
-            build_scenario(config)
-
     def test_crash_without_pool_rejected(self):
         scenario = built()
         injector = Injector(
@@ -321,28 +312,6 @@ class TestResolution:
                 FaultSchedule([LossFault(start=1, node="server0")]),
                 1 * SECONDS,
             )
-
-
-class TestLegacyEquivalence:
-    def test_injection_and_fault_runs_are_identical(self):
-        from repro.harness.config import DelayInjection
-        from repro.harness.runner import run_scenario
-
-        base = dict(duration=500 * MS, n_servers=2, seed=42)
-        with pytest.deprecated_call():
-            injection = DelayInjection(at=250 * MS, server="server0", extra=1 * MS)
-        legacy = run_scenario(ScenarioConfig(injections=[injection], **base))
-        declarative = run_scenario(
-            ScenarioConfig(
-                faults=[
-                    DelayFault(start=250 * MS, extra=1 * MS, node="server0")
-                ],
-                **base,
-            )
-        )
-        assert [r.latency for r in legacy.records] == [
-            r.latency for r in declarative.records
-        ]
 
 
 class TestEventsAndViews:

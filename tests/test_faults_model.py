@@ -15,7 +15,7 @@ from repro.faults import (
     ThrottleFault,
 )
 from repro.faults.model import replace_window
-from repro.units import MILLISECONDS, SECONDS
+from repro.units import SECONDS
 
 
 class TestValidation:
@@ -171,23 +171,3 @@ class TestConfigIntegration:
         )
         with pytest.raises(ConfigError, match="after the run ends"):
             config.validate()
-
-    def test_legacy_injection_converts_to_fault(self):
-        from repro.harness.config import DelayInjection
-
-        with pytest.deprecated_call():
-            injection = DelayInjection(
-                at=100, server="server0", extra=1 * MILLISECONDS, end=400
-            )
-        fault = injection.to_fault()
-        assert isinstance(fault, DelayFault)
-        assert (fault.start, fault.duration) == (100, 300)
-        assert fault.extra == 1 * MILLISECONDS
-        assert fault.node == "server0"
-
-    def test_open_ended_injection_converts_to_open_ended_fault(self):
-        from repro.harness.config import DelayInjection
-
-        with pytest.deprecated_call():
-            injection = DelayInjection(at=100, server="server0", extra=5)
-        assert injection.to_fault().duration is None

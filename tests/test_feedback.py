@@ -8,10 +8,27 @@ from repro.core.feedback import FeedbackConfig, InbandFeedback
 from repro.lb.backend import Backend, BackendPool
 from repro.lb.dataplane import LoadBalancer
 from repro.lb.policies import MaglevPolicy
-from repro.net.addr import Endpoint
+from repro.net.addr import Endpoint, FlowKey
 from repro.net.network import Network
-from repro.net.packet import Packet, TcpFlags
+from repro.net.packet import TcpFlags
 from repro.units import MICROSECONDS, MILLISECONDS
+
+from tests.conftest import make_packet
+
+
+def send_vip(network, port, flags, seq=0, payload=100):
+    """Send one client→VIP packet from ``client:port`` into the LB."""
+    network.send_from(
+        "client",
+        make_packet(
+            network.slab,
+            Endpoint("client", port),
+            Endpoint("vip", 80),
+            flags=flags,
+            seq=seq,
+            payload_len=payload,
+        ),
+    )
 
 
 class RecorderNode:
@@ -54,15 +71,7 @@ def drive_flow(sim, network, port, batch_times, burst=3,
             flags = TcpFlags.SYN if (batch_start == batch_times[0] and i == 0) else TcpFlags.ACK
 
             def fire(w=when, f=flags, p=port):
-                network.send_from(
-                    "client",
-                    Packet(
-                        src=Endpoint("client", p),
-                        dst=Endpoint("vip", 80),
-                        flags=f,
-                        payload_len=100,
-                    ),
-                )
+                send_vip(network, p, f)
 
             sim.schedule_at(when, fire)
 
@@ -110,14 +119,7 @@ class TestMeasurement:
         drive_flow(sim, network, 40_000, [i * 500 * MICROSECONDS for i in range(10)])
         sim.run()
         assert len(feedback.flows) == 1
-        network.send_from(
-            "client",
-            Packet(
-                src=Endpoint("client", 40_000),
-                dst=Endpoint("vip", 80),
-                flags=TcpFlags.FIN | TcpFlags.ACK,
-            ),
-        )
+        send_vip(network, 40_000, TcpFlags.FIN | TcpFlags.ACK, payload=0)
         sim.run()
         assert len(feedback.flows) == 0
 
@@ -130,17 +132,7 @@ class TestRetransmissionDetection:
 
         def send(seq, when, flags=TcpFlags.ACK):
             sim.schedule_at(
-                when,
-                lambda: network.send_from(
-                    "client",
-                    Packet(
-                        src=Endpoint("client", 42_000),
-                        dst=Endpoint("vip", 80),
-                        flags=flags,
-                        seq=seq,
-                        payload_len=100,
-                    ),
-                ),
+                when, lambda: send_vip(network, 42_000, flags, seq=seq)
             )
 
         # Batch 1, then a retransmission of its segment, then batch 2.
@@ -162,16 +154,7 @@ class TestRetransmissionDetection:
             current = seq
 
             def fire(s=current, w=when, f=flags):
-                network.send_from(
-                    "client",
-                    Packet(
-                        src=Endpoint("client", 44_000),
-                        dst=Endpoint("vip", 80),
-                        flags=f,
-                        seq=s,
-                        payload_len=100,
-                    ),
-                )
+                send_vip(network, 44_000, f, seq=s)
 
             sim.schedule_at(when, fire)
             seq += 101 if batch == 0 else 100
@@ -195,16 +178,13 @@ class TestControl:
         # intervals (one 'slow', one 'fast').  Find ports that Maglev
         # maps to distinct backends.
         table = lb.policy.table
-        port_fast = next(
-            p for p in range(40_000, 41_000)
-            if table.lookup_flow(str(Packet(
-                src=Endpoint("client", p), dst=Endpoint("vip", 80)).flow)) == "s0"
-        )
-        port_slow = next(
-            p for p in range(40_000, 41_000)
-            if table.lookup_flow(str(Packet(
-                src=Endpoint("client", p), dst=Endpoint("vip", 80)).flow)) == "s1"
-        )
+
+        def backend_of(port):
+            flow = FlowKey.for_packet(Endpoint("client", port), Endpoint("vip", 80))
+            return table.lookup_flow(str(flow))
+
+        port_fast = next(p for p in range(40_000, 41_000) if backend_of(p) == "s0")
+        port_slow = next(p for p in range(40_000, 41_000) if backend_of(p) == "s1")
         drive_flow(sim, network, port_fast,
                    [i * 500 * MICROSECONDS for i in range(400)])
         drive_flow(sim, network, port_slow,

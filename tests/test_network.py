@@ -4,9 +4,9 @@ import pytest
 
 from repro.errors import NetworkError
 from repro.net.addr import Endpoint
-from repro.net.network import Network
-from repro.net.packet import Packet
 from repro.net.trace import PacketTrace
+
+from tests.conftest import make_packet as _make_packet
 
 
 class RecorderNode:
@@ -20,8 +20,8 @@ class RecorderNode:
         self.received.append(packet)
 
 
-def make_packet(src, dst):
-    return Packet(src=Endpoint(src, 1), dst=Endpoint(dst, 2))
+def make_packet(network, src, dst):
+    return _make_packet(network.slab, Endpoint(src, 1), Endpoint(dst, 2))
 
 
 @pytest.fixture
@@ -70,14 +70,14 @@ class TestTopology:
 
 class TestRouting:
     def test_direct_delivery_via_pipe_name(self, sim, network, abc):
-        network.send_from("a", make_packet("a", "b"))
+        network.send_from("a", make_packet(network, "a", "b"))
         sim.run()
         assert len(abc["b"].received) == 1
 
     def test_explicit_route_next_hop(self, sim, network, abc):
         network.add_route("a", "c", "b")
         network.add_route("b", "c", "c")
-        pkt = make_packet("a", "c")
+        pkt = make_packet(network, "a", "c")
         network.send_from("a", pkt)
         sim.run()
         # Delivered to b (next hop); b would forward in a real node.
@@ -85,34 +85,34 @@ class TestRouting:
 
     def test_default_route(self, sim, network, abc):
         network.set_default_route("a", "b")
-        network.send_from("a", make_packet("a", "unknown-host-behind-b"))
+        network.send_from("a", make_packet(network, "a", "unknown-host-behind-b"))
         sim.run()
         assert len(abc["b"].received) == 1
 
     def test_no_route_raises(self, network, abc):
         with pytest.raises(NetworkError):
-            network.send_from("a", make_packet("a", "c"))  # no a->c pipe/route
+            network.send_from("a", make_packet(network, "a", "c"))  # no a->c pipe/route
 
     def test_route_to_unknown_node_rejected(self, network):
         with pytest.raises(NetworkError):
             network.add_route("ghost", "x", "y")
 
     def test_send_via_ignores_routes(self, sim, network, abc):
-        pkt = make_packet("a", "c")  # destination c, but hop forced to b
+        pkt = make_packet(network, "a", "c")  # destination c, but hop forced to b
         network.send_via("a", "b", pkt)
         sim.run()
         assert abc["b"].received == [pkt]
 
     def test_send_via_missing_pipe_rejected(self, network, abc):
         with pytest.raises(NetworkError):
-            network.send_via("a", "c", make_packet("a", "c"))
+            network.send_via("a", "c", make_packet(network, "a", "c"))
 
 
 class TestAliases:
     def test_alias_resolves_for_routing(self, sim, network, abc):
         network.add_alias("vip", "b")
         network.add_route("a", "b", "b")
-        network.send_from("a", make_packet("a", "vip"))
+        network.send_from("a", make_packet(network, "a", "vip"))
         sim.run()
         assert len(abc["b"].received) == 1
 
@@ -125,16 +125,18 @@ class TestTaps:
     def test_tap_sees_transmissions(self, sim, network, abc):
         seen = []
         network.add_tap(lambda pipe, pkt: seen.append(pipe))
-        network.send_from("a", make_packet("a", "b"))
+        network.send_from("a", make_packet(network, "a", "b"))
         sim.run()
         assert seen == ["a->b"]
 
     def test_trace_attachment(self, sim, network, abc):
         trace = PacketTrace()
         network.attach_trace(trace)
-        network.send_from("a", make_packet("a", "b"))
+        network.send_from("a", make_packet(network, "a", "b"))
         sim.run()
         assert len(trace) == 1
         record = next(iter(trace))
         assert record.pipe == "a->b"
         assert record.time == 0  # recorded at transmission time
+        # The tap sees a materialized snapshot, not the recycled handle.
+        assert record.packet.dst == Endpoint("b", 2)

@@ -1,7 +1,15 @@
 """Packet model."""
 
 from repro.net.addr import Endpoint
-from repro.net.packet import HEADER_BYTES, MessageBoundary, Packet, TcpFlags
+from repro.net.packet import (
+    HEADER_BYTES,
+    MessageBoundary,
+    Packet,
+    PacketSlab,
+    TcpFlags,
+)
+
+from tests.conftest import make_packet as make_handle
 
 
 def make_packet(**kwargs):
@@ -46,8 +54,28 @@ class TestSequenceSpace:
 
 
 class TestIdentityAndFlow:
-    def test_packet_ids_unique(self):
-        assert make_packet().packet_id != make_packet().packet_id
+    def test_packet_ids_unique(self, slab):
+        first, second = make_handle(slab), make_handle(slab)
+        assert slab.packet_id[first] != slab.packet_id[second]
+
+    def test_packet_ids_scoped_to_slab(self):
+        """Ids count per slab, so identical runs number packets alike."""
+        ids = []
+        for _ in range(2):
+            slab = PacketSlab()
+            handles = [make_handle(slab) for _ in range(3)]
+            ids.append([slab.packet_id[h] for h in handles])
+        assert ids == [[1, 2, 3], [1, 2, 3]]
+
+    def test_hand_built_packet_id_is_explicit(self):
+        assert make_packet().packet_id == 0
+        assert make_packet(packet_id=42).packet_id == 42
+
+    def test_materialize_keeps_the_slab_id(self, slab):
+        handle = make_handle(slab, seq=7)
+        snapshot = slab.materialize(handle)
+        assert snapshot.packet_id == slab.packet_id[handle]
+        assert snapshot.seq == 7
 
     def test_flow_matches_endpoints(self):
         pkt = make_packet()

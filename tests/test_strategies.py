@@ -189,28 +189,3 @@ class TestFeedbackIntegration:
         with pytest.raises(ConfigError):
             InbandFeedback(lb, FeedbackConfig(strategy="nonsense"))
 
-
-class TestDeprecatedShim:
-    """The old ``repro.core.strategies`` path warns but keeps working."""
-
-    def test_old_import_path_warns_and_resolves(self):
-        import repro.core.strategies as old
-
-        with pytest.warns(DeprecationWarning):
-            cls = old.AimdController
-        assert cls is AimdController
-
-    def test_renamed_private_helper_resolves(self):
-        import repro.core.strategies as old
-
-        from repro.controllers.base import renormalize_with_floor
-
-        with pytest.warns(DeprecationWarning):
-            fn = old._renormalize_with_floor
-        assert fn is renormalize_with_floor
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.core.strategies as old
-
-        with pytest.raises(AttributeError):
-            old.NoSuchStrategy
