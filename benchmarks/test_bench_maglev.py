@@ -1,7 +1,8 @@
 """PERF-MAGLEV — dataplane microbenchmarks.
 
 Timing distributions for the pieces on (or near) the per-packet path:
-Maglev table construction (control-plane cost of each weight shift),
+Maglev table construction (control-plane cost of each weight shift a
+new flow reads),
 lookups, conntrack operations, and the measurement-plane per-packet
 work (FIXEDTIMEOUT and the 7-timeout ENSEMBLETIMEOUT).
 """

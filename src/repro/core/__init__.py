@@ -9,8 +9,6 @@
   an ensemble of exponentially-spaced timeouts, counts samples per
   timeout over an epoch, detects the *sample cliff* and adopts the
   cliff timeout for the next epoch.
-* :mod:`~repro.core.flowtable` — per-flow measurement state with idle
-  eviction and a capacity bound.
 * :mod:`~repro.core.estimator` — aggregates per-flow ``T_LB`` samples
   into per-backend latency estimates.
 * :mod:`~repro.core.controller` — the paper's simple strategy: shift a
@@ -21,7 +19,6 @@
 
 from repro.core.fixed_timeout import FixedTimeout
 from repro.core.ensemble import EnsembleConfig, EnsembleTimeout, default_timeouts
-from repro.core.flowtable import FlowTable
 from repro.core.estimator import BackendEstimate, BackendLatencyEstimator, EstimatorConfig
 from repro.core.controller import AlphaShiftController, ControllerConfig
 
@@ -45,7 +42,6 @@ __all__ = [
     "EnsembleTimeout",
     "EnsembleConfig",
     "default_timeouts",
-    "FlowTable",
     "BackendLatencyEstimator",
     "BackendEstimate",
     "EstimatorConfig",

@@ -25,7 +25,7 @@ signal they don't trust.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.telemetry.ewma import TimeDecayEwma
 from repro.telemetry.quantiles import WindowedQuantile
@@ -91,8 +91,9 @@ class BackendLatencyEstimator:
         self.config.validate()
         self._quantile: Optional[float] = _QUANTILES[self.config.metric]
         self._backends: Dict[str, _BackendState] = {}
-        #: Sorted backend names; None after the set of names changed.
-        self._order: Optional[List[str]] = None
+        #: (name, state) pairs in name order; None after the set of
+        #: names changed.
+        self._order: Optional[List[Tuple[str, _BackendState]]] = None
         self.total_samples = 0
         self._quality: Optional["SignalQualityTracker"] = None
         self._fresh = self._invalid = None  # SignalGrade members, once attached
@@ -187,10 +188,9 @@ class BackendLatencyEstimator:
         The controller runs this on every sample, hence no per-backend
         allocation and no sort.
         """
-        names = self._order
-        if names is None:
-            names = self._order = sorted(self._backends)
-        backends = self._backends
+        order = self._order
+        if order is None:
+            order = self._order = sorted(self._backends.items())
         min_samples = self.config.min_samples
         quantile = self._quantile
         grade = fresh = invalid = None
@@ -202,8 +202,7 @@ class BackendLatencyEstimator:
         worst = best = None  # names
         worst_value = best_value = 0.0
         worst_stale = best_stale = False
-        for name in names:
-            state = backends[name]
+        for name, state in order:
             if state.samples < min_samples:
                 continue
             if grade is not None:

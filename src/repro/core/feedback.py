@@ -5,17 +5,20 @@ to a :class:`~repro.lb.dataplane.LoadBalancer` it:
 
 1. receives every client→server packet via the LB's tap (never a
    response — DSR);
-2. runs ENSEMBLETIMEOUT on the flow's per-flow state (bounded
-   :class:`~repro.core.flowtable.FlowTable`);
+2. runs ENSEMBLETIMEOUT on the flow's per-flow state, which lives on
+   the flow's conntrack entry (created on first sight, dropped at
+   FIN/RST, and gone when conntrack expires the entry);
 3. attributes each emitted ``T_LB`` sample to the backend the flow is
    pinned to;
 4. folds the sample into the per-backend estimator; and
-5. lets the α-shift controller adjust pool weights, which rebuilds the
-   weighted Maglev table for *future* flows (affinity keeps existing
-   flows in place).
+5. lets the α-shift controller adjust pool weights; the weighted Maglev
+   table is rebuilt when the next *new* flow reads it (affinity keeps
+   existing flows in place).
 
 Set ``control=False`` for measurement-only operation (Fig 2 runs the
-estimator against a static Maglev table).
+estimator against a static Maglev table).  A load balancer's conntrack
+entries carry one measurement state each, so at most one
+:class:`InbandFeedback` attaches to a load balancer.
 """
 
 from __future__ import annotations
@@ -32,15 +35,15 @@ from repro.controllers.morpheus import MorpheusConfig
 from repro.controllers.proportional import ProportionalConfig
 from repro.controllers.registry import create as create_controller
 from repro.core.estimator import BackendLatencyEstimator, EstimatorConfig
-from repro.core.flowtable import FlowTable
+from repro.errors import ConfigError
+from repro.lb.conntrack import ConnTrack
 from repro.lb.dataplane import LoadBalancer
 from repro.net.addr import FlowKey
 from repro.net.packet import FLAG_FIN, FLAG_RST, FLAG_SYN
+from repro.telemetry.timeseries import TimeSeries
 
 _FIN_OR_RST = FLAG_FIN | FLAG_RST
 _SYN_OR_FIN = FLAG_SYN | FLAG_FIN
-from repro.telemetry.timeseries import TimeSeries
-from repro.units import SECONDS
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.resilience.breaker import BreakerBoard
@@ -70,8 +73,6 @@ class FeedbackConfig:
     gradient: GradientConfig = field(default_factory=GradientConfig)
     morpheus: MorpheusConfig = field(default_factory=MorpheusConfig)
     control: bool = True
-    flow_capacity: int = 100_000
-    flow_idle_timeout: int = 10 * SECONDS
     record_samples: bool = True
     #: Censor T_LB samples from flows that just retransmitted.  A
     #: retransmission is detectable purely in-band (a data segment whose
@@ -119,6 +120,27 @@ class _FlowState:
             self.max_end_seq = end_seq
 
 
+@dataclass
+class _FlowStats:
+    """Lifetime counters."""
+
+    #: Per-flow states created (a flow seen again after FIN counts again).
+    created: int = 0
+
+
+class _FlowStates:
+    """Read-only view of the per-flow states on the LB's conntrack entries."""
+
+    __slots__ = ("_conntrack", "stats")
+
+    def __init__(self, conntrack: ConnTrack):
+        self._conntrack = conntrack
+        self.stats = _FlowStats()
+
+    def __len__(self) -> int:
+        return self._conntrack.measured()
+
+
 class InbandFeedback:
     """Wires measurement and control onto a load balancer.
 
@@ -137,6 +159,12 @@ class InbandFeedback:
         resilience: Optional["ResilienceConfig"] = None,
         breakers: Optional["BreakerBoard"] = None,
     ):
+        conntrack = lb.conntrack
+        if conntrack.state_owner is not None:
+            raise ConfigError(
+                "load balancer %r already has an InbandFeedback: its "
+                "conntrack entries carry one measurement state each" % lb.name
+            )
         self.lb = lb
         self.config = config or FeedbackConfig()
         self.estimator = BackendLatencyEstimator(self.config.estimator)
@@ -147,19 +175,17 @@ class InbandFeedback:
             self.controller = create_controller(
                 self.config.strategy, lb.pool, self.estimator, self.config
             )
-        self.flows: FlowTable[_FlowState] = FlowTable(
-            factory=lambda flow: _FlowState(EnsembleTimeout(self.config.ensemble)),
-            capacity=self.config.flow_capacity,
-            idle_timeout=self.config.flow_idle_timeout,
-        )
+        #: Per-flow measurement state, kept on the conntrack entries.
+        self.flows = _FlowStates(conntrack)
         self.samples: List[SampleRecord] = []
         self.censored_samples = 0
         # Hot-path flags and methods, hoisted once: _on_packet runs per
         # forwarded packet and these do not change after construction
-        # (flows and estimator are never reassigned).
+        # (the conntrack table and estimator are never reassigned).
         self._censor = self.config.censor_retransmissions
         self._record = self.config.record_samples
-        self._get_or_create = self.flows.get_or_create
+        self._ensemble_config = self.config.ensemble
+        self._entry = conntrack.entry
         self._est_observe = self.estimator.observe
         #: Per-backend sample series for reports (time, T_LB ns).
         self.sample_series: Dict[str, TimeSeries] = {}
@@ -183,6 +209,7 @@ class InbandFeedback:
         self._slab = lb.network.slab
         if resilience is not None and resilience.enabled:
             self._wire_resilience(resilience)
+        conntrack.state_owner = self
         lb.add_tap(self._on_packet)
 
     def attach_metrics(self, metrics) -> None:
@@ -279,10 +306,8 @@ class InbandFeedback:
         self.ladder.evaluate(now)
         if self.breakers is None or self.quality is None:
             return
-        from repro.resilience.quality import SignalGrade
-
         for name in self.lb.pool.names():
-            invalid = self.quality.grade(name, now) is SignalGrade.INVALID
+            invalid = self.quality.grade(name, now) is self._invalid_grade
             if invalid and not self._was_invalid.get(name, False):
                 # One failure per invalidation episode: the signal died.
                 self.breakers.record_failure(name, now)
@@ -291,10 +316,15 @@ class InbandFeedback:
     def _on_packet(
         self, now: int, flow: FlowKey, backend: str, packet: int
     ) -> None:
-        # Only the handle's flags (and, when censoring, its sequence
-        # range) are read.
-        state = self._get_or_create(flow, now)
+        # Only the handle's flow id, flags (and, when censoring, its
+        # sequence range) are read.  The LB looked the flow up, or
+        # inserted it, just before calling its taps: the entry exists.
         slab = self._slab
+        entry = self._entry(slab.fid[packet])
+        state = entry.state
+        if state is None:
+            state = entry.state = _FlowState(EnsembleTimeout(self._ensemble_config))
+            self.flows.stats.created += 1
         flags = slab.flags[packet]
         if self._censor:
             state.observe_seq_fields(
@@ -319,7 +349,7 @@ class InbandFeedback:
 
         if flags & _FIN_OR_RST:
             # The flow is ending; its measurement state is no longer useful.
-            self.flows.remove(flow)
+            entry.state = None
 
         if t_lb is None:
             return

@@ -17,7 +17,7 @@ produces no sample (there is no previous batch to measure from).
 
 One :class:`FixedTimeout` instance holds the state for **one flow and
 one δ**; the ensemble (Algorithm 2) runs *k* of these per flow, and the
-LB keeps them in a :class:`~repro.core.flowtable.FlowTable`.
+LB keeps the ensemble on the flow's conntrack entry.
 """
 
 from __future__ import annotations

@@ -10,6 +10,10 @@ Expiry: an entry dies when the LB sees the client's FIN or RST (after a
 linger so retransmissions still match), or after an idle timeout.  The
 sweep is amortized — every ``sweep_every`` operations — so the per-packet
 path stays O(1).
+
+As in an XDP dataplane, the entry is also where per-flow measurement
+state lives: one lookup serves routing and measurement, and the state
+expires with the entry.
 """
 
 from __future__ import annotations
@@ -27,14 +31,20 @@ FlowId = Hashable
 
 class _Entry:
     """Slotted by hand (not a dataclass): one entry per tracked flow on
-    the per-packet path, so attribute access and allocation both count."""
+    the per-packet path, so attribute access and allocation both count.
 
-    __slots__ = ("backend", "last_seen", "closing_at")
+    ``state`` belongs to the measurement plane (the table's
+    ``state_owner``): its per-flow state rides on the entry the
+    dataplane already looked up, and dies with it.
+    """
+
+    __slots__ = ("backend", "last_seen", "closing_at", "state")
 
     def __init__(self, backend: str, last_seen: int):
         self.backend = backend
         self.last_seen = last_seen
         self.closing_at: Optional[int] = None  # time FIN/RST observed
+        self.state: object = None
 
 
 @dataclass
@@ -66,9 +76,19 @@ class ConnTrack:
         self._flow_counts: Dict[str, int] = {}
         self._ops = 0
         self.stats = ConnTrackStats()
+        #: The entry for a flow id, or None: a plain lookup (no expiry
+        #: check, no stats), bound once for the measurement plane's tap.
+        self.entry = self._entries.get
+        #: The one measurement plane whose per-flow state the entries
+        #: carry (None until one claims it).
+        self.state_owner: object = None
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def measured(self) -> int:
+        """Entries holding measurement state (O(n) scan)."""
+        return sum(1 for entry in self._entries.values() if entry.state is not None)
 
     def lookup(self, flow: FlowId, now: int) -> Optional[str]:
         """Backend for ``flow``, refreshing its idle clock; None if absent."""

@@ -9,8 +9,11 @@ The **weighted** extension mirrors what Cilium and Google deploy: each
 backend's share of slots is made proportional to its weight.  We compute
 exact per-backend slot targets by largest-remainder apportionment and
 stop a backend's turns once it reaches its target.  The feedback
-controller adjusts weights and rebuilds; existing connections are
-unaffected because the dataplane consults connection tracking first.
+controller adjusts weights and :class:`~repro.lb.policies.MaglevPolicy`
+rebuilds the table when the next new flow reads it; existing
+connections are unaffected because the dataplane consults connection
+tracking first.  A table object itself builds eagerly, on every
+:meth:`MaglevTable.build` call.
 
 The **incremental** mode (``MaglevTable(size, incremental=True)``) is
 the fleet plane's membership-churn path: instead of reassigning every

@@ -1,7 +1,9 @@
 """Routing policies: how the LB picks a backend for a *new* flow.
 
 The paper's baseline is Maglev hashing; the feedback design is Maglev
-with controller-driven weights.  The rest are classic alternatives used
+with controller-driven weights, whose table is rebuilt lazily: only a
+new flow needs it, so a weight change just marks it stale until the
+next ``select``.  The rest are classic alternatives used
 as comparison points in the policy-ablation bench: round-robin, uniform
 random, weighted random, least-connections, and power-of-two-choices
 (with an optional latency signal, approximating C3-style replica
@@ -45,9 +47,13 @@ def _require_backends(pool: BackendPool) -> list:
 class MaglevPolicy:
     """Consistent hashing over the (weighted) Maglev table.
 
-    Rebuilds the table whenever the pool's weights or membership change;
-    the ``builds`` counter on the table lets tests assert rebuild
-    behaviour.
+    A change to the pool's weights or membership only marks the table
+    dirty; the first read after it (``select`` for a new flow, or
+    ``table``) builds it from the pool's current healthy weights.  A full
+    build depends on nothing but those weights, so every new flow sees
+    the table an eager rebuild would have made, and weight changes no
+    new flow reads cost nothing.  The ``builds`` counter on the table
+    lets tests assert rebuild behaviour.
     """
 
     def __init__(
@@ -57,16 +63,33 @@ class MaglevPolicy:
         incremental: bool = False,
     ):
         self.pool = pool
-        self.table = MaglevTable(table_size, incremental=incremental)
-        self._rebuild()
-        pool.on_change(self._rebuild)
+        self._table = MaglevTable(table_size, incremental=incremental)
+        self._dirty = True
+        if incremental:
+            # A patch depends on the table before it, so an incremental
+            # table applies every change as it happens, not at the next read.
+            self._build()
+            pool.on_change(self._build)
+        else:
+            pool.on_change(self._mark_dirty)
 
-    def _rebuild(self) -> None:
+    def _mark_dirty(self) -> None:
+        self._dirty = True
+
+    def _build(self) -> None:
+        self._dirty = False
         weights = {
             b.name: b.weight for b in self.pool.healthy()
         }
         if weights:
-            self.table.build(weights)
+            self._table.build(weights)
+
+    @property
+    def table(self) -> MaglevTable:
+        """The lookup table, built first if the pool changed since."""
+        if self._dirty:
+            self._build()
+        return self._table
 
     def select(self, flow: FlowKey, now: int) -> str:
         _require_backends(self.pool)

@@ -21,17 +21,15 @@ class Ewma:
     TCP's SRTT bootstrap.
     """
 
+    __slots__ = ("value", "_gain", "_count")
+
     def __init__(self, gain: float = 0.2):
         if not 0.0 < gain <= 1.0:
             raise ValueError("gain must be in (0, 1], got %r" % gain)
         self._gain = gain
-        self._value: Optional[float] = None
+        #: Current estimate, or None before any observation.
+        self.value: Optional[float] = None
         self._count = 0
-
-    @property
-    def value(self) -> Optional[float]:
-        """Current estimate, or None before any observation."""
-        return self._value
 
     @property
     def count(self) -> int:
@@ -40,16 +38,16 @@ class Ewma:
 
     def observe(self, sample: float) -> float:
         """Fold in a sample and return the updated estimate."""
-        if self._value is None:
-            self._value = float(sample)
+        if self.value is None:
+            self.value = float(sample)
         else:
-            self._value += self._gain * (sample - self._value)
+            self.value += self._gain * (sample - self.value)
         self._count += 1
-        return self._value
+        return self.value
 
     def reset(self) -> None:
         """Forget all state."""
-        self._value = None
+        self.value = None
         self._count = 0
 
 
@@ -60,20 +58,20 @@ class TimeDecayEwma:
     ``1 - exp(-dt / tau)``: two backends sampled at different rates decay
     at the same wall-clock speed.  ``tau`` is the time constant in the
     same units as the timestamps (nanoseconds everywhere in this project).
+    The estimator reads ``value`` on every ranking pass, so it is a plain
+    slotted attribute, not a property.
     """
+
+    __slots__ = ("value", "_tau", "_last_time", "_count")
 
     def __init__(self, tau: int):
         if tau <= 0:
             raise ValueError("tau must be positive, got %r" % tau)
         self._tau = tau
-        self._value: Optional[float] = None
+        #: Current estimate, or None before any observation.
+        self.value: Optional[float] = None
         self._last_time: Optional[int] = None
         self._count = 0
-
-    @property
-    def value(self) -> Optional[float]:
-        """Current estimate, or None before any observation."""
-        return self._value
 
     @property
     def count(self) -> int:
@@ -82,18 +80,18 @@ class TimeDecayEwma:
 
     def observe(self, now: int, sample: float) -> float:
         """Fold in ``sample`` observed at time ``now``; returns estimate."""
-        if self._value is None or self._last_time is None:
-            self._value = float(sample)
+        if self.value is None or self._last_time is None:
+            self.value = float(sample)
         else:
             dt = max(0, now - self._last_time)
             weight = 1.0 - math.exp(-dt / self._tau)
-            self._value += weight * (sample - self._value)
+            self.value += weight * (sample - self.value)
         self._last_time = now
         self._count += 1
-        return self._value
+        return self.value
 
     def reset(self) -> None:
         """Forget all state."""
-        self._value = None
+        self.value = None
         self._last_time = None
         self._count = 0

@@ -5,7 +5,9 @@ import pytest
 from repro.core.ensemble import EnsembleConfig
 from repro.core.estimator import EstimatorConfig
 from repro.core.feedback import FeedbackConfig, InbandFeedback
+from repro.errors import ConfigError
 from repro.lb.backend import Backend, BackendPool
+from repro.lb.conntrack import ConnTrack
 from repro.lb.dataplane import LoadBalancer
 from repro.lb.policies import MaglevPolicy
 from repro.net.addr import Endpoint, FlowKey
@@ -31,6 +33,16 @@ def send_vip(network, port, flags, seq=0, payload=100):
     )
 
 
+def entry_of(lb, port):
+    """The conntrack entry of the ``client:port`` → VIP flow (or None)."""
+    slab = lb.network.slab
+    fid = slab.intern_flow(
+        slab.intern_endpoint(Endpoint("client", port)),
+        slab.intern_endpoint(Endpoint("vip", 80)),
+    )
+    return lb.conntrack.entry(fid)
+
+
 class RecorderNode:
     def __init__(self, name):
         self.name = name
@@ -40,13 +52,14 @@ class RecorderNode:
         self.received.append(packet)
 
 
-def build(sim, control=True, min_samples=1):
+def build(sim, control=True, min_samples=1, config=None, conntrack=None):
     network = Network(sim)
     client = RecorderNode("client")
     network.add_node(client)
     pool = BackendPool([Backend("s0"), Backend("s1")])
     lb = LoadBalancer(
-        network, "lb", Endpoint("vip", 80), pool, MaglevPolicy(pool, 251)
+        network, "lb", Endpoint("vip", 80), pool, MaglevPolicy(pool, 251),
+        conntrack,
     )
     for name in ("s0", "s1"):
         node = RecorderNode(name)
@@ -54,10 +67,11 @@ def build(sim, control=True, min_samples=1):
         network.connect("lb", name, prop_delay=10)
     network.connect("client", "lb", prop_delay=10)
     network.set_default_route("client", "lb")
-    config = FeedbackConfig(
-        estimator=EstimatorConfig(min_samples=min_samples),
-        control=control,
-    )
+    if config is None:
+        config = FeedbackConfig(
+            estimator=EstimatorConfig(min_samples=min_samples),
+            control=control,
+        )
     feedback = InbandFeedback(lb, config)
     return network, lb, pool, feedback
 
@@ -106,9 +120,8 @@ class TestMeasurement:
         assert len(series) == feedback.sample_count
 
     def test_record_samples_can_be_disabled(self, sim):
-        network, lb, pool, _ = build(sim)
         config = FeedbackConfig(control=False, record_samples=False)
-        feedback = InbandFeedback(lb, config)
+        network, lb, pool, feedback = build(sim, config=config)
         drive_flow(sim, network, 41_000, [i * 500 * MICROSECONDS for i in range(100)])
         sim.run()
         assert feedback.sample_count > 0
@@ -122,13 +135,136 @@ class TestMeasurement:
         send_vip(network, 40_000, TcpFlags.FIN | TcpFlags.ACK, payload=0)
         sim.run()
         assert len(feedback.flows) == 0
+        # The conntrack entry lingers after FIN; only its state is gone.
+        assert len(lb.conntrack) == 1
+        assert entry_of(lb, 40_000).state is None
+
+
+class TestFlowState:
+    """Per-flow measurement state lives on the LB's conntrack entries."""
+
+    def test_creates_on_first_sight(self, sim):
+        network, lb, pool, feedback = build(sim, control=False)
+        assert feedback.flows.stats.created == 0
+        send_vip(network, 40_000, TcpFlags.SYN, payload=0)
+        sim.run()
+        assert feedback.flows.stats.created == 1
+        assert len(feedback.flows) == 1
+        assert entry_of(lb, 40_000).state is not None
+
+    def test_returns_same_state_on_revisit(self, sim):
+        network, lb, pool, feedback = build(sim, control=False)
+        send_vip(network, 40_000, TcpFlags.SYN, payload=0)
+        sim.run()
+        first = entry_of(lb, 40_000).state
+        drive_flow(sim, network, 40_000, [(i + 1) * 500 * MICROSECONDS for i in range(20)])
+        sim.run()
+        assert entry_of(lb, 40_000).state is first
+        assert feedback.flows.stats.created == 1
+        assert feedback.sample_count > 0
+
+    def test_len_counts_entries_holding_state(self, sim):
+        network, lb, pool, feedback = build(sim, control=False)
+        for port in (40_000, 40_001, 40_002):
+            send_vip(network, port, TcpFlags.SYN, payload=0)
+        sim.run()
+        send_vip(network, 40_001, TcpFlags.FIN | TcpFlags.ACK, payload=0)
+        sim.run()
+        assert len(lb.conntrack) == 3
+        assert len(feedback.flows) == 2
+
+    def test_state_dropped_at_fin(self, sim):
+        network, lb, pool, feedback = build(sim, control=False)
+        send_vip(network, 40_000, TcpFlags.SYN, payload=0)
+        sim.run()
+        assert entry_of(lb, 40_000).state is not None
+        send_vip(network, 40_000, TcpFlags.FIN | TcpFlags.ACK, payload=0)
+        sim.run()
+        assert entry_of(lb, 40_000).state is None
+        assert len(feedback.flows) == 0
+        # A second FIN or an RST leaves no state behind either.
+        send_vip(network, 40_000, TcpFlags.FIN | TcpFlags.ACK, payload=0)
+        send_vip(network, 40_000, TcpFlags.RST, payload=0)
+        sim.run()
+        assert entry_of(lb, 40_000).state is None
+        assert len(feedback.flows) == 0
+
+    def test_state_survives_conntrack_sweeps(self, sim):
+        # A sweep on every operation: an active flow's entry, and the
+        # state on it, must outlive all of them.
+        network, lb, pool, feedback = build(
+            sim, control=False, conntrack=ConnTrack(sweep_every=1)
+        )
+        send_vip(network, 40_000, TcpFlags.SYN, payload=0)
+        sim.run()
+        state = entry_of(lb, 40_000).state
+        drive_flow(sim, network, 40_000, [(i + 1) * 500 * MICROSECONDS for i in range(20)])
+        sim.run()
+        assert entry_of(lb, 40_000).state is state
+        assert feedback.flows.stats.created == 1
+
+    def test_state_freed_with_swept_entry(self, sim):
+        # The state dies with its conntrack entry: once an idle flow's
+        # entry is swept, nothing holds the flow's measurement state.
+        network, lb, pool, feedback = build(
+            sim,
+            control=False,
+            conntrack=ConnTrack(idle_timeout=1 * MILLISECONDS, sweep_every=1),
+        )
+        send_vip(network, 40_000, TcpFlags.SYN, payload=0)
+        sim.run()
+        assert len(feedback.flows) == 1
+        sim.schedule_at(
+            sim.now + 5 * MILLISECONDS,
+            lambda: send_vip(network, 40_001, TcpFlags.SYN, payload=0),
+        )
+        sim.run()
+        assert entry_of(lb, 40_000) is None
+        assert lb.conntrack.stats.expired_idle == 1
+        assert len(feedback.flows) == 1  # only the new flow's
+        # The flow coming back starts from fresh state.
+        send_vip(network, 40_000, TcpFlags.ACK)
+        sim.run()
+        assert feedback.flows.stats.created == 3
+
+    def test_created_counts_recreation_after_fin(self, sim):
+        network, lb, pool, feedback = build(sim, control=False)
+        send_vip(network, 40_000, TcpFlags.SYN, payload=0)
+        send_vip(network, 40_000, TcpFlags.FIN | TcpFlags.ACK, payload=0)
+        sim.run()
+        assert feedback.flows.stats.created == 1
+        assert len(feedback.flows) == 0
+        # A packet after FIN (e.g. the client's last ACK) within the
+        # conntrack linger: same entry, new state.
+        send_vip(network, 40_000, TcpFlags.ACK, payload=0)
+        sim.run()
+        assert feedback.flows.stats.created == 2
+        assert len(feedback.flows) == 1
+
+    def test_second_feedback_on_one_lb_rejected(self, sim):
+        network, lb, pool, feedback = build(sim, control=False)
+        with pytest.raises(ConfigError):
+            InbandFeedback(lb, FeedbackConfig(control=False))
+        # The first loop keeps its slot and keeps measuring.
+        send_vip(network, 40_000, TcpFlags.SYN, payload=0)
+        sim.run()
+        assert feedback.flows.stats.created == 1
+
+    def test_failed_construction_does_not_claim_the_lb(self, sim):
+        network = Network(sim)
+        pool = BackendPool([Backend("s0"), Backend("s1")])
+        lb = LoadBalancer(
+            network, "lb", Endpoint("vip", 80), pool, MaglevPolicy(pool, 251)
+        )
+        with pytest.raises(ConfigError):
+            InbandFeedback(lb, FeedbackConfig(strategy="nonsense"))
+        assert InbandFeedback(lb, FeedbackConfig()).lb is lb
 
 
 class TestRetransmissionDetection:
     def test_duplicate_sequence_taints_next_sample(self, sim):
-        network, lb, pool, _ = build(sim)
         config = FeedbackConfig(control=False, censor_retransmissions=True)
-        feedback = InbandFeedback(lb, config)
+        network, lb, pool, feedback = build(sim, config=config)
 
         def send(seq, when, flags=TcpFlags.ACK):
             sim.schedule_at(
@@ -144,9 +280,8 @@ class TestRetransmissionDetection:
         assert feedback.censored_samples > 0
 
     def test_monotone_flow_produces_uncensored_samples(self, sim):
-        network, lb, pool, _ = build(sim)
         config = FeedbackConfig(control=False, censor_retransmissions=True)
-        feedback = InbandFeedback(lb, config)
+        network, lb, pool, feedback = build(sim, config=config)
         seq = 0
         for batch in range(200):
             when = batch * 500 * MICROSECONDS
