@@ -20,10 +20,16 @@ Two scheduling surfaces share the queue:
 Cancellation is handled with tombstones: :meth:`EventHandle.cancel` marks
 the entry dead and the main loop skips it, avoiding O(n) heap surgery.
 The simulator counts live tombstones and compacts the heap in place when
-more than half of the queued entries are dead, so restartable timers that
-re-arm long deadlines (retransmit timers bumped on every ACK) cannot grow
-the heap without bound.  :attr:`Simulator.live_events` excludes
-tombstones; :attr:`Simulator.pending_events` includes them.
+more than half of the queued entries are dead.  :attr:`Simulator.live_events`
+excludes tombstones; :attr:`Simulator.pending_events` includes them.
+
+A :class:`Timer` re-armed to a later deadline (a retransmit timer bumped
+on every ACK) moves its handle in place: the handle takes the live
+``(time, seq)`` a push would have used, and its heap entry keeps the old,
+earlier key until it reaches the head, where it is re-filed under the
+live key before anything could overtake it.  A re-file is not an event.
+So timer re-arms add no heap entries, and tombstones come only from
+:meth:`Timer.stop` and :meth:`EventHandle.cancel`.
 
 A sorted *column* of fire times sharing one callback
 (:meth:`Simulator.schedule_fire_many`) is kept in a side "run lane" (one
@@ -77,21 +83,25 @@ class EventHandle:
     """A scheduled event that can be cancelled before it fires.
 
     Returned by :meth:`Simulator.schedule` and :meth:`Simulator.schedule_at`.
+    ``time`` and ``seq`` are the live deadline and tie-breaker, which a
+    :class:`Timer` may move later than the key of the handle's heap entry.
     """
 
-    __slots__ = ("time", "seq", "callback", "_cancelled", "_fired", "_sim")
+    __slots__ = ("time", "seq", "callback", "_cancelled", "_slot", "_sim")
 
     def __init__(self, time: int, seq: int, callback: Callable[[], None], sim=None):
         self.time = time
         self.seq = seq
         self.callback = callback
         self._cancelled = False
-        self._fired = False
+        # Time of this handle's heap entry; None once popped or compacted
+        # away.  Each handle has at most one entry in the heap.
+        self._slot = time
         self._sim = sim
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Idempotent."""
-        if self._cancelled or self._fired:
+        if self._cancelled or self._slot is None:
             return
         self._cancelled = True
         self.callback = _NOOP  # free closure references promptly
@@ -214,22 +224,13 @@ class Simulator:
     def next_key(self) -> Optional[Tuple[int, int]]:
         """``(time, seq)`` of the next live scheduled event, or None.
 
-        Skips (and discards) cancelled heap heads, and considers run-lane
-        columns.  The pipe pump must only deliver an arrival inline while
-        the arrival's key precedes this one — otherwise an interleaved
-        event would be reordered.
+        Settles the heap head (see :meth:`_live_head`), and considers
+        run-lane columns.  The pipe pump must only deliver an arrival
+        inline while the arrival's key precedes this one — otherwise an
+        interleaved event would be reordered.
         """
-        queue = self._queue
-        key: Optional[Tuple[int, int]] = None
-        while queue:
-            head = queue[0]
-            payload = head[2]
-            if payload.__class__ is EventHandle and payload._cancelled:
-                heapq.heappop(queue)
-                self._tombstones -= 1
-                continue
-            key = (head[0], head[1])
-            break
+        head = self._live_head()
+        key = None if head is None else (head[0], head[1])
         runs = self._runs
         if runs:
             run = runs[0] if len(runs) == 1 else min(runs)
@@ -237,6 +238,29 @@ class Simulator:
             if key is None or run_key < key:
                 key = run_key
         return key
+
+    def _live_head(self) -> Optional[tuple]:
+        """The heap's first live entry, or None when the heap is empty.
+
+        Discards cancelled heads and re-files a head whose timer moved
+        later under its live key; neither is an event.
+        """
+        queue = self._queue
+        while queue:
+            head = queue[0]
+            payload = head[2]
+            if payload.__class__ is not EventHandle:
+                return head
+            if payload._cancelled:
+                heapq.heappop(queue)
+                payload._slot = None
+                self._tombstones -= 1
+            elif head[1] != payload.seq:
+                heapq.heapreplace(queue, (payload.time, payload.seq, payload))
+                payload._slot = payload.time
+            else:
+                return head
+        return None
 
     def set_profiler(self, profiler) -> None:
         """Install (or remove, with None) a per-event dispatch observer."""
@@ -400,40 +424,29 @@ class Simulator:
 
     def step(self) -> bool:
         """Fire the single next live event.  Returns False if none remain."""
-        if self._runs:
-            run = self._runs[0] if len(self._runs) == 1 else min(self._runs)
-            key = None
-            queue = self._queue
-            while queue:
-                head = queue[0]
-                payload = head[2]
-                if payload.__class__ is EventHandle and payload._cancelled:
-                    heapq.heappop(queue)
-                    self._tombstones -= 1
-                    continue
-                key = (head[0], head[1])
-                break
-            if key is None or (run[0], run[1]) < key:
+        head = self._live_head()
+        runs = self._runs
+        if runs:
+            run = runs[0] if len(runs) == 1 else min(runs)
+            if head is None or (run[0], run[1]) < (head[0], head[1]):
                 self._fire_run_event(run)
                 return True
-        while self._queue:
-            time, _seq, payload = heapq.heappop(self._queue)
-            if payload.__class__ is EventHandle:
-                if payload._cancelled:
-                    self._tombstones -= 1
-                    continue
-                payload._fired = True
-                callback = payload.callback
-            else:
-                callback = payload
-            self._now = time
-            self._events_processed += 1
-            if self._profiler is None:
-                callback()
-            else:
-                self._profiler.run(callback)
-            return True
-        return False
+        if head is None:
+            return False
+        heapq.heappop(self._queue)
+        payload = head[2]
+        if payload.__class__ is EventHandle:
+            payload._slot = None
+            callback = payload.callback
+        else:
+            callback = payload
+        self._now = head[0]
+        self._events_processed += 1
+        if self._profiler is None:
+            callback()
+        else:
+            self._profiler.run(callback)
+        return True
 
     def _fire_run_event(self, run: list) -> None:
         """Fire exactly the head event of one run-lane column."""
@@ -469,22 +482,32 @@ class Simulator:
         queue = self._queue
         runs = self._runs
         heappop = heapq.heappop
+        heapreplace = heapq.heapreplace
         profiler = self._profiler
         handle_class = EventHandle
         try:
             while True:
-                if runs:
-                    run = runs[0] if len(runs) == 1 else min(runs)
-                    # Skip dead heap heads so the merge compares live keys.
-                    while queue:
-                        head = queue[0]
-                        payload = head[2]
-                        if payload.__class__ is handle_class and payload._cancelled:
+                # Settle the heap head first (_live_head, inlined), so the
+                # run-lane merge below compares live keys.
+                if queue:
+                    entry = queue[0]
+                    payload = entry[2]
+                    is_handle = payload.__class__ is handle_class
+                    if is_handle:
+                        if payload._cancelled:
                             heappop(queue)
+                            payload._slot = None
                             self._tombstones -= 1
                             continue
-                        break
-                    if not queue or (run[0], run[1]) < (queue[0][0], queue[0][1]):
+                        if entry[1] != payload.seq:
+                            heapreplace(queue, (payload.time, payload.seq, payload))
+                            payload._slot = payload.time
+                            continue
+                elif not runs:
+                    break
+                if runs:
+                    run = runs[0] if len(runs) == 1 else min(runs)
+                    if not queue or (run[0], run[1]) < (entry[0], entry[1]):
                         if until is not None and run[0] > until:
                             break
                         if max_events is not None and processed >= max_events:
@@ -493,26 +516,16 @@ class Simulator:
                             run, until, max_events, processed, profiler
                         )
                         continue
-                elif not queue:
-                    break
-                entry = queue[0]
-                payload = entry[2]
-                is_handle = payload.__class__ is handle_class
-                if is_handle:
-                    if payload._cancelled:
-                        heappop(queue)
-                        self._tombstones -= 1
-                        continue
-                    callback = payload.callback
-                else:
-                    callback = payload
                 if until is not None and entry[0] > until:
                     break
                 if max_events is not None and processed >= max_events:
                     break
                 heappop(queue)
                 if is_handle:
-                    payload._fired = True
+                    payload._slot = None
+                    callback = payload.callback
+                else:
+                    callback = payload
                 self._now = entry[0]
                 if profiler is None:
                     callback()
@@ -626,11 +639,14 @@ class Simulator:
         when a callback triggers compaction mid-run.
         """
         queue = self._queue
-        queue[:] = [
-            entry
-            for entry in queue
-            if not (entry[2].__class__ is EventHandle and entry[2]._cancelled)
-        ]
+        live = []
+        for entry in queue:
+            payload = entry[2]
+            if payload.__class__ is EventHandle and payload._cancelled:
+                payload._slot = None  # gone: a stopped Timer cannot revive it
+            else:
+                live.append(entry)
+        queue[:] = live
         heapq.heapify(queue)
         self._tombstones = 0
 
@@ -646,31 +662,52 @@ class Timer:
     def __init__(self, sim: Simulator, callback: Callable[[], None]):
         self._sim = sim
         self._callback = callback
+        # Kept after stop() so a later start() can revive the entry.
         self._handle: Optional[EventHandle] = None
 
     @property
     def running(self) -> bool:
         """True if the timer is armed and has not yet fired."""
-        return self._handle is not None and not self._handle.cancelled
+        handle = self._handle
+        return handle is not None and not handle._cancelled
 
     @property
     def deadline(self) -> Optional[int]:
         """Absolute fire time, or None when idle."""
-        if self.running:
-            assert self._handle is not None
-            return self._handle.time
-        return None
+        return self._handle.time if self.running else None
 
     def start(self, delay: int) -> None:
-        """Arm (or re-arm) the timer ``delay`` ns from now."""
-        self.stop()
-        self._handle = self._sim.schedule(delay, self._fire)
+        """Arm (or re-arm) the timer ``delay`` ns from now.
+
+        When the handle's heap entry (running, or stopped but not yet
+        popped) sits at or before the new deadline, the handle moves in
+        place: it takes the next seq and version as a push would, and the
+        engine re-files the entry when it reaches the heap head.  An
+        earlier deadline cancels and pushes.
+        """
+        sim = self._sim
+        time = sim._now + delay
+        handle = self._handle
+        if handle is not None:
+            slot = handle._slot
+            if slot is not None and slot <= time:
+                sim._seq += 1
+                sim._version += 1
+                handle.time = time
+                handle.seq = sim._seq
+                if handle._cancelled:
+                    handle._cancelled = False
+                    handle.callback = self._fire
+                    sim._tombstones -= 1
+                    sim._note_push()
+                return
+            handle.cancel()
+        self._handle = sim.schedule_at(time, self._fire)
 
     def stop(self) -> None:
         """Disarm the timer if armed.  Idempotent."""
         if self._handle is not None:
             self._handle.cancel()
-            self._handle = None
 
     def _fire(self) -> None:
         self._handle = None

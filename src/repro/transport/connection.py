@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import TransportError
@@ -45,7 +46,6 @@ _SYN_ACK = FLAG_SYN | FLAG_ACK
 _ACK_PSH = FLAG_ACK | FLAG_PSH
 _FIN_ACK = FLAG_FIN | FLAG_ACK
 _RST_ACK = FLAG_RST | FLAG_ACK
-_SYN_OR_FIN = FLAG_SYN | FLAG_FIN
 from repro.transport.ack_policy import AckPolicy, ImmediateAck
 from repro.transport.pacing import Pacer
 from repro.transport.retransmit import RttEstimator
@@ -116,7 +116,7 @@ class _SentSegment:
         end_seq: int,
         payload_len: int,
         flags: int,
-        boundaries: List[MessageBoundary],
+        boundaries: Optional[List[MessageBoundary]],
         sent_at: int,
         retransmitted: bool = False,
     ):
@@ -165,8 +165,8 @@ class Connection:
     ):
         config.validate()
         self._host = host
-        # Prebound: _transmit runs per segment, so skip the attribute hop.
-        self._host_transmit = host.transmit
+        # Bound once: _transmit runs per segment.
+        self._send = partial(host.network.send_from, host.name)
         self._sim: Simulator = host.sim
         self.local = local
         self.remote = remote
@@ -181,7 +181,12 @@ class Connection:
         self._snd_nxt = 0             # next seq to send
         self._stream_len = 0          # total bytes written by the app
         self._unsent_offset = 0       # next stream byte not yet segmented
+        # Unsent message ends, in stream order; all lie past _unsent_offset.
         self._pending_boundaries: List[MessageBoundary] = []
+        # Unacked segments in seq order (retransmitted in place), so an
+        # ACK always retires a prefix.  Lists, not deques: a deque's
+        # first block costs ~700 bytes on each of thousands of connections,
+        # and deleting a prefix of a window's worth of pointers is cheap.
         self._inflight: List[_SentSegment] = []
         self._fin_queued = False
         self._fin_sent = False
@@ -189,12 +194,10 @@ class Connection:
         # --- receive side ----------------------------------------------
         self._irs: Optional[int] = None  # peer's initial sequence number
         self._rcv_nxt = 0
-        # Out-of-order buffer: seq -> (flags, seq, payload_len,
-        # boundaries) field tuples.  Fields are copied out of slab
-        # handles before buffering, so handles never outlive delivery.
+        # Out-of-order buffer: seq -> (flags, payload_len, boundaries)
+        # field tuples.  Fields are copied out of slab handles before
+        # buffering, so handles never outlive delivery.
         self._ooo: Dict[int, Tuple] = {}
-        self._rx_boundaries: Dict[int, Any] = {}
-        self._delivered_offset = 0
 
         # --- packet slab -------------------------------------------------
         # Intern this connection's endpoints/flow once; _transmit then
@@ -348,7 +351,18 @@ class Connection:
             return
 
         if payload_len > 0 or flags & FLAG_FIN:
-            self._handle_data(flags, seq, payload_len, boundaries)
+            if self._irs is None:
+                return  # data before SYN: drop
+            rcv_nxt = self._rcv_nxt
+            if seq == rcv_nxt:
+                self._accept(flags, payload_len, boundaries)
+                self._ack_policy.on_data(in_order=True)
+            else:
+                if seq > rcv_nxt:
+                    self._ooo[seq] = (flags, payload_len, boundaries)
+                # Out of order, or entirely duplicate: re-ack so the
+                # sender advances.
+                self._ack_policy.on_data(in_order=False)
 
     # ------------------------------------------------------------------
     # Handshake
@@ -406,74 +420,37 @@ class Connection:
     # Receive path
     # ------------------------------------------------------------------
 
-    def _handle_data(
+    def _accept(
         self,
         flags: int,
-        seq: int,
         payload_len: int,
         boundaries: Optional[List[MessageBoundary]],
     ) -> None:
-        if self._irs is None:
-            return  # data before SYN: drop
+        """Take the segment at ``_rcv_nxt``, then each buffered segment
+        it makes contiguous.
 
-        if seq == self._rcv_nxt:
-            self._accept_segment(flags, seq, payload_len, boundaries)
-            # Drain any buffered out-of-order continuation.
-            while self._rcv_nxt in self._ooo:
-                self._accept_segment(*self._ooo.pop(self._rcv_nxt))
-            self._ack_policy.on_data(in_order=True)
-        elif seq > self._rcv_nxt:
-            self._ooo[seq] = (flags, seq, payload_len, boundaries)
-            self._ack_policy.on_data(in_order=False)
-        else:
-            # Entirely duplicate segment: re-ack so the sender advances.
-            self._ack_policy.on_data(in_order=False)
-
-    def _accept_segment(
-        self,
-        flags: int,
-        seq: int,
-        payload_len: int,
-        boundaries: Optional[List[MessageBoundary]],
-    ) -> None:
-        end_seq = seq + payload_len
-        if flags & _SYN_OR_FIN:
-            end_seq += 1  # SYN/FIN consume a sequence number
-        self._rcv_nxt = end_seq
-        self.stats.bytes_delivered += payload_len
-        if boundaries:
-            for boundary in boundaries:
-                self._rx_boundaries.setdefault(boundary.end_offset, boundary.message)
-        assert self._irs is not None
-        in_order_offset = self._rcv_nxt - (self._irs + 1)
-        if flags & FLAG_FIN:
-            in_order_offset -= 1  # FIN consumed a sequence number
-            self._handle_peer_fin()
-        self._deliver_messages(in_order_offset)
-
-    def _deliver_messages(self, in_order_offset: int) -> None:
-        boundaries = self._rx_boundaries
-        if not boundaries:
-            return
-        if len(boundaries) == 1:
-            # One pending message — the request/response steady state;
-            # skip the sort and the generator.
-            (offset,) = boundaries
-            if offset > in_order_offset:
+        A segment's boundaries all end inside it, in stream order, so
+        its messages complete the moment it is taken in order.
+        """
+        stats = self.stats
+        ooo = self._ooo
+        while True:
+            self._rcv_nxt += payload_len
+            stats.bytes_delivered += payload_len
+            if flags & FLAG_FIN:
+                self._rcv_nxt += 1  # FIN consumes a sequence number
+                self._handle_peer_fin()
+            if boundaries:
+                for boundary in boundaries:
+                    stats.messages_delivered += 1
+                    if self.on_message is not None:
+                        self.on_message(self, boundary.message)
+            if not ooo:
                 return
-            message = boundaries.pop(offset)
-            self.stats.messages_delivered += 1
-            if self.on_message is not None:
-                self.on_message(self, message)
-            return
-        ready = sorted(
-            offset for offset in boundaries if offset <= in_order_offset
-        )
-        for offset in ready:
-            message = boundaries.pop(offset)
-            self.stats.messages_delivered += 1
-            if self.on_message is not None:
-                self.on_message(self, message)
+            segment = ooo.pop(self._rcv_nxt, None)
+            if segment is None:
+                return
+            flags, payload_len, boundaries = segment
 
     def _handle_peer_fin(self) -> None:
         if self.state is ConnectionState.ESTABLISHED:
@@ -508,29 +485,32 @@ class Connection:
         self._snd_una = ack
         self._rtt.reset_backoff()
 
-        # Retire fully acked segments; sample RTT per Karn's rule.
+        # Retire the acked prefix; sample RTT per Karn's rule.  An
+        # on_rtt_sample callback may send: new segments join the tail,
+        # past ``ack``, so the scan stops before them.
         now = self._sim._now
         rtt_estimator = self._rtt
         rtt_cb = self.on_rtt_sample
-        remaining: List[_SentSegment] = []
-        for segment in self._inflight:
-            if segment.end_seq <= ack:
-                if not segment.retransmitted:
-                    rtt = now - segment.sent_at
-                    rtt_estimator.sample(rtt)
-                    if rtt_cb is not None:
-                        rtt_cb(self, rtt)
-            else:
-                remaining.append(segment)
-        self._inflight = remaining
+        inflight = self._inflight
+        retired = 0
+        for segment in inflight:
+            if segment.end_seq > ack:
+                break
+            retired += 1
+            if not segment.retransmitted:
+                rtt = now - segment.sent_at
+                rtt_estimator.sample(rtt)
+                if rtt_cb is not None:
+                    rtt_cb(self, rtt)
+        del inflight[:retired]
 
-        if self._inflight:
+        if inflight:
             self._arm_rto()
         else:
             self._rto_timer.stop()
 
         if self._fin_sent and ack >= self._snd_nxt:
-            if self.state is ConnectionState.CLOSE_WAIT or not self._peer_open():
+            if self.state is ConnectionState.CLOSE_WAIT:
                 self._teardown()
                 return
             self.state = ConnectionState.FIN_WAIT
@@ -538,9 +518,6 @@ class Connection:
         # The window just opened: this is where ACK-clocked (causally
         # triggered) transmissions happen.
         self._try_send()
-
-    def _peer_open(self) -> bool:
-        return self.state not in (ConnectionState.CLOSE_WAIT,)
 
     # ------------------------------------------------------------------
     # Send path
@@ -552,11 +529,14 @@ class Connection:
         )
 
     def _try_send(self) -> None:
-        # Cheap no-op exit first: roughly half the calls (ACK-clocked
-        # wakeups with nothing queued) return here.
+        # Cheap no-op exits first: ACK-clocked wakeups with nothing
+        # queued, or with the window still full and no FIN to send.
         if self._unsent_offset >= self._stream_len and (
             not self._fin_queued or self._fin_sent
         ):
+            return
+        window = self.config.window
+        if self._snd_nxt - self._snd_una >= window and not self._fin_queued:
             return
         state = self.state
         if not (
@@ -565,10 +545,9 @@ class Connection:
             or state is ConnectionState.FIN_WAIT
         ):
             return
-        config = self.config
-        window = config.window
-        mss = config.mss
+        mss = self.config.mss
         iss1 = self._iss + 1
+        pending = self._pending_boundaries
         while self._unsent_offset < self._stream_len:
             window_left = window - (self._snd_nxt - self._snd_una)
             if window_left <= 0:
@@ -580,21 +559,16 @@ class Connection:
             if chunk > window_left:
                 chunk = window_left
             end = start + chunk
-            pending = self._pending_boundaries
-            if pending:
-                # One pass instead of two comprehensions: partition into
-                # boundaries carried by this segment and ones past it.
-                boundaries = []
-                remaining = []
-                for b in pending:
-                    off = b.end_offset
-                    if off > end:
-                        remaining.append(b)
-                    elif off > start:
-                        boundaries.append(b)
-                self._pending_boundaries = remaining
+            # Pending boundaries all lie past start, in stream order: the
+            # segment carries the prefix that ends inside it.
+            if pending and pending[0].end_offset <= end:
+                carried = 1
+                while carried < len(pending) and pending[carried].end_offset <= end:
+                    carried += 1
+                boundaries = pending[:carried]
+                del pending[:carried]
             else:
-                boundaries = []
+                boundaries = None
             self._unsent_offset = end
             self._snd_nxt = iss1 + end
             self._send_data_segment(iss1 + start, chunk, boundaries, _ACK_PSH)
@@ -609,16 +583,13 @@ class Connection:
             self._fin_sent = True
             if self.state is ConnectionState.ESTABLISHED:
                 self.state = ConnectionState.FIN_WAIT
-            self._send_data_segment(fin_seq, 0, [], _FIN_ACK)
-
-    def _data_seq(self, stream_offset: int) -> int:
-        return self._iss + 1 + stream_offset
+            self._send_data_segment(fin_seq, 0, None, _FIN_ACK)
 
     def _send_data_segment(
         self,
         seq: int,
         payload_len: int,
-        boundaries: List[MessageBoundary],
+        boundaries: Optional[List[MessageBoundary]],
         flags: int,
     ) -> None:
         now = self._sim._now
@@ -643,10 +614,8 @@ class Connection:
         # Unpaced path: _emit_segment inlined (sent_at is already now).
         self._transmit(flags, seq, payload_len, boundaries)
         self.stats.bytes_sent += payload_len
-        timer = self._rto_timer
-        handle = timer._handle
-        if handle is None or handle._cancelled:
-            timer.start(self._rtt.rto)
+        if not self._rto_timer.running:
+            self._arm_rto()
 
     def _emit_segment(self, segment: _SentSegment) -> None:
         segment.sent_at = self._sim.now
@@ -677,7 +646,9 @@ class Connection:
         retransmit: bool = False,
     ) -> None:
         self.stats.segments_sent += 1
-        self._host_transmit(
+        # ``boundaries`` is shared with the in-flight record: both sides
+        # only read it.
+        self._send(
             self._slab.alloc(
                 self._src_i,
                 self._dst_i,
@@ -686,7 +657,7 @@ class Connection:
                 seq,
                 self._rcv_nxt,
                 payload_len,
-                list(boundaries) if boundaries else None,
+                boundaries,
                 self._sim._now,
                 retransmit,
             )

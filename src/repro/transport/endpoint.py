@@ -167,10 +167,6 @@ class Host:
                 return
         slab.free(packet)
 
-    def transmit(self, packet: int) -> bool:
-        """Send a slab handle via the network's routing."""
-        return self.network.send_from(self.name, packet)
-
     def forget_connection(self, conn: Connection) -> None:
         """Remove a closed connection from the demux table."""
         key = self._key(conn.local, conn.remote)
