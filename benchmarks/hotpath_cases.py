@@ -107,10 +107,12 @@ def run_pipe_stream(
 ) -> Tuple[int, float, int]:
     """Stream ``batches`` waves of ``packets`` through one 10 Gb/s pipe.
 
-    Each packet is a slab record: allocated, sent, delivered by the pump
-    and freed by the receiver.  Returns ``(delivered, seconds,
-    peak_queue_depth)``; the peak depth shows the delivery pump holding
-    the engine heap at O(pipes) instead of O(packets in flight).
+    Each packet is a slab record: allocated, sent, delivered by its own
+    engine event and freed by the receiver.  Returns ``(delivered,
+    seconds, peak_queue_depth)``; the peak depth is O(packets in flight),
+    one heap entry per packet — here a whole 1k wave.  No workload has
+    this shape (fig2b peaks near 11 packets in flight): it is the
+    heap's worst case, not a typical one.
     """
     sim = Simulator()
     slab = PacketSlab()

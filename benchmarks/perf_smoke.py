@@ -58,7 +58,7 @@ def measure(fleet: bool = True) -> dict:
         "engine_handle_10k": _best_rate(run_engine_handle_events),
         "engine_run_lane_1m": _best_rate(run_engine_run_lane),
         "ensemble_observe_fused_100k": _best_rate(run_ensemble_observe, trace),
-        "pipe_pump_10x1k": _best_rate(run_pipe_stream),
+        "pipe_stream_10x1k": _best_rate(run_pipe_stream),
     }
     # One run times both control-path arms; best-of is taken per arm.
     control = [run_lb_control_path() for _ in range(BEST_OF)]

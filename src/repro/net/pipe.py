@@ -33,7 +33,7 @@ from typing import Callable, Deque, Optional
 
 from repro.errors import NetworkError
 from repro.net.packet import HEADER_BYTES, PacketSlab
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import Simulator
 from repro.units import serialization_delay
 
 
@@ -121,17 +121,11 @@ class Pipe:
         # Departure times of packets still occupying the queue/wire;
         # drained lazily in send() instead of with per-packet events.
         self._departures: Deque[int] = deque()
-        # The delivery pump: packets in flight wait in this deque as
-        # (arrival, reserved seq, packet) and exactly one engine event —
-        # armed for the head entry — is outstanding per pipe.  Arrivals
-        # are monotone (the no-reorder clamp), so the head is always the
-        # next delivery; each packet's tie-breaking seq is reserved at
-        # send time, which keeps event order byte-identical to the old
-        # one-event-per-packet scheme while the heap stays O(pipes).
-        self._arrivals: Deque[tuple] = deque()
-        self._pump_armed = False
         self.stats = PipeStats()
         self._deliver: Optional[Callable[[int], None]] = None
+        # Each packet in flight is one engine event calling this with
+        # its handle; bound once so send() allocates no method object.
+        self._on_arrival = self._arrive
         # Packets are integer handles into this slab's columns.  The
         # pipe owns a handle from send() until delivery or drop.
         self._slab = slab
@@ -255,28 +249,25 @@ class Pipe:
         """Transmit slab handle ``packet``; returns False if it was dropped.
 
         The pipe takes ownership of the handle: dropped handles are freed
-        here, delivered ones pass to the receiver.
+        here, delivered ones pass to the receiver.  A jitter draw that is
+        rejected (:class:`NetworkError`) leaves the pipe untouched — no
+        counter, no wire state — and the caller still owns the handle.
         """
         if self._deliver is None:
             raise NetworkError("pipe %s has no receiver connected" % self.name)
-        slab = self._slab
-        size = HEADER_BYTES + slab.payload_len[packet]
+        size = HEADER_BYTES + self._slab.payload_len[packet]
         stats = self.stats
-        stats.packets_sent += 1
-        stats.bytes_sent += size
         cold = self._cold
 
         if cold:
             if self._partitioned:
                 stats.packets_dropped_partition += 1
-                slab.free(packet)
-                return False
+                return self._drop(packet, size)
             if self._drop_prob > 0.0:
                 assert self._loss_rng is not None
                 if self._loss_rng.random() < self._drop_prob:
                     stats.packets_dropped_loss += 1
-                    slab.free(packet)
-                    return False
+                    return self._drop(packet, size)
 
         sim = self._sim
         now = sim._now
@@ -289,15 +280,12 @@ class Pipe:
                 departures.popleft()
             if len(departures) >= self._queue_capacity:
                 stats.packets_dropped_queue += 1
-                slab.free(packet)
-                return False
-            start = self._wire_free_at
-            if start < now:
-                start = now
+                return self._drop(packet, size)
+            departure = self._wire_free_at
+            if departure < now:
+                departure = now
             # Inlined serialization_delay(): ceil(bits·ns-per-s / bps).
-            departure = start + (-(-size * 8_000_000_000 // bandwidth))
-            self._wire_free_at = departure
-            departures.append(departure)
+            departure += -(-size * 8_000_000_000 // bandwidth)
 
         arrival = departure + self._total_delay
         if cold:
@@ -309,148 +297,36 @@ class Pipe:
                             "jitter must be non-negative on %s" % self.name
                         )
                     arrival += jitter
+
+        stats.packets_sent += 1
+        stats.bytes_sent += size
+        if bandwidth is not None:
+            self._wire_free_at = departure
+            departures.append(departure)
         # Never reorder: clamp to the previous arrival instant.
         if arrival < self._last_arrival:
             arrival = self._last_arrival
         self._last_arrival = arrival
-
-        # Reserve the tie-breaking seq now (as if the delivery event were
-        # scheduled here) but only keep one engine event outstanding, and
-        # count the packet as parked work for the load high-water mark.
-        # (Inlined — this is the hottest per-packet call site in the
-        # simulation.)
-        seq = sim._seq + 1
-        sim._seq = seq
-        self._arrivals.append((arrival, seq, packet))
-        parked = sim._parked + 1
-        sim._parked = parked
-        load = len(sim._queue) - sim._tombstones + sim._run_pending + parked
-        if load > sim._peak_load:
-            sim._peak_load = load
-        if not self._pump_armed:
-            self._pump_armed = True
-            sim.schedule_fire_at(arrival, self._pump, seq=seq)
+        sim.schedule_call_at(arrival, self._on_arrival, packet)
         return True
 
-    def _pump(self) -> None:
-        """Deliver every in-flight packet whose arrival is due; re-arm.
-
-        One engine event delivers the head packet and then — when the
-        engine is in an unbounded run — keeps delivering successive
-        arrivals inline for as long as each would have been the very next
-        engine event anyway (its ``(time, seq)`` key precedes the engine's
-        next key and the run horizon).  Each inline delivery advances the
-        clock and the processed-events count exactly as a separate pump
-        firing would, so ``events_processed``, callback order, and every
-        timestamp stay byte-identical to the one-event-per-packet scheme;
-        only the heap traffic disappears.
-
-        When arrivals are left behind (or the engine is stepping with a
-        budget), the pump re-arms for the new head using its reserved
-        seq, preserving tie order against unrelated events.
-        """
-        sim = self._sim
-        arrivals = self._arrivals
+    def _drop(self, packet: int, size: int) -> bool:
+        """Count a sent-and-dropped packet and free its handle."""
         stats = self.stats
-        deliver = self._deliver
-        assert deliver is not None
-        payload_len = self._slab.payload_len
+        stats.packets_sent += 1
+        stats.bytes_sent += size
+        self._slab.free(packet)
+        return False
 
-        _arrival, _seq, packet = arrivals.popleft()
-        if not arrivals and sim._inline_ok:
-            # Fast path: lone arrival during an unbounded drain (the
-            # overwhelmingly common case on lightly loaded pipes).  With
-            # nothing left to deliver inline, the phantom/horizon
-            # machinery below degenerates to exactly this:
-            self._pump_armed = False
-            sim._parked -= 1
-            stats.packets_delivered += 1
-            stats.bytes_delivered += HEADER_BYTES + payload_len[packet]
-            deliver(packet)
-            return
-        if not sim._inline_ok:
-            # Bounded run (step()/max_events): exact per-packet behavior.
-            if arrivals:
-                head = arrivals[0]
-                sim.schedule_fire_at(head[0], self._pump, seq=head[1])
-            else:
-                self._pump_armed = False
-            sim._parked -= 1
-            stats.packets_delivered += 1
-            stats.bytes_delivered += HEADER_BYTES + payload_len[packet]
-            deliver(packet)
-            return
-
-        # Mirror the per-firing bookkeeping of the one-event scheme
-        # before every delivery: while arrivals remain queued the old
-        # scheme had a re-armed pump event in the heap (modelled here as
-        # a phantom, so peak depth follows the same trajectory); once
-        # arrivals drain, the pump was disarmed, so a send() issued from
-        # inside a delivery arms a real heap event exactly as before.
-        profiler = sim._profiler
-        until = sim._until
-        sim._parked -= 1
-        # The first packet's delivery belongs to the pump's own heap
-        # event (the engine already wraps and counts it); only inline
-        # deliveries are dispatched through the profiler here, keeping
-        # profiler.events == sim.events_processed.
-        first = True
-        while True:
-            if arrivals:
-                sim._phantom = 1
-                armed_inline = True
-            else:
-                sim._phantom = 0
-                self._pump_armed = False
-                armed_inline = False
-            stats.packets_delivered += 1
-            stats.bytes_delivered += HEADER_BYTES + payload_len[packet]
-            if profiler is None or first:
-                first = False
-                deliver(packet)
-            else:
-                profiler.run_args(deliver, packet)
-            if not armed_inline:
-                # Arrivals were empty at delivery time; any packets sent
-                # during the delivery armed a fresh heap event themselves.
-                break
-            head = arrivals[0]
-            t2 = head[0]
-            if until is not None and t2 > until:
-                self._re_arm(head)
-                break
-            s2 = head[1]
-            queue = sim._queue
-            if sim._runs or (queue and type(queue[0][2]) is EventHandle):
-                # Slow path: run columns or a possibly-cancelled heap
-                # head need the engine's authoritative next key.
-                key = sim.next_key()
-                if key is not None and key < (t2, s2):
-                    self._re_arm(head)
-                    break
-            elif queue:
-                entry = queue[0]
-                qt = entry[0]
-                if qt < t2 or (qt == t2 and entry[1] < s2):
-                    self._re_arm(head)
-                    break
-            arrivals.popleft()
-            packet = head[2]
-            sim._parked -= 1
-            # Account the inline delivery as one fired event at t2.
-            sim._now = t2
-            sim._events_processed += 1
-        sim._phantom = 0
-
-    def _re_arm(self, head: tuple) -> None:
-        # Delivery must yield to an earlier engine event: drop the
-        # phantom (the real push replaces it) and schedule the pump for
-        # the head arrival under its reserved seq.
-        sim = self._sim
-        sim._phantom = 0
-        sim.schedule_fire_at(head[0], self._pump, seq=head[1])
+    def _arrive(self, packet: int) -> None:
+        """Engine event: ``packet`` reached the far end of the pipe."""
+        stats = self.stats
+        stats.packets_delivered += 1
+        stats.bytes_delivered += HEADER_BYTES + self._slab.payload_len[packet]
+        self._deliver(packet)
 
     @property
     def in_flight(self) -> int:
-        """Packets sent but not yet delivered (pump queue depth)."""
-        return len(self._arrivals)
+        """Packets sent but neither dropped nor delivered yet."""
+        stats = self.stats
+        return stats.packets_sent - stats.packets_dropped - stats.packets_delivered

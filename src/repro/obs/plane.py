@@ -299,16 +299,12 @@ class ObsPlane:
         )
         sim_live = registry.gauge(
             "repro_sim_live_events",
-            "Outstanding work: live engine events plus packets parked "
-            "behind batch-drain pipe pumps (a 1k-packet batch reads as "
-            "1000, not 1)",
+            "Engine events that will still fire, one per packet in flight "
+            "(excludes cancelled tombstones)",
         )
         sim_peak = registry.gauge(
-            "repro_sim_peak_queue_depth", "High-water mark of the event queue"
-        )
-        sim_peak_load = registry.gauge(
-            "repro_sim_peak_load",
-            "High-water mark of outstanding work (events + parked packets)",
+            "repro_sim_peak_queue_depth",
+            "High-water mark of the event queue, in-flight packets included",
         )
 
         def collect() -> None:
@@ -335,11 +331,8 @@ class ObsPlane:
             sim = scenario.sim
             sim_events.set(sim.events_processed)
             sim_pending.set(sim.pending_events)
-            # Honest load: a pipe holding 1000 arrivals behind one pump
-            # entry contributes 1000 here, not 1 (see Simulator.pending_load).
-            sim_live.set(sim.pending_load)
+            sim_live.set(sim.live_events)
             sim_peak.set(sim.peak_queue_depth)
-            sim_peak_load.set(sim.peak_load)
             if fleet is not None:
                 from repro.fleet.lifecycle import BackendState
 

@@ -53,50 +53,18 @@ class EngineProfiler:
         self._sites: Dict[str, SiteStats] = {}
         self.events = 0
         self.wall_ns = 0
-        # Wall time charged by nested run_args calls (batch deliveries
-        # inside a pump callback); run() subtracts it so a site's cost
-        # is self-time, never double-counted.
-        self._nested_ns = 0
 
-    def run(self, callback: Callable[[], None]) -> None:
-        """Execute ``callback``, charging its *self* wall time to its site.
-
-        Time already charged to receiver sites by nested
-        :meth:`run_args` calls (a pump's batch deliveries) is excluded,
-        so totals stay additive across sites.
-        """
-        nested_before = self._nested_ns
-        start = time.perf_counter_ns()
-        try:
-            callback()
-        finally:
-            elapsed = time.perf_counter_ns() - start
-            elapsed -= self._nested_ns - nested_before
-            site = site_name(callback)
-            stats = self._sites.get(site)
-            if stats is None:
-                stats = SiteStats(site=site)
-                self._sites[site] = stats
-            stats.calls += 1
-            stats.wall_ns += elapsed
-            self.events += 1
-            self.wall_ns += elapsed
-
-    def run_args(self, fn: Callable, *args) -> None:
+    def run(self, fn: Callable, *args) -> None:
         """Execute ``fn(*args)``, charging its wall time to ``fn``'s site.
 
-        The batch-drain pipe pump routes each *inline* packet delivery
-        through this, so a 1k-packet batch shows up as one pump call
-        plus 999 calls against the receiver's site (``Host.on_packet``,
-        ``LoadBalancer.on_packet``) — matching the engine's event count
-        (one heap event plus 999 inline fires) exactly.
+        The engine calls this once per event: ``fn`` is the event's
+        callback, or a pipe's arrival receiver with the packet handle.
         """
         start = time.perf_counter_ns()
         try:
             fn(*args)
         finally:
             elapsed = time.perf_counter_ns() - start
-            self._nested_ns += elapsed
             site = site_name(fn)
             stats = self._sites.get(site)
             if stats is None:

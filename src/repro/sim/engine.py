@@ -1,21 +1,23 @@
 """Discrete-event simulation engine.
 
 A :class:`Simulator` owns the virtual clock (integer nanoseconds) and a
-binary-heap event queue.  Events are ``(time, sequence, payload)`` tuples;
-the monotonically increasing sequence number breaks ties so that two events
-scheduled for the same instant fire in scheduling order, which keeps runs
-deterministic.
+binary-heap event queue.  Events are ``(time, sequence, payload)`` or
+``(time, sequence, receiver, arg)`` tuples; the monotonically increasing
+sequence number breaks ties so that two events scheduled for the same
+instant fire in scheduling order, which keeps runs deterministic.
 
-Two scheduling surfaces share the queue:
+Three scheduling surfaces share the queue:
 
 * :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` return an
   :class:`EventHandle` that supports cancellation — protocol timers
   (retransmission, delayed ACKs) need to disarm.
 * :meth:`Simulator.schedule_fire` / :meth:`Simulator.schedule_fire_at`
   are the fire-and-forget fast path: the bare callback is pushed onto the
-  heap with no handle object at all.  Packet deliveries and one-shot
-  sends — the bulk of a simulation's events — never cancel, so they skip
-  the allocation entirely.
+  heap with no handle object at all.  One-shot sends never cancel, so
+  they skip the allocation entirely.
+* :meth:`Simulator.schedule_call_at` pushes ``receiver(arg)`` the same
+  way without a closure: each packet a pipe delivers — the bulk of a
+  simulation's events — is one such entry.
 
 Cancellation is handled with tombstones: :meth:`EventHandle.cancel` marks
 the entry dead and the main loop skips it, avoiding O(n) heap surgery.
@@ -35,20 +37,8 @@ A sorted *column* of fire times sharing one callback
 (:meth:`Simulator.schedule_fire_many`) is kept in a side "run lane" (one
 entry per column, not per event) and merged against the heap in
 bisect-bounded chunks; a scheduling version counter forces a re-merge
-whenever a callback schedules new work, so ordering stays exactly what
-per-event pushes would have produced.
-
-The pipe delivery pump (:mod:`repro.net.pipe`) delivers consecutive
-arrivals *inline* inside one engine event while an unbounded drain runs,
-checking :meth:`Simulator.next_key` so no other event is overtaken, and
-advancing the clock and the event counter per delivered packet so
-``events_processed`` matches the one-event-per-packet trajectory.
-Packets parked in pipe arrival queues feed
-:attr:`Simulator.parked_packets`, :attr:`Simulator.pending_load`, and
-the :attr:`Simulator.peak_load` high-water mark, so a 1k-packet backlog
-does not read as queue depth 1; :attr:`Simulator.peak_queue_depth`
-keeps its historical heap-entry semantics (a "phantom" entry stands in
-for the heap slot the per-packet pump would have occupied mid-drain).
+whenever a callback schedules work that could precede the chunk's end,
+so ordering stays exactly what per-event pushes would have produced.
 
 Example
 -------
@@ -65,7 +55,7 @@ from __future__ import annotations
 import gc
 import heapq
 from bisect import bisect_left, bisect_right
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro.errors import SimulationError
 
@@ -135,7 +125,8 @@ class Simulator:
         self._now = 0
         self._seq = 0
         # (time, seq, EventHandle) for cancellable events,
-        # (time, seq, bare callback) for fire-and-forget ones.
+        # (time, seq, bare callback) for fire-and-forget ones,
+        # (time, seq, receiver, arg) for schedule_call_at.
         self._queue: List[tuple] = []
         self._tombstones = 0
         self._running = False
@@ -146,22 +137,10 @@ class Simulator:
         # (columns are few); entries are mutated in place as they drain.
         self._runs: List[list] = []
         self._run_pending = 0
-        # Bumped on every push (heap or run lane); chunked drains re-merge
-        # when a callback dirtied the schedule mid-chunk.
+        # Bumped by pushes that could precede a running chunk's bound;
+        # chunked drains re-merge when a callback dirtied the schedule.
         self._version = 0
-        # Heap entries the old one-event-per-packet pump *would* have
-        # held while a batch drain is mid-flight; keeps peak_queue_depth
-        # byte-identical to the per-packet trajectory.
-        self._phantom = 0
-        # Honest load accounting: work parked outside the heap (pipe
-        # arrival queues) plus its high-water mark including the heap.
-        self._parked = 0
-        self._peak_load = 0
-        # Set only while an unbounded _drain is running; the pipe pump
-        # checks these before delivering arrivals inline.
-        self._inline_ok = False
-        self._until: Optional[int] = None
-        #: Optional observer with a ``run(callback)`` method; when set,
+        #: Optional observer with a ``run(fn, *args)`` method; when set,
         #: every event dispatch routes through it (see
         #: :class:`repro.obs.profiler.EngineProfiler`).  The profiler
         #: observes only — it never touches the clock or the queue.
@@ -189,55 +168,16 @@ class Simulator:
 
     @property
     def live_events(self) -> int:
-        """Events still queued that will actually fire (no tombstones)."""
+        """Events still queued that will actually fire (no tombstones).
+
+        Every packet in flight on a pipe is one of these.
+        """
         return len(self._queue) - self._tombstones + self._run_pending
 
     @property
     def peak_queue_depth(self) -> int:
         """High-water mark of the event queue (simulation cost metric)."""
         return self._peak_queue_depth
-
-    @property
-    def parked_packets(self) -> int:
-        """Deliverable work parked outside the heap (pipe arrival queues).
-
-        The per-pipe pump keeps one heap entry per pipe no matter how
-        many packets wait behind it; this counter is where those packets
-        show up.
-        """
-        return self._parked
-
-    @property
-    def pending_load(self) -> int:
-        """Honest outstanding work: live events plus parked packets.
-
-        Unlike :attr:`live_events`, a pipe holding 1000 queued arrivals
-        behind its single pump entry reports 1000 here, not 1.
-        """
-        return len(self._queue) - self._tombstones + self._run_pending + self._parked
-
-    @property
-    def peak_load(self) -> int:
-        """High-water mark of :attr:`pending_load`."""
-        return self._peak_load
-
-    def next_key(self) -> Optional[Tuple[int, int]]:
-        """``(time, seq)`` of the next live scheduled event, or None.
-
-        Settles the heap head (see :meth:`_live_head`), and considers
-        run-lane columns.  The pipe pump must only deliver an arrival
-        inline while the arrival's key precedes this one — otherwise an
-        interleaved event would be reordered.
-        """
-        head = self._live_head()
-        key = None if head is None else (head[0], head[1])
-        runs = self._runs
-        if runs:
-            run = runs[0] if len(runs) == 1 else min(runs)
-            run_key = (run[0], run[1])
-            if key is None or run_key < key:
-                key = run_key
-        return key
 
     def _live_head(self) -> Optional[tuple]:
         """The heap's first live entry, or None when the heap is empty.
@@ -286,64 +226,66 @@ class Simulator:
         self._version += 1
         handle = EventHandle(time, self._seq, callback, self)
         heapq.heappush(self._queue, (time, self._seq, handle))
-        # _note_push() inlined: this and schedule_fire_at are the two
-        # hottest push sites.
-        depth = len(self._queue) + self._run_pending + self._phantom
+        # _note_push() inlined: the push sites are the engine's hottest.
+        depth = len(self._queue) + self._run_pending
         if depth > self._peak_queue_depth:
             self._peak_queue_depth = depth
-        load = depth - self._phantom - self._tombstones + self._parked
-        if load > self._peak_load:
-            self._peak_load = load
         return handle
 
     def schedule_fire(self, delay: int, callback: Callable[[], None]) -> None:
         """Fire-and-forget :meth:`schedule`: no :class:`EventHandle`.
 
-        For events that are never cancelled (packet deliveries, one-shot
-        sends) this skips the handle allocation on the hot path.  There
-        is no way to cancel the event once scheduled.
+        For events that are never cancelled (one-shot sends, server
+        responses) this skips the handle allocation on the hot path.
+        There is no way to cancel the event once scheduled.
         """
         if delay < 0:
             raise SimulationError("cannot schedule %d ns in the past" % delay)
         self.schedule_fire_at(self._now + delay, callback)
 
-    def schedule_fire_at(
-        self,
-        time: int,
-        callback: Callable[[], None],
-        seq: Optional[int] = None,
-    ) -> None:
-        """Fire-and-forget :meth:`schedule_at`: no :class:`EventHandle`.
+    def schedule_fire_at(self, time: int, callback: Callable[[], None]) -> None:
+        """Fire-and-forget :meth:`schedule_at`: no :class:`EventHandle`."""
+        if time < self._now:
+            raise SimulationError(
+                "cannot schedule at t=%d, already at t=%d" % (time, self._now)
+            )
+        self._seq += 1
+        self._version += 1
+        heapq.heappush(self._queue, (time, self._seq, callback))
+        depth = len(self._queue) + self._run_pending
+        if depth > self._peak_queue_depth:
+            self._peak_queue_depth = depth
 
-        ``seq`` may be a value previously obtained from
-        :meth:`reserve_seq`; this lets a caller that batches events (the
-        pipe delivery pump) keep the exact tie-breaking order the events
-        would have had if each had been pushed at reservation time.
+    def schedule_call_at(
+        self, time: int, receiver: Callable[[Any], None], arg: Any
+    ) -> None:
+        """Fire-and-forget ``receiver(arg)`` at absolute time ``time``.
+
+        One heap entry and no closure per event: a pipe schedules each
+        packet's delivery this way.  ``_version`` is bumped only when the
+        entry lands at the heap head — a run-lane chunk is bounded by the
+        head, so an entry behind it cannot precede anything the chunk
+        fires, and need not cut it short.
         """
         if time < self._now:
             raise SimulationError(
                 "cannot schedule at t=%d, already at t=%d" % (time, self._now)
             )
-        if seq is None:
-            self._seq += 1
-            seq = self._seq
-        self._version += 1
-        heapq.heappush(self._queue, (time, seq, callback))
-        depth = len(self._queue) + self._run_pending + self._phantom
+        self._seq += 1
+        queue = self._queue
+        entry = (time, self._seq, receiver, arg)
+        heapq.heappush(queue, entry)
+        if queue[0] is entry:
+            self._version += 1
+        depth = len(queue) + self._run_pending
         if depth > self._peak_queue_depth:
             self._peak_queue_depth = depth
-        load = depth - self._phantom - self._tombstones + self._parked
-        if load > self._peak_load:
-            self._peak_load = load
 
     def _note_push(self) -> None:
         """Peak bookkeeping after any push (heap or run lane)."""
-        depth = len(self._queue) + self._run_pending + self._phantom
+        depth = len(self._queue) + self._run_pending
         if depth > self._peak_queue_depth:
             self._peak_queue_depth = depth
-        load = depth - self._phantom - self._tombstones + self._parked
-        if load > self._peak_load:
-            self._peak_load = load
 
     def schedule_fire_many(
         self, times: Sequence[int], callback: Callable[[], None]
@@ -373,16 +315,6 @@ class Simulator:
         self._runs.append([col[0], base, 0, col, callback])
         self._run_pending += n
         self._note_push()
-
-    def reserve_seq(self) -> int:
-        """Claim the next tie-breaking sequence number without scheduling.
-
-        Pass the reserved value to :meth:`schedule_fire_at` later to make
-        the event order exactly as if it had been scheduled now.  Each
-        reserved value must be used at most once.
-        """
-        self._seq += 1
-        return self._seq
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Run until the queue drains (or ``max_events`` fire).
@@ -437,15 +369,14 @@ class Simulator:
         payload = head[2]
         if payload.__class__ is EventHandle:
             payload._slot = None
-            callback = payload.callback
-        else:
-            callback = payload
+            payload = payload.callback
+        args = head[3:]
         self._now = head[0]
         self._events_processed += 1
         if self._profiler is None:
-            callback()
+            payload(*args)
         else:
-            self._profiler.run(callback)
+            self._profiler.run(payload, *args)
         return True
 
     def _fire_run_event(self, run: list) -> None:
@@ -472,12 +403,6 @@ class Simulator:
         if self._running:
             raise SimulationError("re-entrant run() call")
         self._running = True
-        # Inline delivery (pipe pump batches) is only sound when the
-        # drain is unbounded in event count: run(max_events)/step() need
-        # one event per packet to mean one packet.
-        self._inline_ok = max_events is None
-        self._until = until
-        start = self._events_processed
         processed = 0
         queue = self._queue
         runs = self._runs
@@ -521,25 +446,24 @@ class Simulator:
                 if max_events is not None and processed >= max_events:
                     break
                 heappop(queue)
+                self._now = entry[0]
                 if is_handle:
                     payload._slot = None
-                    callback = payload.callback
+                    payload = payload.callback
+                if len(entry) == 4:
+                    if profiler is None:
+                        payload(entry[3])
+                    else:
+                        profiler.run(payload, entry[3])
+                elif profiler is None:
+                    payload()
                 else:
-                    callback = payload
-                self._now = entry[0]
-                if profiler is None:
-                    callback()
-                else:
-                    profiler.run(callback)
+                    profiler.run(payload)
                 processed += 1
         finally:
             self._running = False
-            self._inline_ok = False
-            self._until = None
-            # Inline pump deliveries already bumped _events_processed
-            # directly; fold in the heap/run events fired by this frame.
             self._events_processed += processed
-        return self._events_processed - start
+        return processed
 
     def _fire_run_chunk(
         self,
@@ -554,8 +478,8 @@ class Simulator:
         The chunk is bounded by the heap head's key (events interleave
         exactly as per-event pushes would), by ``until``/``max_events``,
         by ``_RUN_CHUNK``, and by the scheduling version: the tight loop
-        bails as soon as a callback schedules anything, letting the
-        caller re-merge.
+        bails as soon as a callback schedules anything that could land
+        before the bound, letting the caller re-merge.
         """
         queue = self._queue
         times = run[3]
@@ -623,11 +547,7 @@ class Simulator:
         """Called by :meth:`EventHandle.cancel`; compacts when dead
         entries outnumber live ones."""
         self._tombstones += 1
-        # The phantom (a pump entry conceptually re-armed during an
-        # inline batch) counts toward the queue size so compaction
-        # triggers at the same instants as the one-event-per-packet
-        # scheme.
-        depth = len(self._queue) + self._phantom
+        depth = len(self._queue)
         if depth >= _COMPACT_MIN_QUEUE and self._tombstones * 2 > depth:
             self._compact()
 
@@ -699,7 +619,6 @@ class Timer:
                     handle._cancelled = False
                     handle.callback = self._fire
                     sim._tombstones -= 1
-                    sim._note_push()
                 return
             handle.cancel()
         self._handle = sim.schedule_at(time, self._fire)

@@ -281,26 +281,63 @@ class TestScheduleFire:
         sim.run()
         assert sim.events_processed == 2
 
-    def test_reserved_seq_preserves_tie_order(self, sim):
-        """An event scheduled late with an early reserved seq fires in
-        reservation order — the delivery pump's re-arm contract."""
-        order = []
-        early_seq = sim.reserve_seq()
-        sim.schedule(42, lambda: order.append("between"))
-
-        def arm_deferred():
-            # At t=10, arm the t=42 event using the seq reserved first.
-            sim.schedule_fire_at(42, lambda: order.append("reserved"), seq=early_seq)
-
-        sim.schedule_fire(10, arm_deferred)
-        sim.run()
-        assert order == ["reserved", "between"]
-
     def test_step_fires_fire_events(self, sim):
         fired = []
         sim.schedule_fire(10, lambda: fired.append(sim.now))
         assert sim.step() is True
         assert fired == [10]
+
+
+class TestScheduleCall:
+    def test_calls_receiver_with_arg_in_schedule_order(self, sim):
+        order = []
+        sim.schedule(42, lambda: order.append("handle"))
+        sim.schedule_call_at(42, order.append, "call")
+        sim.schedule_fire_at(42, lambda: order.append("fire"))
+        sim.run()
+        assert order == ["handle", "call", "fire"]
+        assert sim.events_processed == 3
+
+    def test_step_and_profiler_pass_the_arg(self, sim):
+        seen = []
+
+        class Recorder:
+            def run(self, fn, *args):
+                seen.append(args)
+                fn(*args)
+
+        got = []
+        sim.set_profiler(Recorder())
+        sim.schedule_call_at(5, got.append, 7)
+        sim.schedule_call_at(6, got.append, 8)
+        assert sim.step()
+        sim.run()
+        assert got == [7, 8]
+        assert seen == [(7,), (8,)]
+
+    def test_past_time_rejected(self, sim):
+        sim.schedule_fire(100, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError):
+            sim.schedule_call_at(50, print, None)
+
+    def test_counts_toward_depth_and_live_events(self, sim):
+        for t in range(10):
+            sim.schedule_call_at(100 + t, print, None)
+        assert sim.live_events == sim.pending_events == 10
+        assert sim.peak_queue_depth == 10
+
+    def test_version_moves_only_for_a_new_head(self, sim):
+        """A run-lane chunk is bounded by the heap head, so only a push
+        that becomes the head may end it."""
+        sim.schedule_call_at(100, print, None)
+        version = sim._version
+        sim.schedule_call_at(200, print, None)  # behind the head
+        assert sim._version == version
+        sim.schedule_call_at(100, print, None)  # ties lose on seq
+        assert sim._version == version
+        sim.schedule_call_at(50, print, None)  # new head
+        assert sim._version == version + 1
 
 
 class TestLiveEvents:
@@ -380,9 +417,9 @@ class TestProfilerDispatch:
         def __init__(self):
             self.calls = []
 
-        def run(self, callback):
-            self.calls.append(callback)
-            callback()
+        def run(self, fn, *args):
+            self.calls.append(fn)
+            fn(*args)
 
     def test_profiler_sees_every_dispatch(self, sim):
         profiler = self._Recorder()

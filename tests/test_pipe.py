@@ -156,12 +156,26 @@ class TestJitterAndOrdering:
         assert times[1] == 10_100
 
     def test_negative_jitter_rejected(self, sim, slab):
-        pipe, _ = connected_pipe(
-            sim, slab, prop_delay=0, bandwidth_bps=None, jitter=lambda: -1
+        bw = 10**9
+        jitters = iter([-1, 0])
+        pipe, arrivals = connected_pipe(
+            sim, slab, prop_delay=0, bandwidth_bps=bw, jitter=lambda: next(jitters)
         )
+        packet = make_packet(slab)
         with pytest.raises(NetworkError):
-            pipe.send(make_packet(slab))
-            sim.run()
+            pipe.send(packet)
+        # The rejected send moved nothing, and the caller still owns the
+        # handle: no counter, no departure, no event.
+        assert pipe.stats.packets_sent == 0
+        assert pipe.stats.bytes_sent == 0
+        assert pipe.in_flight == 0
+        assert sim.pending_events == 0
+        assert slab.live == 1
+        # The next valid send departs at `now`, on an idle wire.
+        assert pipe.send(packet)
+        sim.run()
+        assert arrivals == [(serialization_delay(HEADER_BYTES, bw), packet)]
+        assert pipe.stats.packets_sent == 1 and pipe.in_flight == 0
 
 
 class TestStats:
@@ -176,30 +190,38 @@ class TestStats:
 
 
 class TestDeliveryPump:
-    """One outstanding engine event per pipe, byte-identical delivery."""
+    """One engine event per packet in flight."""
 
-    def test_heap_holds_one_event_for_many_in_flight(self, sim, slab):
+    def test_heap_holds_one_event_per_packet_in_flight(self, sim, slab):
         pipe, arrivals = connected_pipe(sim, slab, prop_delay=1000, bandwidth_bps=None)
         for _ in range(100):
             pipe.send(make_packet(slab))
         assert pipe.in_flight == 100
-        assert sim.pending_events == 1  # the pump, not 100 deliveries
+        assert sim.pending_events == sim.live_events == 100
         sim.run()
         assert len(arrivals) == 100
         assert pipe.in_flight == 0
+        assert sim.pending_events == 0
 
     def test_one_engine_event_per_delivered_packet(self, sim, slab):
-        """The pump re-arms per packet, so events_processed still counts
-        one event per delivery (throughput metrics stay comparable)."""
         pipe, arrivals = connected_pipe(sim, slab, prop_delay=1000, bandwidth_bps=None)
         for _ in range(10):
             pipe.send(make_packet(slab))
         sim.run()
         assert sim.events_processed == 10
 
+    def test_bounded_runs_deliver_one_packet_per_event(self, sim, slab):
+        pipe, arrivals = connected_pipe(sim, slab, prop_delay=1000, bandwidth_bps=None)
+        for _ in range(3):
+            pipe.send(make_packet(slab))
+        assert sim.run(max_events=2) == 2
+        assert len(arrivals) == 2 and pipe.in_flight == 1
+        assert sim.step()
+        assert len(arrivals) == 3 and pipe.in_flight == 0
+
     def test_delivery_interleaves_with_other_events_in_send_order(self, sim, slab):
-        """Ties at the same instant keep the order the per-packet scheme
-        would have produced: the pump re-arms with reserved seqs."""
+        """Ties at the same instant fire in send order: each delivery
+        takes its seq when the packet is sent."""
         order = []
         pipe = Pipe(sim, "a->b", prop_delay=1000, bandwidth_bps=None, slab=slab)
         pipe.connect(lambda pkt: order.append("pkt"))
@@ -211,8 +233,8 @@ class TestDeliveryPump:
         assert order == ["pkt", "timer1", "pkt", "timer2"]
 
     def test_send_from_delivery_callback_keeps_pumping(self, sim, slab):
-        """A delivery that triggers another send on the same pipe re-arms
-        the pump correctly even when the queue just drained."""
+        """A delivery that triggers another send on the same pipe
+        schedules the next delivery from inside the event."""
         pipe, arrivals = connected_pipe(sim, slab, prop_delay=1000, bandwidth_bps=None)
         sent = []
 

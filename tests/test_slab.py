@@ -3,7 +3,7 @@
 Whoever holds a handle owns it: a pipe frees the handles it drops, the
 LB frees misrouted ones, a host frees segments no connection claims, and
 a connection frees each segment after ingesting it.  So at any cutoff
-the only live handles are the packets parked in pipe arrival queues.
+the only live handles are the packets still in flight on a pipe.
 """
 
 import pytest
@@ -34,9 +34,10 @@ def _config(**overrides):
 
 
 def _assert_owned(scenario):
-    # Whatever is still live at cutoff is exactly the in-flight packets
-    # parked in pipe arrival queues — nothing dangles.
-    assert scenario.network.slab.live == scenario.sim.parked_packets
+    # Whatever is still live at cutoff is exactly the packets in flight
+    # on the pipes — nothing dangles.
+    pipes = scenario.network.pipes().values()
+    assert scenario.network.slab.live == sum(pipe.in_flight for pipe in pipes)
 
 
 def _pipe_drops(scenario, counter):

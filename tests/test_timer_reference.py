@@ -1,22 +1,32 @@
-"""Timers against a reference engine.
+"""Timers, run-lane columns and pipe deliveries against a reference engine.
 
 ``Timer.start`` moves a handle whose heap entry sits at or before the new
 deadline in place, and the engine re-files the stale entry when it
-reaches the heap head.  The reference below has none of that: a sorted
-list, eager removal on cancel, a fresh entry on every start, no
-tombstones and no compaction.  Whatever the interleaving of timer
-starts, stops, plain events, ``step()`` and ``run_until``, both engines
-must fire the same callbacks at the same instants and agree on ``now``,
-``events_processed`` and ``live_events``.
+reaches the heap head.  A run-lane column is one entry merged against the
+heap in chunks, and a pipe pushes ``(time, seq, receiver, handle)``
+entries that bump the chunk-ending version only at the heap head.  The
+reference below has none of that: a sorted list, eager removal on cancel,
+a fresh entry on every start, one entry per column event and per packet,
+no tombstones and no compaction.  Whatever the interleaving of timer
+starts, stops, plain events, columns, pipe sends (from inside deliveries
+and column events too), ``step()`` and ``run_until``, both engines must
+fire the same callbacks at the same instants and agree on ``now``,
+``events_processed``, ``live_events`` and every pipe's counters.
 """
 
+import itertools
 from bisect import insort
 
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from repro.net.packet import HEADER_BYTES, PacketSlab
+from repro.net.pipe import Pipe, PipeStats
 from repro.sim.engine import Simulator, Timer
+from repro.units import serialization_delay
+
+from tests.conftest import make_packet
 
 # ---------------------------------------------------------------------------
 # The reference engine
@@ -62,6 +72,10 @@ class RefSimulator:
     def schedule_fire_at(self, time, callback):
         self.schedule_at(time, callback)
 
+    def schedule_fire_many(self, times, callback):
+        for time in times:
+            self.schedule_at(time, callback)
+
     def step(self):
         if not self.keys:
             return False
@@ -106,6 +120,60 @@ class RefTimer:
         self.callback()
 
 
+class RefPipe:
+    """The pipe's wire arithmetic with one eager engine entry per packet.
+
+    A packet is a ``(label, payload_len)`` pair; ``in_flight`` is counted
+    directly, not derived from the stats.
+    """
+
+    def __init__(self, sim, prop_delay, bandwidth_bps, queue_capacity, jitter):
+        self.sim = sim
+        self.prop_delay = prop_delay
+        self.bandwidth_bps = bandwidth_bps
+        self.queue_capacity = queue_capacity
+        self.jitter = jitter
+        self.stats = PipeStats()
+        self.in_flight = 0
+        self.wire_free_at = 0
+        self.last_arrival = 0
+        self.departures = []
+        self.deliver = None
+
+    def connect(self, deliver):
+        self.deliver = deliver
+
+    def send(self, packet):
+        now = self.sim.now
+        size = HEADER_BYTES + packet[1]
+        self.stats.packets_sent += 1
+        self.stats.bytes_sent += size
+        departure = now
+        if self.bandwidth_bps is not None:
+            self.departures = [d for d in self.departures if d > now]
+            if len(self.departures) >= self.queue_capacity:
+                self.stats.packets_dropped_queue += 1
+                return False
+            start = max(self.wire_free_at, now)
+            departure = start + serialization_delay(size, self.bandwidth_bps)
+            self.wire_free_at = departure
+            self.departures.append(departure)
+        arrival = departure + self.prop_delay
+        if self.jitter is not None:
+            arrival += self.jitter()
+        arrival = max(arrival, self.last_arrival)
+        self.last_arrival = arrival
+        self.in_flight += 1
+        self.sim.schedule_at(arrival, lambda: self.arrive(packet, size))
+        return True
+
+    def arrive(self, packet, size):
+        self.in_flight -= 1
+        self.stats.packets_delivered += 1
+        self.stats.bytes_delivered += size
+        self.deliver(packet)
+
+
 # ---------------------------------------------------------------------------
 # Both engines driven side by side
 # ---------------------------------------------------------------------------
@@ -114,21 +182,49 @@ N_TIMERS = 3
 TIMER = st.integers(0, N_TIMERS - 1)
 DELAY = st.integers(0, 40)
 
+#: (prop_delay, bandwidth_bps, queue_capacity, jitter draws) per pipe:
+#: an ideal link, a fast wire short enough to tail-drop, a jittered link.
+PIPES = (
+    (5, None, 1024, None),
+    (3, 80 * 10**9, 3, None),
+    (2, None, 1024, (0, 4, 0, 0, 9, 2)),
+)
+PIPE = st.integers(0, len(PIPES) - 1)
+PAYLOAD = st.integers(0, 100)
+
 
 class World:
-    """One engine, its timers, its plain-event handles and a firing log.
+    """One engine, its timers, pipes, plain-event handles and a firing log.
 
     ``on_fire[i]`` is what timer ``i`` does from inside its callback: a
     list of ``(timer, delay)`` starts, so a timer can re-arm itself or
-    move another timer earlier or later mid-drain.
+    move another timer earlier or later mid-drain.  ``on_deliver[i]`` is
+    a ``(pipe, payload_len)`` send made from inside each delivery on pipe
+    ``i``, or None.  ``slab`` is None for the reference world, whose
+    packets are ``(label, payload_len)`` pairs instead of slab handles.
     """
 
-    def __init__(self, sim, timer_class):
+    def __init__(self, sim, timer_class, slab=None):
         self.sim = sim
+        self.slab = slab
         self.log = []
         self.on_fire = [[] for _ in range(N_TIMERS)]
         self.timers = [timer_class(sim, self._fire_callback(i)) for i in range(N_TIMERS)]
         self.handles = []
+        self.on_deliver = [None] * len(PIPES)
+        self.sent = 0
+        self.label_of = {}
+        self.pipes = []
+        for i, (prop_delay, bandwidth, capacity, draws) in enumerate(PIPES):
+            jitter = None if draws is None else itertools.cycle(draws).__next__
+            if slab is None:
+                pipe = RefPipe(sim, prop_delay, bandwidth, capacity, jitter)
+            else:
+                pipe = Pipe(
+                    sim, "p%d" % i, prop_delay, bandwidth, capacity, jitter, slab=slab
+                )
+            pipe.connect(self._deliver_callback(i))
+            self.pipes.append(pipe)
 
     def _fire_callback(self, i):
         def fire():
@@ -141,11 +237,41 @@ class World:
     def event(self, label):
         return lambda: self.log.append(("event", label, self.sim.now))
 
+    def send(self, i, payload_len):
+        self.sent += 1
+        if self.slab is None:
+            packet = (self.sent, payload_len)
+        else:
+            packet = make_packet(self.slab, payload_len=payload_len)
+            self.label_of[packet] = self.sent
+        self.pipes[i].send(packet)
+
+    def _deliver_callback(self, i):
+        def deliver(packet):
+            if self.slab is None:
+                label = packet[0]
+            else:
+                label = self.label_of.pop(packet)
+                self.slab.free(packet)
+            self.log.append(("pkt", i, label, self.sim.now))
+            if self.on_deliver[i] is not None:
+                self.send(*self.on_deliver[i])
+
+        return deliver
+
+    def column_event(self, label, pipe):
+        def fire():
+            self.log.append(("column", label, self.sim.now))
+            if pipe is not None:
+                self.send(pipe, 0)
+
+        return fire
+
 
 class TimersMatchReference(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.real = World(Simulator(), Timer)
+        self.real = World(Simulator(), Timer, PacketSlab())
         self.ref = World(RefSimulator(), RefTimer)
         self.labels = 0
 
@@ -226,6 +352,32 @@ class TimersMatchReference(RuleBasedStateMachine):
             for handle in burst:
                 handle.cancel()
 
+    @rule(i=PIPE, payload_len=PAYLOAD, count=st.integers(1, 3))
+    def send(self, i, payload_len, count):
+        for world in self.both():
+            for _ in range(count):
+                world.send(i, payload_len)
+
+    @rule(i=PIPE, then=st.none() | st.tuples(PIPE, PAYLOAD))
+    def on_deliver_send(self, i, then):
+        for world in self.both():
+            world.on_deliver[i] = then
+
+    @rule(
+        count=st.integers(1, 30),
+        first=DELAY,
+        stride=st.integers(0, 3),
+        pipe=st.none() | PIPE,
+    )
+    def column(self, count, first, stride, pipe):
+        # A run-lane column whose events may each send a packet: the
+        # lb_replay shape, where deliveries interleave with the column.
+        self.labels += 1
+        for world in self.both():
+            now = world.sim.now
+            times = [now + first + stride * k for k in range(count)]
+            world.sim.schedule_fire_many(times, world.column_event(self.labels, pipe))
+
     @rule()
     def step(self):
         assert self.real.sim.step() == self.ref.sim.step()
@@ -246,6 +398,10 @@ class TimersMatchReference(RuleBasedStateMachine):
         for mine, theirs in zip(real.timers, ref.timers):
             assert mine.running == theirs.running
             assert mine.deadline == theirs.deadline
+        for mine, theirs in zip(real.pipes, ref.pipes):
+            assert mine.stats == theirs.stats
+            assert mine.in_flight == theirs.in_flight
+        assert real.slab.live == sum(pipe.in_flight for pipe in ref.pipes)
 
 
 TimersMatchReference.TestCase.settings = settings(
