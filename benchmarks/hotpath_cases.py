@@ -40,40 +40,6 @@ def run_engine_fire_events(n: int = 10_000) -> Tuple[int, float]:
     return n, seconds
 
 
-def run_engine_handle_events(n: int = 10_000) -> Tuple[int, float]:
-    """Schedule+drain ``n`` cancellable (EventHandle) events."""
-    sim = Simulator()
-    sink: List[None] = []
-    start = time.perf_counter()
-    for i in range(n):
-        sim.schedule(i, lambda: sink.append(None))
-    sim.run()
-    seconds = time.perf_counter() - start
-    assert len(sink) == n
-    return n, seconds
-
-
-def run_engine_run_lane(n: int = 1_000_000) -> Tuple[int, float]:
-    """Drain an ``n``-event sorted column through the run lane.
-
-    ``schedule_fire_many`` stores the whole column as one run-lane entry
-    (no per-event heap pushes), so this measures raw dispatch: the
-    engine's ceiling for the batched shapes the slab dataplane produces.
-    """
-    sim = Simulator()
-    noop = _noop
-    start = time.perf_counter()
-    sim.schedule_fire_many(range(n), noop)
-    sim.run()
-    seconds = time.perf_counter() - start
-    assert sim.events_processed == n
-    return n, seconds
-
-
-def _noop() -> None:
-    return None
-
-
 def make_gap_trace(n: int = 100_000, seed: int = 7) -> List[int]:
     """Arrival times whose gaps straddle the paper's δ ladder.
 

@@ -29,8 +29,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 from hotpath_cases import (  # noqa: E402
     make_gap_trace,
     run_engine_fire_events,
-    run_engine_handle_events,
-    run_engine_run_lane,
     run_ensemble_observe,
     run_fleet_elastic_1k,
     run_lb_control_path,
@@ -55,8 +53,6 @@ def measure(fleet: bool = True) -> dict:
     trace = make_gap_trace()
     rates = {
         "engine_fire_10k": _best_rate(run_engine_fire_events),
-        "engine_handle_10k": _best_rate(run_engine_handle_events),
-        "engine_run_lane_1m": _best_rate(run_engine_run_lane),
         "ensemble_observe_fused_100k": _best_rate(run_ensemble_observe, trace),
         "pipe_stream_10x1k": _best_rate(run_pipe_stream),
     }

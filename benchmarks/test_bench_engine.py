@@ -1,18 +1,14 @@
 """PERF-ENGINE — simulator throughput.
 
 Event-loop rates bound how much virtual time the experiment harness can
-afford; these benches keep regressions visible.  The fire-path and
-handle-path schedule+drain benches also record their events/sec into
+afford; these benches keep regressions visible.  The fire-path
+schedule+drain bench also records its events/sec into
 ``benchmarks/BENCH_engine.json`` (see ``conftest.record_perf``), which
 is the baseline the CI ``perf-smoke`` job gates against.
 """
 
 from conftest import record_perf
-from hotpath_cases import (
-    run_engine_fire_events,
-    run_engine_handle_events,
-    run_engine_run_lane,
-)
+from hotpath_cases import run_engine_fire_events
 
 from repro.net.addr import Endpoint
 from repro.net.network import Network
@@ -23,19 +19,8 @@ from repro.units import GIGABITS_PER_SECOND, MICROSECONDS
 
 
 class TestEventLoop:
-    def test_schedule_and_drain_10k_events(self, benchmark):
-        def run():
-            sim = Simulator()
-            sink = []
-            for i in range(10_000):
-                sim.schedule(i, lambda: sink.append(None))
-            sim.run()
-            return len(sink)
-
-        assert benchmark(run) == 10_000
-
     def test_schedule_fire_and_drain_10k_events(self, benchmark):
-        """The fire-and-forget fast path (no EventHandle allocation)."""
+        """The fire-and-forget path: a bare callback per heap entry."""
 
         def run():
             sim = Simulator()
@@ -59,9 +44,11 @@ class TestEventLoop:
     def test_cancelled_event_tombstones(self, benchmark):
         def run():
             sim = Simulator()
-            handles = [sim.schedule(i, lambda: None) for i in range(5_000)]
-            for handle in handles[::2]:
-                handle.cancel()
+            timers = [Timer(sim, lambda: None) for _ in range(5_000)]
+            for i, timer in enumerate(timers):
+                timer.start(i)
+            for timer in timers[::2]:
+                timer.stop()
             sim.run()
             return sim.events_processed
 
@@ -91,15 +78,6 @@ class TestRecordedBaseline:
 
     def test_record_engine_events_per_sec(self):
         entry = self._record("engine_fire_10k", run_engine_fire_events)
-        assert entry["events_per_sec"] > 0
-
-    def test_record_engine_handle_events_per_sec(self):
-        entry = self._record("engine_handle_10k", run_engine_handle_events)
-        assert entry["events_per_sec"] > 0
-
-    def test_record_engine_run_lane_per_sec(self):
-        """Raw dispatch ceiling: a 1M-event sorted column, no heap."""
-        entry = self._record("engine_run_lane_1m", run_engine_run_lane)
         assert entry["events_per_sec"] > 0
 
 

@@ -218,7 +218,7 @@ class ServerApp:
                 self.stats.responses += 1
                 conn.send_message(response, response.wire_size)
 
-        # One-shot, never cancelled: skip the EventHandle allocation.
+        # One-shot, never cancelled: a bare callback, not a Timer.
         self._sim.schedule_fire_at(completion, respond)
 
     def _execute(self, request: Request) -> Response:

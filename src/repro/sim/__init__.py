@@ -6,7 +6,7 @@ nanosecond clock and a priority queue of callbacks.  All other packages
 through it, which makes every experiment fully deterministic given a seed.
 """
 
-from repro.sim.engine import Simulator, EventHandle, Timer
+from repro.sim.engine import Simulator, Timer
 from repro.sim.random import RandomStreams
 
-__all__ = ["Simulator", "EventHandle", "Timer", "RandomStreams"]
+__all__ = ["Simulator", "Timer", "RandomStreams"]

@@ -14,28 +14,28 @@ class TestScheduling:
 
     def test_event_fires_at_scheduled_time(self, sim):
         fired = []
-        sim.schedule(1000, lambda: fired.append(sim.now))
+        sim.schedule_fire(1000, lambda: fired.append(sim.now))
         sim.run()
         assert fired == [1000]
 
     def test_absolute_scheduling(self, sim):
         fired = []
-        sim.schedule_at(5_000, lambda: fired.append(sim.now))
+        sim.schedule_fire_at(5_000, lambda: fired.append(sim.now))
         sim.run()
         assert fired == [5000]
 
     def test_events_fire_in_time_order(self, sim):
         order = []
-        sim.schedule(300, lambda: order.append("c"))
-        sim.schedule(100, lambda: order.append("a"))
-        sim.schedule(200, lambda: order.append("b"))
+        sim.schedule_fire(300, lambda: order.append("c"))
+        sim.schedule_fire(100, lambda: order.append("a"))
+        sim.schedule_fire(200, lambda: order.append("b"))
         sim.run()
         assert order == ["a", "b", "c"]
 
     def test_ties_fire_in_scheduling_order(self, sim):
         order = []
         for label in "abcde":
-            sim.schedule(42, lambda l=label: order.append(l))
+            sim.schedule_fire(42, lambda l=label: order.append(l))
         sim.run()
         assert order == list("abcde")
 
@@ -44,30 +44,30 @@ class TestScheduling:
 
         def first():
             order.append("first")
-            sim.schedule(0, lambda: order.append("nested"))
+            sim.schedule_fire(0, lambda: order.append("nested"))
 
-        sim.schedule(10, first)
-        sim.schedule(10, lambda: order.append("second"))
+        sim.schedule_fire(10, first)
+        sim.schedule_fire(10, lambda: order.append("second"))
         sim.run()
         assert order == ["first", "second", "nested"]
 
     def test_negative_delay_rejected(self, sim):
         with pytest.raises(SimulationError):
-            sim.schedule(-1, lambda: None)
+            sim.schedule_fire(-1, lambda: None)
 
     def test_scheduling_in_past_rejected(self, sim):
-        sim.schedule(100, lambda: None)
+        sim.schedule_fire(100, lambda: None)
         sim.run()
         with pytest.raises(SimulationError):
-            sim.schedule_at(50, lambda: None)
+            sim.schedule_fire_at(50, lambda: None)
 
     def test_events_scheduled_during_run_execute(self, sim):
         fired = []
 
         def outer():
-            sim.schedule(50, lambda: fired.append(sim.now))
+            sim.schedule_fire(50, lambda: fired.append(sim.now))
 
-        sim.schedule(100, outer)
+        sim.schedule_fire(100, outer)
         sim.run()
         assert fired == [150]
 
@@ -75,15 +75,15 @@ class TestScheduling:
 class TestRunUntil:
     def test_stops_at_boundary(self, sim):
         fired = []
-        sim.schedule(100, lambda: fired.append("early"))
-        sim.schedule(5000, lambda: fired.append("late"))
+        sim.schedule_fire(100, lambda: fired.append("early"))
+        sim.schedule_fire(5000, lambda: fired.append("late"))
         sim.run_until(1000)
         assert fired == ["early"]
         assert sim.now == 1000
 
     def test_boundary_inclusive(self, sim):
         fired = []
-        sim.schedule(1000, lambda: fired.append(sim.now))
+        sim.schedule_fire(1000, lambda: fired.append(sim.now))
         sim.run_until(1000)
         assert fired == [1000]
 
@@ -93,7 +93,7 @@ class TestRunUntil:
 
     def test_resume_after_run_until(self, sim):
         fired = []
-        sim.schedule(2000, lambda: fired.append(sim.now))
+        sim.schedule_fire(2000, lambda: fired.append(sim.now))
         sim.run_until(1000)
         assert fired == []
         sim.run_until(3000)
@@ -101,38 +101,46 @@ class TestRunUntil:
 
     def test_max_events_bound(self, sim):
         for i in range(10):
-            sim.schedule(i + 1, lambda: None)
+            sim.schedule_fire(i + 1, lambda: None)
         processed = sim.run_until(100, max_events=3)
         assert processed == 3
 
 
+def armed(sim, delay, callback=lambda: None):
+    """A :class:`Timer` started ``delay`` ns from now."""
+    timer = Timer(sim, callback)
+    timer.start(delay)
+    return timer
+
+
 class TestCancellation:
+    """:class:`Timer` is the engine's only cancellable event."""
+
     def test_cancelled_event_does_not_fire(self, sim):
         fired = []
-        handle = sim.schedule(100, lambda: fired.append(1))
-        handle.cancel()
+        armed(sim, 100, lambda: fired.append(1)).stop()
         sim.run()
         assert fired == []
 
     def test_cancel_is_idempotent(self, sim):
-        handle = sim.schedule(100, lambda: None)
-        handle.cancel()
-        handle.cancel()
-        assert handle.cancelled
+        timer = armed(sim, 100)
+        timer.stop()
+        timer.stop()
+        assert not timer.running
+        assert sim.pending_events == 1 and sim.live_events == 0
 
     def test_cancel_one_of_many(self, sim):
         fired = []
-        keep = sim.schedule(100, lambda: fired.append("keep"))
-        drop = sim.schedule(100, lambda: fired.append("drop"))
-        drop.cancel()
+        keep = armed(sim, 100, lambda: fired.append("keep"))
+        drop = armed(sim, 100, lambda: fired.append("drop"))
+        drop.stop()
+        assert keep.running
         sim.run()
         assert fired == ["keep"]
-        assert not keep.cancelled
 
     def test_events_processed_counts_only_fired(self, sim):
-        sim.schedule(1, lambda: None)
-        dropped = sim.schedule(2, lambda: None)
-        dropped.cancel()
+        armed(sim, 1)
+        armed(sim, 2).stop()
         sim.run()
         assert sim.events_processed == 1
 
@@ -140,8 +148,8 @@ class TestCancellation:
 class TestStep:
     def test_step_fires_single_event(self, sim):
         fired = []
-        sim.schedule(10, lambda: fired.append("a"))
-        sim.schedule(20, lambda: fired.append("b"))
+        sim.schedule_fire(10, lambda: fired.append("a"))
+        sim.schedule_fire(20, lambda: fired.append("b"))
         assert sim.step() is True
         assert fired == ["a"]
         assert sim.now == 10
@@ -151,10 +159,11 @@ class TestStep:
 
     def test_step_skips_cancelled(self, sim):
         fired = []
-        sim.schedule(10, lambda: None).cancel()
-        sim.schedule(20, lambda: fired.append("b"))
+        armed(sim, 10).stop()
+        sim.schedule_fire(20, lambda: fired.append("b"))
         assert sim.step() is True
         assert fired == ["b"]
+        assert sim.events_processed == 1
 
 
 class TestReentrancy:
@@ -162,7 +171,7 @@ class TestReentrancy:
         def evil():
             sim.run()
 
-        sim.schedule(10, evil)
+        sim.schedule_fire(10, evil)
         with pytest.raises(SimulationError):
             sim.run()
 
@@ -223,12 +232,23 @@ class TestTimer:
         sim.run()
         assert not timer.running
 
+    def test_rejected_start_leaves_the_timer_armed(self, sim):
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        timer.start(100)
+        with pytest.raises(SimulationError):
+            timer.start(-10)
+        assert timer.running
+        assert timer.deadline == 100
+        sim.run()
+        assert fired == [100]
+
 
 class TestPeakQueueDepth:
     def test_tracks_high_water_mark(self, sim):
         assert sim.peak_queue_depth == 0
         for i in range(5):
-            sim.schedule(100 + i, lambda: None)
+            sim.schedule_fire(100 + i, lambda: None)
         assert sim.peak_queue_depth == 5
         sim.run()
         # Draining the queue does not lower the high-water mark.
@@ -237,9 +257,9 @@ class TestPeakQueueDepth:
     def test_counts_events_scheduled_during_run(self, sim):
         def fan_out():
             for i in range(10):
-                sim.schedule(1 + i, lambda: None)
+                sim.schedule_fire(1 + i, lambda: None)
 
-        sim.schedule(0, fan_out)
+        sim.schedule_fire(0, fan_out)
         sim.run()
         assert sim.peak_queue_depth == 10
 
@@ -259,25 +279,25 @@ class TestScheduleFire:
 
     def test_interleaves_with_handle_events_in_schedule_order(self, sim):
         order = []
-        sim.schedule(42, lambda: order.append("handle1"))
+        armed(sim, 42, lambda: order.append("timer1"))
         sim.schedule_fire(42, lambda: order.append("fire"))
-        sim.schedule(42, lambda: order.append("handle2"))
+        armed(sim, 42, lambda: order.append("timer2"))
         sim.run()
-        assert order == ["handle1", "fire", "handle2"]
+        assert order == ["timer1", "fire", "timer2"]
 
     def test_negative_delay_rejected(self, sim):
         with pytest.raises(SimulationError):
             sim.schedule_fire(-1, lambda: None)
 
     def test_past_time_rejected(self, sim):
-        sim.schedule(100, lambda: None)
+        sim.schedule_fire(100, lambda: None)
         sim.run()
         with pytest.raises(SimulationError):
             sim.schedule_fire_at(50, lambda: None)
 
     def test_counts_in_events_processed(self, sim):
         sim.schedule_fire(1, lambda: None)
-        sim.schedule(2, lambda: None)
+        sim.schedule_fire(2, lambda: None)
         sim.run()
         assert sim.events_processed == 2
 
@@ -291,11 +311,11 @@ class TestScheduleFire:
 class TestScheduleCall:
     def test_calls_receiver_with_arg_in_schedule_order(self, sim):
         order = []
-        sim.schedule(42, lambda: order.append("handle"))
+        armed(sim, 42, lambda: order.append("timer"))
         sim.schedule_call_at(42, order.append, "call")
         sim.schedule_fire_at(42, lambda: order.append("fire"))
         sim.run()
-        assert order == ["handle", "call", "fire"]
+        assert order == ["timer", "call", "fire"]
         assert sim.events_processed == 3
 
     def test_step_and_profiler_pass_the_arg(self, sim):
@@ -327,48 +347,35 @@ class TestScheduleCall:
         assert sim.live_events == sim.pending_events == 10
         assert sim.peak_queue_depth == 10
 
-    def test_version_moves_only_for_a_new_head(self, sim):
-        """A run-lane chunk is bounded by the heap head, so only a push
-        that becomes the head may end it."""
-        sim.schedule_call_at(100, print, None)
-        version = sim._version
-        sim.schedule_call_at(200, print, None)  # behind the head
-        assert sim._version == version
-        sim.schedule_call_at(100, print, None)  # ties lose on seq
-        assert sim._version == version
-        sim.schedule_call_at(50, print, None)  # new head
-        assert sim._version == version + 1
-
 
 class TestLiveEvents:
     def test_counts_exclude_tombstones(self, sim):
-        sim.schedule(10, lambda: None)
-        doomed = sim.schedule(20, lambda: None)
+        armed(sim, 10)
+        doomed = armed(sim, 20)
         sim.schedule_fire(30, lambda: None)
-        doomed.cancel()
+        doomed.stop()
         assert sim.pending_events == 3
         assert sim.live_events == 2
 
     def test_drained_queue_reports_zero(self, sim):
-        handle = sim.schedule(10, lambda: None)
-        handle.cancel()
+        armed(sim, 10).stop()
         sim.run()
         assert sim.pending_events == 0
         assert sim.live_events == 0
 
     def test_cancel_after_fire_does_not_underreport(self, sim):
-        handle = sim.schedule(10, lambda: None)
+        timer = armed(sim, 10)
         sim.run()
-        handle.cancel()  # too late: the event already fired
-        sim.schedule(20, lambda: None)
+        timer.stop()  # too late: the event already fired
+        sim.schedule_fire(20, lambda: None)
         assert sim.live_events == 1
         assert sim.pending_events == 1
 
     def test_double_cancel_counts_once(self, sim):
-        sim.schedule(10, lambda: None)
-        doomed = sim.schedule(20, lambda: None)
-        doomed.cancel()
-        doomed.cancel()
+        armed(sim, 10)
+        doomed = armed(sim, 20)
+        doomed.stop()
+        doomed.stop()
         assert sim.live_events == 1
 
 
@@ -386,11 +393,11 @@ class TestTombstoneCompaction:
 
     def test_compaction_preserves_order_and_liveness(self, sim):
         fired = []
-        handles = []
-        for i in range(500):
-            handles.append(sim.schedule(1000 + i, lambda i=i: fired.append(i)))
-        for handle in handles[1::2]:  # cancel every odd event
-            handle.cancel()
+        timers = [
+            armed(sim, 1000 + i, lambda i=i: fired.append(i)) for i in range(500)
+        ]
+        for timer in timers[1::2]:  # cancel every odd event
+            timer.stop()
         sim.run()
         assert fired == list(range(0, 500, 2))
 
@@ -398,15 +405,16 @@ class TestTombstoneCompaction:
         """Cancelling en masse from inside a callback compacts the heap
         the drain loop is actively iterating."""
         fired = []
-        handles = [
-            sim.schedule(2000 + i, lambda i=i: fired.append(i)) for i in range(300)
+        timers = [
+            armed(sim, 2000 + i, lambda i=i: fired.append(i)) for i in range(300)
         ]
 
         def cancel_most():
-            for handle in handles[10:]:
-                handle.cancel()
+            for timer in timers[10:]:
+                timer.stop()
+            assert sim.pending_events < 300  # compacted mid-run
 
-        sim.schedule(1, cancel_most)
+        sim.schedule_fire(1, cancel_most)
         sim.run()
         assert fired == list(range(10))
         assert sim.pending_events == 0
@@ -425,32 +433,32 @@ class TestProfilerDispatch:
         profiler = self._Recorder()
         sim.set_profiler(profiler)
         fired = []
-        sim.schedule(10, lambda: fired.append("a"))
-        sim.schedule(20, lambda: fired.append("b"))
+        armed(sim, 10, lambda: fired.append("a"))
+        sim.schedule_fire(20, lambda: fired.append("b"))
+        sim.schedule_fire_many([30, 40], lambda: fired.append("c"))
         sim.run()
-        assert fired == ["a", "b"]
-        assert len(profiler.calls) == 2
+        assert fired == ["a", "b", "c", "c"]
+        assert len(profiler.calls) == 4
 
     def test_profiler_applies_to_step(self, sim):
         profiler = self._Recorder()
         sim.set_profiler(profiler)
-        sim.schedule(10, lambda: None)
+        armed(sim, 10)
         assert sim.step()
         assert len(profiler.calls) == 1
 
     def test_cancelled_events_not_profiled(self, sim):
         profiler = self._Recorder()
         sim.set_profiler(profiler)
-        handle = sim.schedule(10, lambda: None)
-        handle.cancel()
-        sim.schedule(20, lambda: None)
+        armed(sim, 10).stop()
+        armed(sim, 20)
         sim.run()
         assert len(profiler.calls) == 1
 
 
-class TestRunLaneChunking:
-    """A column whose callback schedules work re-merges per firing; the
-    copy it abandons each time must not grow with the column."""
+class TestColumns:
+    """A column keeps one heap entry at a time and fires exactly as
+    per-event pushes would."""
 
     N = 100_000
 
@@ -460,9 +468,7 @@ class TestRunLaneChunking:
 
         def fire():
             fired.append(sim.now)
-            # Short-lived heap event: the heap is empty again before the
-            # next column entry, so the next chunk is bounded by nothing
-            # but the engine's own cap.
+            # A short-lived event that lands before the column's next.
             sim.schedule_fire(3, lambda: fired.append(-sim.now))
 
         times = list(range(0, self.N * 10, 10))
@@ -480,6 +486,38 @@ class TestRunLaneChunking:
         expected, expected_processed, per_event_s = self._drive(column=False)
         assert fired == expected
         assert processed == expected_processed == 2 * self.N
-        # Linear, like the heap spelling; re-slicing the column's whole
-        # remainder per firing made this ~50x the per-event time.
+        # Linear, like the heap spelling.
         assert column_s < 5 * per_event_s
+
+    def test_one_heap_entry_and_exact_counts(self, sim):
+        n = 10_000
+        sim.schedule_fire_many(range(n), lambda: None)
+        assert len(sim._queue) == 1
+        assert sim.live_events == sim.pending_events == n
+        assert sim.peak_queue_depth == n
+        for k in range(1, 4):
+            assert sim.step()
+            assert sim.live_events == sim.pending_events == n - k
+        assert sim.run_until(n // 2) == n // 2 + 1 - 3
+        assert sim.live_events == sim.pending_events == n - (n // 2 + 1)
+        sim.run()
+        assert len(sim._queue) == 0
+        assert sim.live_events == sim.pending_events == 0
+        assert sim.events_processed == n
+        assert sim.peak_queue_depth == n
+
+    def test_ties_break_by_reserved_seq(self, sim):
+        order = []
+        sim.schedule_fire_at(5, lambda: order.append("before"))
+        sim.schedule_fire_many([5, 5, 6], lambda: order.append("column"))
+        sim.schedule_fire_at(5, lambda: order.append("after"))
+        sim.run()
+        assert order == ["before", "column", "column", "after", "column"]
+
+    def test_rejects_unsorted_or_past_times(self, sim):
+        with pytest.raises(SimulationError):
+            sim.schedule_fire_many([3, 2], lambda: None)
+        sim.run_until(10)
+        with pytest.raises(SimulationError):
+            sim.schedule_fire_many([9, 12], lambda: None)
+        assert sim.pending_events == 0

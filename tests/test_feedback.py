@@ -87,7 +87,7 @@ def drive_flow(sim, network, port, batch_times, burst=3,
             def fire(w=when, f=flags, p=port):
                 send_vip(network, p, f)
 
-            sim.schedule_at(when, fire)
+            sim.schedule_fire_at(when, fire)
 
 
 class TestMeasurement:
@@ -214,7 +214,7 @@ class TestFlowState:
         send_vip(network, 40_000, TcpFlags.SYN, payload=0)
         sim.run()
         assert len(feedback.flows) == 1
-        sim.schedule_at(
+        sim.schedule_fire_at(
             sim.now + 5 * MILLISECONDS,
             lambda: send_vip(network, 40_001, TcpFlags.SYN, payload=0),
         )
@@ -267,7 +267,7 @@ class TestRetransmissionDetection:
         network, lb, pool, feedback = build(sim, config=config)
 
         def send(seq, when, flags=TcpFlags.ACK):
-            sim.schedule_at(
+            sim.schedule_fire_at(
                 when, lambda: send_vip(network, 42_000, flags, seq=seq)
             )
 
@@ -291,7 +291,7 @@ class TestRetransmissionDetection:
             def fire(s=current, w=when, f=flags):
                 send_vip(network, 44_000, f, seq=s)
 
-            sim.schedule_at(when, fire)
+            sim.schedule_fire_at(when, fire)
             seq += 101 if batch == 0 else 100
         sim.run()
         assert feedback.censored_samples == 0

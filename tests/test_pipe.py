@@ -62,7 +62,7 @@ class TestSerialization:
         sim.run()
         assert arrivals[0][0] == ser
         # A send long after the wire went idle serializes afresh from `now`.
-        sim.schedule_at(10 * ser, lambda: pipe.send(make_packet(slab)))
+        sim.schedule_fire_at(10 * ser, lambda: pipe.send(make_packet(slab)))
         sim.run()
         assert arrivals[1][0] == 11 * ser
 
@@ -226,11 +226,11 @@ class TestDeliveryPump:
         pipe = Pipe(sim, "a->b", prop_delay=1000, bandwidth_bps=None, slab=slab)
         pipe.connect(lambda pkt: order.append("pkt"))
         pipe.send(make_packet(slab))           # delivery seq reserved first
-        sim.schedule_at(1000, lambda: order.append("timer1"))
+        sim.schedule_fire_at(1000, lambda: order.append("event1"))
         pipe.send(make_packet(slab))           # second delivery, same instant
-        sim.schedule_at(1000, lambda: order.append("timer2"))
+        sim.schedule_fire_at(1000, lambda: order.append("event2"))
         sim.run()
-        assert order == ["pkt", "timer1", "pkt", "timer2"]
+        assert order == ["pkt", "event1", "pkt", "event2"]
 
     def test_send_from_delivery_callback_keeps_pumping(self, sim, slab):
         """A delivery that triggers another send on the same pipe

@@ -385,7 +385,7 @@ def test_simulator_fires_in_nondecreasing_time_order(delays):
     sim = Simulator()
     fired = []
     for delay in delays:
-        sim.schedule(delay, lambda: fired.append(sim.now))
+        sim.schedule_fire(delay, lambda: fired.append(sim.now))
     sim.run()
     assert fired == sorted(fired)
     assert len(fired) == len(delays)

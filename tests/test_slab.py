@@ -105,7 +105,7 @@ class TestSlabOwnership:
                 ),
             )
 
-        scenario.sim.schedule_at(100 * MS, strays)
+        scenario.sim.schedule_fire_at(100 * MS, strays)
         run_scenario(config, scenario=scenario)
         assert scenario.lb.stats.packets_dropped_no_backend == 1
         _assert_owned(scenario)

@@ -1,17 +1,17 @@
-"""Timers, run-lane columns and pipe deliveries against a reference engine.
+"""Timers, columns and pipe deliveries against a reference engine.
 
-``Timer.start`` moves a handle whose heap entry sits at or before the new
-deadline in place, and the engine re-files the stale entry when it
-reaches the heap head.  A run-lane column is one entry merged against the
-heap in chunks, and a pipe pushes ``(time, seq, receiver, handle)``
-entries that bump the chunk-ending version only at the heap head.  The
-reference below has none of that: a sorted list, eager removal on cancel,
-a fresh entry on every start, one entry per column event and per packet,
-no tombstones and no compaction.  Whatever the interleaving of timer
-starts, stops, plain events, columns, pipe sends (from inside deliveries
-and column events too), ``step()`` and ``run_until``, both engines must
-fire the same callbacks at the same instants and agree on ``now``,
-``events_processed``, ``live_events`` and every pipe's counters.
+``Timer.start`` moves an entry whose heap tuple sits at or before the new
+deadline in place, and the engine re-files the stale tuple when it
+reaches the heap head.  A column keeps only its next event on the heap,
+each firing pushing its successor under a key reserved at call time, and
+a pipe pushes one ``(time, seq, receiver, handle)`` entry per packet.
+The reference below has none of that: a sorted list, eager removal on
+cancel, a fresh entry on every start, one entry per column event and per
+packet, no tombstones and no compaction.  Whatever the interleaving of
+timer starts, stops, plain events, columns, pipe sends (from inside
+deliveries and column events too), ``step()`` and ``run_until``, both
+engines must fire the same callbacks at the same instants and agree on
+``now``, ``events_processed``, ``live_events`` and every pipe's counters.
 """
 
 import itertools
@@ -194,7 +194,7 @@ PAYLOAD = st.integers(0, 100)
 
 
 class World:
-    """One engine, its timers, pipes, plain-event handles and a firing log.
+    """One engine, its timers, pipes, one-shot event timers and a firing log.
 
     ``on_fire[i]`` is what timer ``i`` does from inside its callback: a
     list of ``(timer, delay)`` starts, so a timer can re-arm itself or
@@ -202,15 +202,18 @@ class World:
     a ``(pipe, payload_len)`` send made from inside each delivery on pipe
     ``i``, or None.  ``slab`` is None for the reference world, whose
     packets are ``(label, payload_len)`` pairs instead of slab handles.
+    ``events`` is a pool of timers each started once for a plain event,
+    so that stopping them leaves tombstones behind.
     """
 
     def __init__(self, sim, timer_class, slab=None):
         self.sim = sim
         self.slab = slab
         self.log = []
+        self.timer_class = timer_class
         self.on_fire = [[] for _ in range(N_TIMERS)]
         self.timers = [timer_class(sim, self._fire_callback(i)) for i in range(N_TIMERS)]
-        self.handles = []
+        self.events = []
         self.on_deliver = [None] * len(PIPES)
         self.sent = 0
         self.label_of = {}
@@ -236,6 +239,12 @@ class World:
 
     def event(self, label):
         return lambda: self.log.append(("event", label, self.sim.now))
+
+    def start_event(self, delay, label):
+        """A fresh timer started ``delay`` from now that logs ``label``."""
+        timer = self.timer_class(self.sim, self.event(label))
+        timer.start(delay)
+        return timer
 
     def send(self, i, payload_len):
         self.sent += 1
@@ -325,32 +334,45 @@ class TimersMatchReference(RuleBasedStateMachine):
 
     @rule(count=st.integers(1, 80), first=DELAY)
     def schedule_handles(self, count, first):
-        # Plain cancellable events, many sharing an instant with a timer.
+        # Cancellable one-shot events, many sharing an instant with a timer.
         for k in range(count):
             delay = (first + 7 * k) % 41
             self.labels += 1
             for world in self.both():
-                world.handles.append(
-                    world.sim.schedule_at(world.sim.now + delay, world.event(self.labels))
-                )
+                world.events.append(world.start_event(delay, self.labels))
 
-    @precondition(lambda self: self.real.handles)
+    @precondition(lambda self: self.real.events)
     @rule(data=st.data())
     def cancel_some(self, data):
-        count = len(self.real.handles)
+        count = len(self.real.events)
         chosen = data.draw(st.lists(st.integers(0, count - 1), unique=True))
         for world in self.both():
             for index in chosen:
-                world.handles[index].cancel()
+                world.events[index].stop()
+
+    @precondition(lambda self: self.real.events)
+    @rule(delay=DELAY, data=st.data())
+    def cancel_from_event(self, delay, data):
+        # The same stops made from inside a callback: a compaction they
+        # trigger rebuilds the heap mid-drain.
+        count = len(self.real.events)
+        chosen = data.draw(st.lists(st.integers(0, count - 1), unique=True))
+        for world in self.both():
+
+            def stop_chosen(events=world.events):
+                for index in chosen:
+                    events[index].stop()
+
+            world.sim.schedule_fire_at(world.sim.now + delay, stop_chosen)
 
     @rule(count=st.integers(64, 100))
     def compact(self, count):
-        # A burst of cancelled handles: the real engine compacts, dropping
-        # every tombstone, a stopped timer's entry included.
+        # A burst of stopped timers: the real engine compacts, dropping
+        # every tombstone, a stopped protocol timer's entry included.
         for world in self.both():
-            burst = [world.sim.schedule_at(world.sim.now, world.event(0)) for _ in range(count)]
-            for handle in burst:
-                handle.cancel()
+            burst = [world.start_event(0, 0) for _ in range(count)]
+            for timer in burst:
+                timer.stop()
 
     @rule(i=PIPE, payload_len=PAYLOAD, count=st.integers(1, 3))
     def send(self, i, payload_len, count):
@@ -370,7 +392,7 @@ class TimersMatchReference(RuleBasedStateMachine):
         pipe=st.none() | PIPE,
     )
     def column(self, count, first, stride, pipe):
-        # A run-lane column whose events may each send a packet: the
+        # A column whose events may each send a packet: the
         # lb_replay shape, where deliveries interleave with the column.
         self.labels += 1
         for world in self.both():
@@ -425,9 +447,9 @@ def armed(delay):
 
 def test_moving_later_keeps_one_entry():
     sim, timer, fired = armed(100)
-    handle = timer._handle
+    entry = timer._entry
     timer.start(500)
-    assert timer._handle is handle
+    assert timer._entry is entry
     assert sim.pending_events == sim.live_events == 1
     sim.run_until(499)  # re-filing the old entry at t=100 is not an event
     assert sim.events_processed == 0 and fired == []
@@ -438,9 +460,9 @@ def test_moving_later_keeps_one_entry():
 
 def test_moving_earlier_pushes():
     sim, timer, fired = armed(500)
-    old = timer._handle
+    old = timer._entry
     timer.start(100)
-    assert timer._handle is not old and old.cancelled
+    assert timer._entry is not old and old.cancelled
     assert sim.pending_events == 2
     assert sim.live_events == 1
     sim.run()
@@ -449,12 +471,12 @@ def test_moving_earlier_pushes():
 
 def test_stop_then_start_revives_without_a_push():
     sim, timer, fired = armed(100)
-    handle = timer._handle
+    entry = timer._entry
     timer.stop()
     assert not timer.running
     assert sim.pending_events == 1 and sim.live_events == 0
     timer.start(300)
-    assert timer._handle is handle and not handle.cancelled
+    assert timer._entry is entry and not entry.cancelled
     assert sim.pending_events == sim.live_events == 1
     sim.run()
     assert fired == [300]
@@ -462,15 +484,17 @@ def test_stop_then_start_revives_without_a_push():
 
 def test_entry_dropped_by_compaction_is_never_revived():
     sim, timer, fired = armed(100)
-    handle = timer._handle
+    entry = timer._entry
     timer.stop()
-    doomed = [sim.schedule(1_000, lambda: fired.append("doomed")) for _ in range(70)]
+    doomed = [Timer(sim, lambda: fired.append("doomed")) for _ in range(70)]
     for event in doomed:
-        event.cancel()  # half the heap dies, with the timer's entry first
+        event.start(1_000)
+    for event in doomed:
+        event.stop()  # half the heap dies, with the timer's entry first
     pending = sim.pending_events
     assert pending < 71  # a compaction ran
     timer.start(200)
-    assert timer._handle is not handle
+    assert timer._entry is not entry
     assert sim.pending_events == pending + 1
     assert sim.live_events == 1
     sim.run()
