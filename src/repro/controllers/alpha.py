@@ -4,7 +4,8 @@ The controller itself lives in :mod:`repro.core.controller` — it is the
 paper's contribution and predates the zoo — so this module only adapts
 it into the registry.  It already satisfies the
 :class:`~repro.controllers.base.Controller` protocol (``maybe_update``,
-``updates``, ``stale_holds``, ``attach_metrics``).
+``updates``, ``stale_holds``); its ``ShiftEvent`` records carry a
+``reason`` just as the zoo's ``WeightUpdate`` records do.
 """
 
 from __future__ import annotations

@@ -105,11 +105,6 @@ class AlphaShiftController:
         self.pending_reason: Optional[str] = None
         #: Shifts refused because a consulted estimate was stale.
         self.stale_holds = 0
-        self._metrics = None
-
-    def attach_metrics(self, metrics) -> None:
-        """Attach controller instruments (see :mod:`repro.obs.plane`)."""
-        self._metrics = metrics
 
     @property
     def shift_count(self) -> int:
@@ -128,8 +123,6 @@ class AlphaShiftController:
     def record_shift(self, event: ShiftEvent) -> None:
         """Log a shift executed outside the α rule (the ladder's relax)."""
         self.shifts.append(event)
-        if self._metrics is not None:
-            self._metrics.shifts.labels(reason=event.reason).inc()
 
     def maybe_shift(self, now: int) -> Optional[ShiftEvent]:
         """Evaluate and possibly execute one α-shift; returns the event."""
@@ -148,8 +141,6 @@ class AlphaShiftController:
             # Never shift on a signal you don't trust: a stale estimate
             # may describe a backend that has since drained or died.
             self.stale_holds += 1
-            if self._metrics is not None:
-                self._metrics.stale_holds.inc()
             return None
         if worst.value < config.hysteresis_ratio * best.value:
             return None
@@ -178,8 +169,6 @@ class AlphaShiftController:
         )
         self.shifts.append(event)
         self._last_shift_at = now
-        if self._metrics is not None:
-            self._metrics.shifts.labels(reason=reason).inc()
         return event
 
     def _shift_weights(

@@ -97,7 +97,6 @@ class BackendLatencyEstimator:
         self.total_samples = 0
         self._quality: Optional["SignalQualityTracker"] = None
         self._fresh = self._invalid = None  # SignalGrade members, once attached
-        self._metrics = None
 
     def attach_quality(self, tracker: "SignalQualityTracker") -> None:
         """Grade served estimates with ``tracker`` (fed on observe)."""
@@ -108,10 +107,6 @@ class BackendLatencyEstimator:
         self._quality = tracker
         self._fresh = SignalGrade.FRESH
         self._invalid = SignalGrade.INVALID
-
-    def attach_metrics(self, metrics) -> None:
-        """Attach estimator instruments (see :mod:`repro.obs.plane`)."""
-        self._metrics = metrics
 
     @property
     def quality(self) -> Optional["SignalQualityTracker"]:
@@ -140,10 +135,6 @@ class BackendLatencyEstimator:
         self.total_samples += 1
         if self._quality is not None:
             self._quality.observe(backend, now, value)
-        if self._metrics is not None:
-            self._metrics.samples.labels(backend=backend).inc()
-            if t_lb > 0:  # the log-bucketed histogram needs positive values
-                self._metrics.latency.labels(backend=backend).observe(value)
 
     def estimate(self, backend: str) -> Optional[float]:
         """Current estimate for ``backend`` (ns), or None if unknown."""

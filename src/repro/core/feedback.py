@@ -358,12 +358,13 @@ class InbandFeedback:
             # This batch gap straddles a loss-recovery stall; drop it.
             state.tainted = False
             self.censored_samples += 1
-            if metrics is not None:
-                metrics.censored.inc()
             return
 
         self._est_observe(backend, now, t_lb)
         if metrics is not None:
+            metrics.estimator_samples.labels(backend=backend).inc()
+            if t_lb > 0:  # the log-bucketed histogram needs positive values
+                metrics.latency.labels(backend=backend).observe(float(t_lb))
             metrics.tlb_samples.labels(
                 backend=backend,
                 delta_us=state.ensemble.current_timeout // 1000,

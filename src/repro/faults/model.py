@@ -307,13 +307,6 @@ def replace_window(fault: FaultSpec, start: int, duration: Optional[int]) -> Fau
     return type(fault)(**values)
 
 
-def replace_fields(fault: FaultSpec, **overrides: object) -> FaultSpec:
-    """Copy ``fault`` with some dataclass fields replaced."""
-    values = {f.name: getattr(fault, f.name) for f in fields(fault)}
-    values.update(overrides)
-    return type(fault)(**values)
-
-
 def fault_to_dict(fault: FaultSpec) -> dict:
     """Serialize a fault spec to a plain JSON-ready dict (keyed by kind).
 

@@ -123,7 +123,6 @@ class AutoscalingGroup:
         )
         self._ramp_running = False
         self._started = False
-        self._metrics = None
         self._tracer = None
         now = sim.now
         for name in initial:
@@ -133,11 +132,7 @@ class AutoscalingGroup:
         self.capacity_series.append(now, float(self.lifecycle.capacity()))
 
     # ------------------------------------------------------------------
-    # Observability seams (the obs plane attaches; fleet never imports it)
-
-    def attach_metrics(self, metrics) -> None:
-        """Attach the obs plane's fleet instrument bundle."""
-        self._metrics = metrics
+    # Observability seam (the obs plane attaches; fleet never imports it)
 
     def attach_tracer(self, tracer) -> None:
         """Attach a span recorder with an ``on_scale`` hook."""
@@ -517,9 +512,5 @@ class AutoscalingGroup:
             )
         )
         self.capacity_series.append(now, float(after))
-        if self._metrics is not None:
-            self._metrics.decisions.labels(
-                policy=policy, direction=direction
-            ).inc()
         if self._tracer is not None:
             self._tracer.on_scale(now, policy, direction, before, after, reason)

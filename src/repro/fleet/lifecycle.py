@@ -13,15 +13,16 @@ reset seams (see ``InbandFeedback.on_backend_added``).
 
 The machine is pure bookkeeping — it never touches the pool or the
 simulator.  The :class:`~repro.fleet.autoscaler.AutoscalingGroup`
-drives transitions; the obs plane subscribes via ``on_transition`` to
-count them without the fleet importing :mod:`repro.obs`.
+drives transitions; every one lands in the append-only ``events`` log,
+which the obs plane counts at read time (the initial pool's edges
+included) without the fleet importing :mod:`repro.obs`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import FleetError
 
@@ -79,13 +80,6 @@ class FleetLifecycle:
 
     states: Dict[str, BackendState] = field(default_factory=dict)
     events: List[LifecycleEvent] = field(default_factory=list)
-    _listeners: List[Callable[[LifecycleEvent], None]] = field(
-        default_factory=list
-    )
-
-    def on_transition(self, listener: Callable[[LifecycleEvent], None]) -> None:
-        """Subscribe to transitions (obs plane, tests)."""
-        self._listeners.append(listener)
 
     def state(self, name: str) -> Optional[BackendState]:
         """Current state of ``name`` (None if never launched)."""
@@ -114,8 +108,6 @@ class FleetLifecycle:
             reason=reason,
         )
         self.events.append(event)
-        for listener in self._listeners:
-            listener(event)
         return event
 
     def in_state(self, *states: BackendState) -> List[str]:

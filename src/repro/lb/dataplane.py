@@ -105,7 +105,6 @@ class LoadBalancer:
         self.breakers = breakers
         self.stats = LoadBalancerStats()
         self._taps: List[PacketTap] = []
-        self._metrics = None
         # Packets arrive as slab handles; conntrack keys are interned
         # flow ids (ints) instead of FlowKey tuples, which skips the
         # 4-field tuple hash on every lookup.  Policies and taps still
@@ -122,10 +121,6 @@ class LoadBalancer:
         """Attach a measurement tap (called per forwarded packet)."""
         self._taps.append(tap)
 
-    def attach_metrics(self, metrics) -> None:
-        """Attach dataplane instruments (see :mod:`repro.obs.plane`)."""
-        self._metrics = metrics
-
     # ------------------------------------------------------------------
     # Node interface
     # ------------------------------------------------------------------
@@ -139,8 +134,6 @@ class LoadBalancer:
             # LB owns the handle on delivery).
             self.stats.packets_dropped_no_backend += 1
             slab.free(packet)
-            if self._metrics is not None:
-                self._metrics.misroutes.inc()
             return
         flags = slab.flags[packet]
         flow = slab.flow(packet)
@@ -162,8 +155,6 @@ class LoadBalancer:
                 self.stats.per_backend_new_flows[backend] = (
                     self.stats.per_backend_new_flows.get(backend, 0) + 1
                 )
-                if self._metrics is not None:
-                    self._metrics.new_flows.labels(backend=backend).inc()
             else:
                 self.stats.conntrack_fallbacks += 1
 
@@ -180,8 +171,6 @@ class LoadBalancer:
         self.stats.per_backend_packets[backend] = (
             self.stats.per_backend_packets.get(backend, 0) + 1
         )
-        if self._metrics is not None:
-            self._metrics.packets.labels(backend=backend).inc()
         self._send_via(self.name, backend, packet)
 
     def backend_share(self) -> Dict[str, float]:

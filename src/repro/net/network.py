@@ -10,9 +10,6 @@ special case:
 * the LB routes each backend host to a direct pipe;
 * servers route each client host to a direct pipe — the return path
   never touches the LB.
-
-``make_dsr_topology`` builds exactly that shape for N clients and M
-servers and is what the experiment harness uses.
 """
 
 from __future__ import annotations

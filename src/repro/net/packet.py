@@ -308,10 +308,6 @@ class PacketSlab:
             )
         return fid
 
-    def flow_key(self, fid: int) -> FlowKey:
-        """The interned :class:`FlowKey` for flow id ``fid``."""
-        return self._flows[fid]
-
     # -- allocation -----------------------------------------------------
 
     def alloc(

@@ -3,82 +3,89 @@
 The plane is the only module that knows both sides: the instruments
 (:mod:`repro.obs.metrics`, :mod:`repro.obs.trace`,
 :mod:`repro.obs.profiler`) and the components they observe.  Components
-never import ``repro.obs``; they expose ``attach_metrics`` /
-``attach_tracer`` seams taking opaque instrument bundles (mirroring the
-estimator's ``attach_quality`` pattern), and everything they do with
-them is guarded on ``is not None`` — so a scenario without the plane
-pays nothing and behaves identically.
+never import ``repro.obs``, and most carry no instrument at all: the
+counters below marked *log* are recounted by a collect hook, before
+every read, from the stats and append-only logs the components keep
+anyway (``LoadBalancerStats``, the controller's ``updates`` and
+``stale_holds``, the ladder's and breakers' ``transitions``, the
+autoscaler's ``decisions``, the lifecycle's ``events``).  Only the
+per-sample instruments, which no log holds, are pushed: through
+``InbandFeedback.attach_metrics``, in a branch guarded on ``is not
+None``.  The tracer and flight recorder attach through the same kind
+of seam, so a scenario without the plane pays nothing and behaves
+identically.
 
 Instrument inventory (all prefixed ``repro_``):
 
 ========================================  ===========================
-``lb_packets_total{backend}``             routed packets per backend
-``lb_new_flows_total{backend}``           new-flow placements
-``lb_misroutes_total``                    packets dropped off-VIP
+``lb_packets_total{backend}``             routed packets per backend (log)
+``lb_new_flows_total{backend}``           new-flow placements (log)
+``lb_misroutes_total``                    packets dropped off-VIP (log)
 ``tlb_samples_total{backend,delta_us}``   T_LB samples per backend per δᵢ
 ``tlb_latency_ns{backend}``               T_LB distribution (histogram)
 ``estimator_samples_total{backend}``      samples folded into estimates
 ``epoch_rolls_total``                     ENSEMBLETIMEOUT epoch ends
 ``cliff_picks_total{delta_us}``           cliff-chosen reporting timeouts
-``censored_samples_total``                retransmission-censored samples
-``weight_shifts_total{controller,reason}``  executed weight updates
-``stale_holds_total{controller}``         updates refused on stale signal
-``mode_transitions_total{to_mode}``       resilience-ladder transitions
+``censored_samples_total``                retransmission-censored samples (log)
+``weight_shifts_total{controller,reason}``  executed weight updates (log)
+``stale_holds_total{controller}``         updates refused on stale signal (log)
+``mode_transitions_total{to_mode}``       resilience-ladder transitions (log)
 ``controller_mode``                       ladder severity (0/1/2)
-``breaker_transitions_total{backend,to_state}``  breaker edges
-``fleet_scaling_decisions_total{policy,direction}``  executed scalings
-``fleet_transitions_total{from_state,to_state}``  backend lifecycle edges
-``fleet_capacity`` / ``fleet_backends{state}``  fleet size (collect hook)
-``backend_weight{backend}``               pool weight (collect hook)
-``backend_latency_estimate_ns{backend}``  current estimate (collect hook)
-``pipe_dropped_packets{pipe,cause}``      queue vs loss drops (hook)
+``breaker_transitions_total{backend,to_state}``  breaker edges (log)
+``fleet_scaling_decisions_total{policy,direction}``  executed scalings (log)
+``fleet_transitions_total{from_state,to_state}``  backend lifecycle edges (log)
+``fleet_capacity`` / ``fleet_backends{state}``  fleet size
+``backend_weight{backend}``               pool weight
+``backend_latency_estimate_ns{backend}``  current estimate
+``pipe_dropped_packets{pipe,cause}``      queue vs loss drops
 ``sim_events_processed`` / ``sim_pending_events`` /
-``sim_peak_queue_depth``                  engine stats (collect hook)
+``sim_peak_queue_depth``                  engine stats
 ========================================  ===========================
+
+Every gauge is set by the same collect hook.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+import collections
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
+from repro.fleet.lifecycle import BackendState
 from repro.net.trace import PacketTrace
 from repro.obs.config import ObsConfig
-from repro.obs.metrics import Registry
+from repro.obs.metrics import Counter, Registry
 from repro.obs.profiler import EngineProfiler
 from repro.obs.trace import CausalTracer
+from repro.resilience.ladder import SEVERITY
 
 if TYPE_CHECKING:  # pragma: no cover - type-only (harness imports obs)
     from repro.harness.scenario import Scenario
 
 
-class LBMetrics:
-    """Dataplane instruments (attached to the LoadBalancer)."""
-
-    def __init__(self, registry: Registry):
-        self.packets = registry.counter(
-            "repro_lb_packets_total",
-            "Client->server packets the LB forwarded, per backend",
-            labels=("backend",),
-        )
-        self.new_flows = registry.counter(
-            "repro_lb_new_flows_total",
-            "New flows placed by the routing policy, per backend",
-            labels=("backend",),
-        )
-        self.misroutes = registry.counter(
-            "repro_lb_misroutes_total",
-            "Packets dropped because they did not address the VIP",
-        )
-
-
 class FeedbackMetrics:
-    """Measurement-plane instruments (attached to InbandFeedback)."""
+    """Per-sample instruments (attached to InbandFeedback).
+
+    Pushed, not recounted: no component keeps a per-sample log when
+    ``record_samples`` is off.  The estimator's sample counter lives
+    here too, since only the feedback plane feeds an instrumented
+    estimator.
+    """
 
     def __init__(self, registry: Registry):
         self.tlb_samples = registry.counter(
             "repro_tlb_samples_total",
             "T_LB samples emitted, per backend per reporting timeout",
             labels=("backend", "delta_us"),
+        )
+        self.estimator_samples = registry.counter(
+            "repro_estimator_samples_total",
+            "Samples folded into per-backend estimates",
+            labels=("backend",),
+        )
+        self.latency = registry.histogram(
+            "repro_tlb_latency_ns",
+            "Distribution of observed T_LB samples (ns)",
+            labels=("backend",),
         )
         self.epoch_rolls = registry.counter(
             "repro_epoch_rolls_total",
@@ -89,107 +96,11 @@ class FeedbackMetrics:
             "Reporting timeouts chosen at epoch ends, per delta",
             labels=("delta_us",),
         )
-        self.censored = registry.counter(
-            "repro_censored_samples_total",
-            "Samples censored as retransmission-tainted",
-        )
 
 
-class EstimatorMetrics:
-    """Estimator instruments (attached to BackendLatencyEstimator)."""
-
-    def __init__(self, registry: Registry):
-        self.samples = registry.counter(
-            "repro_estimator_samples_total",
-            "Samples folded into per-backend estimates",
-            labels=("backend",),
-        )
-        self.latency = registry.histogram(
-            "repro_tlb_latency_ns",
-            "Distribution of observed T_LB samples (ns)",
-            labels=("backend",),
-        )
-
-
-class _BoundCounter:
-    """A counter family with some label values pre-bound.
-
-    Controllers never know their registry name — the plane binds the
-    ``controller`` label here so every existing call site
-    (``.labels(reason=...).inc()`` and bare ``.inc()``) keeps working
-    while the exported series gains the per-controller dimension.
-    """
-
-    def __init__(self, family, bound):
-        self._family = family
-        self._bound = dict(bound)
-
-    def labels(self, **labels):
-        merged = dict(self._bound)
-        merged.update(labels)
-        return self._family.labels(**merged)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._family.labels(**self._bound).inc(amount)
-
-
-class ControllerMetrics:
-    """Control-plane instruments (attached to the active control law)."""
-
-    def __init__(self, registry: Registry, controller: str = "alpha"):
-        self.shifts = _BoundCounter(
-            registry.counter(
-                "repro_weight_shifts_total",
-                "Executed weight updates, by controller and reason",
-                labels=("controller", "reason"),
-            ),
-            {"controller": controller},
-        )
-        self.stale_holds = _BoundCounter(
-            registry.counter(
-                "repro_stale_holds_total",
-                "Updates refused because a consulted estimate was stale",
-                labels=("controller",),
-            ),
-            {"controller": controller},
-        )
-
-
-class LadderMetrics:
-    """Resilience-ladder instruments (attached to DegradationLadder)."""
-
-    def __init__(self, registry: Registry):
-        self.transitions = registry.counter(
-            "repro_mode_transitions_total",
-            "Degradation-ladder transitions, by target mode",
-            labels=("to_mode",),
-        )
-        self.mode = registry.gauge(
-            "repro_controller_mode",
-            "Current ladder severity (0=feedback 1=hold 2=fallback)",
-        )
-
-
-class BreakerMetrics:
-    """Circuit-breaker instruments (attached to BreakerBoard)."""
-
-    def __init__(self, registry: Registry):
-        self.transitions = registry.counter(
-            "repro_breaker_transitions_total",
-            "Circuit-breaker state changes, per backend per target state",
-            labels=("backend", "to_state"),
-        )
-
-
-class FleetMetrics:
-    """Fleet-plane instruments (attached to the AutoscalingGroup)."""
-
-    def __init__(self, registry: Registry):
-        self.decisions = registry.counter(
-            "repro_fleet_scaling_decisions_total",
-            "Executed scaling decisions, by policy kind and direction",
-            labels=("policy", "direction"),
-        )
+def _keyed(counts: Dict[str, int]) -> Dict[Tuple[str], int]:
+    """A one-label count dict with its keys as label-value tuples."""
+    return {(key,): count for key, count in counts.items()}
 
 
 class ObsPlane:
@@ -226,45 +137,104 @@ class ObsPlane:
     def _install_metrics(self, scenario: "Scenario") -> None:
         registry = Registry()
         self.registry = registry
-        scenario.lb.attach_metrics(LBMetrics(registry))
+        # Log-backed counters: (counter, () -> {label values: count}),
+        # recounted by ``collect`` below.  ``collections.Counter`` keeps
+        # first-occurrence order, so children appear as pushes made them.
+        tallies: List[Tuple[Counter, Callable[[], dict]]] = []
+
+        def tally(name, help, labels, counts) -> None:
+            tallies.append((registry.counter(name, help, labels), counts))
+
+        lb_stats = scenario.lb.stats
+        tally(
+            "repro_lb_packets_total",
+            "Client->server packets the LB forwarded, per backend",
+            ("backend",),
+            lambda: _keyed(lb_stats.per_backend_packets),
+        )
+        tally(
+            "repro_lb_new_flows_total",
+            "New flows placed by the routing policy, per backend",
+            ("backend",),
+            lambda: _keyed(lb_stats.per_backend_new_flows),
+        )
+        tally(
+            "repro_lb_misroutes_total",
+            "Packets dropped because they did not address the VIP",
+            (),
+            lambda: {(): lb_stats.packets_dropped_no_backend},
+        )
         feedback = scenario.feedback
+        ladder = None
         if feedback is not None:
             feedback.attach_metrics(FeedbackMetrics(registry))
-            feedback.estimator.attach_metrics(EstimatorMetrics(registry))
+            tally(
+                "repro_censored_samples_total",
+                "Samples censored as retransmission-tainted",
+                (),
+                lambda: {(): feedback.censored_samples},
+            )
             controller = feedback.controller
-            attach = getattr(controller, "attach_metrics", None)
-            if attach is not None:
-                attach(
-                    ControllerMetrics(
-                        registry,
-                        controller=scenario.config.feedback.strategy,
-                    )
+            if controller is not None:
+                law = scenario.config.feedback.strategy
+                tally(
+                    "repro_weight_shifts_total",
+                    "Executed weight updates, by controller and reason",
+                    ("controller", "reason"),
+                    lambda: collections.Counter(
+                        (law, u.reason) for u in controller.updates
+                    ),
                 )
-            if feedback.ladder is not None:
-                feedback.ladder.attach_metrics(LadderMetrics(registry))
-        if scenario.breakers is not None:
-            scenario.breakers.attach_metrics(BreakerMetrics(registry))
-
-        fleet = scenario.fleet
-        fleet_capacity = None
-        fleet_backends = None
-        if fleet is not None:
-            fleet.attach_metrics(FleetMetrics(registry))
-            lifecycle_edges = registry.counter(
-                "repro_fleet_transitions_total",
-                "Backend lifecycle transitions, per edge",
-                labels=("from_state", "to_state"),
+                tally(
+                    "repro_stale_holds_total",
+                    "Updates refused because a consulted estimate was stale",
+                    ("controller",),
+                    lambda: {(law,): controller.stale_holds},
+                )
+            ladder = feedback.ladder
+            if ladder is not None:
+                tally(
+                    "repro_mode_transitions_total",
+                    "Degradation-ladder transitions, by target mode",
+                    ("to_mode",),
+                    lambda: collections.Counter(
+                        (t.to_mode.value,) for t in ladder.transitions
+                    ),
+                )
+                mode = registry.gauge(
+                    "repro_controller_mode",
+                    "Current ladder severity (0=feedback 1=hold 2=fallback)",
+                )
+        breakers = scenario.breakers
+        if breakers is not None:
+            tally(
+                "repro_breaker_transitions_total",
+                "Circuit-breaker state changes, per backend per target state",
+                ("backend", "to_state"),
+                lambda: collections.Counter(
+                    (t.backend, t.to_state.value) for t in breakers.transitions
+                ),
             )
 
-            def on_lifecycle(event) -> None:
-                lifecycle_edges.labels(
-                    from_state=(
-                        event.from_state.value if event.from_state else "new"
-                    ),
-                    to_state=event.to_state.value,
-                ).inc()
-
-            fleet.lifecycle.on_transition(on_lifecycle)
+        fleet = scenario.fleet
+        if fleet is not None:
+            tally(
+                "repro_fleet_scaling_decisions_total",
+                "Executed scaling decisions, by policy kind and direction",
+                ("policy", "direction"),
+                lambda: collections.Counter(
+                    (d.policy, d.direction) for d in fleet.decisions
+                ),
+            )
+            tally(
+                "repro_fleet_transitions_total",
+                "Backend lifecycle transitions, per edge",
+                ("from_state", "to_state"),
+                lambda: collections.Counter(
+                    (e.from_state.value if e.from_state else "new", e.to_state.value)
+                    for e in fleet.lifecycle.events
+                ),
+            )
             fleet_capacity = registry.gauge(
                 "repro_fleet_capacity",
                 "Fleet capacity (provisioning + warming + in service)",
@@ -308,6 +278,10 @@ class ObsPlane:
         )
 
         def collect() -> None:
+            for counter, counts in tallies:
+                counter.set_counts(counts())
+            if ladder is not None:
+                mode.set(SEVERITY[ladder.mode])
             for name, value in scenario.pool.weights().items():
                 weight.labels(backend=name).set(value)
             if feedback is not None:
@@ -334,8 +308,6 @@ class ObsPlane:
             sim_live.set(sim.live_events)
             sim_peak.set(sim.peak_queue_depth)
             if fleet is not None:
-                from repro.fleet.lifecycle import BackendState
-
                 fleet_capacity.set(fleet.capacity())
                 for state in BackendState:
                     fleet_backends.labels(state=state.value).set(

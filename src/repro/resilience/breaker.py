@@ -176,29 +176,13 @@ class BreakerBoard:
         self.config.validate()
         self.transitions: List[BreakerTransition] = []
         self._breakers: Dict[str, CircuitBreaker] = {}
-        self._metrics = None
-
-    def attach_metrics(self, metrics) -> None:
-        """Attach breaker instruments (see :mod:`repro.obs.plane`).
-
-        Works regardless of when individual breakers get lazily created:
-        every breaker reports through :meth:`_record_transition`.
-        """
-        self._metrics = metrics
-
-    def _record_transition(self, event: BreakerTransition) -> None:
-        self.transitions.append(event)
-        if self._metrics is not None:
-            self._metrics.transitions.labels(
-                backend=event.backend, to_state=event.to_state.value
-            ).inc()
 
     def breaker(self, backend: str) -> CircuitBreaker:
         """The (lazily created) breaker for ``backend``."""
         breaker = self._breakers.get(backend)
         if breaker is None:
             breaker = CircuitBreaker(
-                backend, self.config, self._record_transition
+                backend, self.config, self.transitions.append
             )
             self._breakers[backend] = breaker
         return breaker

@@ -44,7 +44,7 @@ class ControllerMode(enum.Enum):
 
 
 #: Severity ordering: higher means more degraded.
-_SEVERITY = {
+SEVERITY = {
     ControllerMode.FEEDBACK: 0,
     ControllerMode.HOLD: 1,
     ControllerMode.FALLBACK: 2,
@@ -123,26 +123,20 @@ class DegradationLadder:
         self._candidate: Optional[ControllerMode] = None
         self._candidate_since = 0
         self._seeded = False
-        self._metrics = None
-
-    def attach_metrics(self, metrics) -> None:
-        """Attach ladder instruments (see :mod:`repro.obs.plane`)."""
-        self._metrics = metrics
-        metrics.mode.set(_SEVERITY[self.mode])
 
     def evaluate(self, now: int) -> ControllerMode:
         """Re-grade the pool and walk the ladder; returns the mode."""
         if not self._seeded:
-            self.mode_series.append(now, float(_SEVERITY[self.mode]))
+            self.mode_series.append(now, float(SEVERITY[self.mode]))
             self._seeded = True
         target, reason, grades = self._target(now)
         current = self.mode
-        if _SEVERITY[target] > _SEVERITY[current]:
+        if SEVERITY[target] > SEVERITY[current]:
             # Downgrade immediately: a distrusted signal must stop
             # driving decisions before the next sample lands.
             self._candidate = None
             self._transition(now, target, reason, grades)
-        elif _SEVERITY[target] < _SEVERITY[current]:
+        elif SEVERITY[target] < SEVERITY[current]:
             # Upgrade only after the better state persists (hysteresis).
             if self._candidate is not target:
                 self._candidate = target
@@ -205,10 +199,7 @@ class DegradationLadder:
                 grades=grades,
             )
         )
-        self.mode_series.append(now, float(_SEVERITY[to_mode]))
-        if self._metrics is not None:
-            self._metrics.transitions.labels(to_mode=to_mode.value).inc()
-            self._metrics.mode.set(_SEVERITY[to_mode])
+        self.mode_series.append(now, float(SEVERITY[to_mode]))
         if to_mode is ControllerMode.FALLBACK:
             self._relax_to_uniform(now, reason)
         elif from_mode is ControllerMode.FALLBACK and self.controller is not None:

@@ -122,17 +122,6 @@ class TestLifecycle:
         assert lc.capacity() == 2
         assert lc.in_state(BackendState.DRAINING) == ["c"]
 
-    def test_listeners_see_every_event(self):
-        lc = FleetLifecycle()
-        seen = []
-        lc.on_transition(lambda e: seen.append((e.backend, e.to_state)))
-        lc.transition(0, "a", BackendState.PROVISIONING)
-        lc.transition(1, "a", BackendState.WARMING)
-        assert seen == [
-            ("a", BackendState.PROVISIONING),
-            ("a", BackendState.WARMING),
-        ]
-
 
 class TestFleetConfig:
     def test_disabled_config_skips_validation(self):

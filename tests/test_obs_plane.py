@@ -4,6 +4,7 @@ import functools
 
 import pytest
 
+from repro.core.feedback import FeedbackConfig
 from repro.errors import ConfigError
 from repro.faults import DelayFault
 from repro.harness.config import PolicyName, ScenarioConfig
@@ -85,12 +86,26 @@ class TestMetricsPillar:
             )
         }
 
-    def test_shift_counter_matches_controller(self):
-        result = run(ObsConfig(enabled=True))
+    @pytest.mark.parametrize(
+        "strategy, reason",
+        [
+            pytest.param("alpha", "hysteresis-pass", id="alpha"),
+            pytest.param("aimd", "recompute", id="aimd"),
+        ],
+    )
+    def test_shift_counter_matches_controller(self, strategy, reason):
+        result = run(
+            ObsConfig(enabled=True), feedback=FeedbackConfig(strategy=strategy)
+        )
         registry = result.scenario.obs.registry
         shifts = registry.get("repro_weight_shifts_total")
-        total = sum(child.value for _labels, child in shifts.children())
-        assert total == len(result.scenario.feedback.shift_events())
+        counted = {
+            (labels["controller"], labels["reason"]): child.value
+            for labels, child in shifts.children()
+        }
+        executed = len(result.scenario.feedback.shift_events())
+        assert executed > 0
+        assert counted == {(strategy, reason): executed}
 
     def test_prometheus_export_parses_and_has_engine_stats(self):
         result = run(ObsConfig(enabled=True))
@@ -132,7 +147,7 @@ class TestMetricsPillar:
         )
         registry = result.scenario.obs.registry
         assert registry.get("repro_mode_transitions_total") is not None
-        # The mode gauge is seeded at attach (ladder starts in HOLD=1).
+        # The mode gauge reads the ladder's current mode at collect time.
         mode = registry.get("repro_controller_mode")
         assert mode.value in (0.0, 1.0, 2.0)
 
