@@ -7,7 +7,8 @@ renders the whole registry through the strict exposition parser and
 asserts the parse reproduces the registry's own ``to_json()`` view:
 same families, same types, same label sets, same values.  Any
 instrument added later is covered automatically.  ``TestGoldens`` also
-pins the exact text of this run and of the CLI's metrics dump.
+pins the exact text of this run, of the CLI's metrics dump and of every
+observer's render of a run whose flows outlive an epoch.
 """
 
 import math
@@ -182,3 +183,9 @@ class TestGoldens:
     def test_cli_metrics_dump_matches_golden(self):
         golden = metrics_goldens.read(metrics_goldens.CLI_GOLDEN)
         assert metrics_goldens.cli_metrics_text() == golden
+
+    def test_epoch_run_matches_golden(self):
+        """Epoch rolls, cliff picks, the timeline and the shift
+        attributions of a run whose flows outlive an epoch."""
+        golden = metrics_goldens.read(metrics_goldens.EPOCHS_GOLDEN)
+        assert metrics_goldens.epochs_text() == golden
