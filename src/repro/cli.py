@@ -559,10 +559,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point; returns a process exit code."""
+    """Entry point; returns a process exit code (2 on a ``ConfigError``)."""
     args = build_parser().parse_args(argv)
-    duration = units.seconds(args.duration)
+    try:
+        return _run_command(args, units.seconds(args.duration))
+    except ConfigError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
+
+def _run_command(args: argparse.Namespace, duration: int) -> int:
+    """Run the verb ``args.command`` names."""
     if args.command == "run":
         faults = []
         for spec in args.fault:
@@ -651,11 +658,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 file=sys.stderr,
             )
             return 2
-        print(
-            render_shift_attribution(
-                tracer, shifts, args.shift, window, scales=tracer.scales
-            )
-        )
+        # The Fig 3 arm runs no fleet, so there are no scalings to show.
+        print(render_shift_attribution(tracer, shifts, args.shift, window))
         return 0
 
     if args.command == "explain":
@@ -858,35 +862,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(format_table(headers, [[row[h] for h in headers] for row in rows]))
         return 0
 
-    if args.command == "fleet":
-        try:
-            return _fleet_command(args, duration)
-        except ConfigError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
-
-    if args.command == "compare":
-        try:
-            return _compare_command(args, duration)
-        except ConfigError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
-
-    if args.command == "chaos":
-        try:
-            return _chaos_command(args, duration)
-        except ConfigError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
-
-    if args.command == "sweep":
-        try:
-            return _sweep_command(args, duration)
-        except ConfigError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
-
-    return 2  # unreachable: argparse enforces the command set
+    # argparse enforces the command set: the rest are these four.
+    return {
+        "fleet": _fleet_command,
+        "compare": _compare_command,
+        "chaos": _chaos_command,
+        "sweep": _sweep_command,
+    }[args.command](args, duration)
 
 
 def _fleet_command(args: argparse.Namespace, duration: int) -> int:

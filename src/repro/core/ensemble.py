@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.fixed_timeout import FixedTimeout
 from repro.units import MICROSECONDS, MILLISECONDS
@@ -122,7 +122,11 @@ class EnsembleTimeout:
         "cliff_history",
     )
 
-    def __init__(self, config: Optional[EnsembleConfig] = None):
+    def __init__(
+        self,
+        config: Optional[EnsembleConfig] = None,
+        cliff_history: Optional[List[Tuple[int, int]]] = None,
+    ):
         self.config = config or EnsembleConfig()
         self.config.validate()
         self._deltas = list(self.config.timeouts)
@@ -137,8 +141,11 @@ class EnsembleTimeout:
         self._epoch_start: Optional[int] = None
         self._current = self.config.initial_index
         self.epochs_completed = 0
-        #: (epoch_end_time, chosen_index) per completed epoch, for Fig 2(b).
-        self.cliff_history: List[tuple] = []
+        #: (epoch_end_time, chosen_index) per completed epoch: this flow's
+        #: own list, or a passed-in epoch log that many flows share.
+        self.cliff_history: List[Tuple[int, int]] = (
+            [] if cliff_history is None else cliff_history
+        )
 
     @property
     def current_timeout(self) -> int:

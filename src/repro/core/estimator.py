@@ -14,9 +14,9 @@ fewer than ``min_samples`` samples are excluded from ranking decisions —
 shifting traffic based on one noisy sample is how thundering herds start
 (paper §5, question 4).
 
-With a :class:`~repro.resilience.quality.SignalQualityTracker`
-attached (:meth:`BackendLatencyEstimator.attach_quality`), the
-estimator also grades what it serves: ranking calls that pass ``now``
+Built with a :class:`~repro.resilience.quality.SignalQualityTracker`
+(``BackendLatencyEstimator(config, quality=tracker)``), the estimator
+also grades what it serves: ranking calls that pass ``now``
 exclude backends whose signal has been invalidated and flag estimates
 that have gone stale, so downstream consumers can refuse to act on a
 signal they don't trust.
@@ -64,7 +64,7 @@ class BackendEstimate:
     value: float
     samples: int
     last_sample_at: int
-    #: True when an attached quality tracker graded the signal stale
+    #: True when the quality tracker graded the signal stale
     #: (set only by ranking calls that pass ``now``).
     stale: bool = False
 
@@ -83,10 +83,15 @@ class BackendLatencyEstimator:
     """Aggregates ``T_LB`` samples into per-backend latency estimates.
 
     ``config.metric`` is read once, at construction: it decides which
-    statistic each backend keeps.
+    statistic each backend keeps.  ``quality``, when given, grades the
+    estimates served and is fed on every observe.
     """
 
-    def __init__(self, config: Optional[EstimatorConfig] = None):
+    def __init__(
+        self,
+        config: Optional[EstimatorConfig] = None,
+        quality: Optional["SignalQualityTracker"] = None,
+    ):
         self.config = config or EstimatorConfig()
         self.config.validate()
         self._quantile: Optional[float] = _QUANTILES[self.config.metric]
@@ -95,23 +100,15 @@ class BackendLatencyEstimator:
         #: names changed.
         self._order: Optional[List[Tuple[str, _BackendState]]] = None
         self.total_samples = 0
-        self._quality: Optional["SignalQualityTracker"] = None
-        self._fresh = self._invalid = None  # SignalGrade members, once attached
+        self._quality = quality
+        self._fresh = self._invalid = None  # SignalGrade members, with quality
+        if quality is not None:
+            # Bound here, once, not per ranking call: resilience imports
+            # core, so the grades cannot be imported when this module loads.
+            from repro.resilience.quality import SignalGrade
 
-    def attach_quality(self, tracker: "SignalQualityTracker") -> None:
-        """Grade served estimates with ``tracker`` (fed on observe)."""
-        # Bound here, once, not per ranking call: resilience imports
-        # core, so the grades cannot be imported when this module loads.
-        from repro.resilience.quality import SignalGrade
-
-        self._quality = tracker
-        self._fresh = SignalGrade.FRESH
-        self._invalid = SignalGrade.INVALID
-
-    @property
-    def quality(self) -> Optional["SignalQualityTracker"]:
-        """The attached signal-quality tracker, if any."""
-        return self._quality
+            self._fresh = SignalGrade.FRESH
+            self._invalid = SignalGrade.INVALID
 
     def observe(self, backend: str, now: int, t_lb: int) -> None:
         """Attribute one ``T_LB`` sample (ns) to ``backend``."""
@@ -152,7 +149,7 @@ class BackendLatencyEstimator:
     def snapshot(self, now: Optional[int] = None) -> List[BackendEstimate]:
         """Estimates for all backends meeting ``min_samples``.
 
-        With a quality tracker attached and ``now`` given, backends
+        With a quality tracker and ``now`` given, backends
         whose signal has been invalidated are excluded and estimates
         with a stale signal carry ``stale=True``.
         """

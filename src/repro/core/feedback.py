@@ -15,6 +15,10 @@ to a :class:`~repro.lb.dataplane.LoadBalancer` it:
    table is rebuilt when the next *new* flow reads it (affinity keeps
    existing flows in place).
 
+Observers read the loop's two append-only logs in place: ``samples``
+(a :class:`SampleRecord` per ``T_LB`` sample) and ``epochs`` (a
+``(time, chosen index)`` per ENSEMBLETIMEOUT epoch end, all flows).
+
 Set ``control=False`` for measurement-only operation (Fig 2 runs the
 estimator against a static Maglev table).  A load balancer's conntrack
 entries carry one measurement state each, so at most one
@@ -24,7 +28,7 @@ entries carry one measurement state each, so at most one
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.controller import AlphaShiftController, ControllerConfig
 from repro.core.ensemble import EnsembleConfig, EnsembleTimeout
@@ -40,7 +44,6 @@ from repro.lb.conntrack import ConnTrack
 from repro.lb.dataplane import LoadBalancer
 from repro.net.addr import FlowKey
 from repro.net.packet import FLAG_FIN, FLAG_RST, FLAG_SYN
-from repro.telemetry.timeseries import TimeSeries
 
 _FIN_OR_RST = FLAG_FIN | FLAG_RST
 _SYN_OR_FIN = FLAG_SYN | FLAG_FIN
@@ -73,7 +76,6 @@ class FeedbackConfig:
     gradient: GradientConfig = field(default_factory=GradientConfig)
     morpheus: MorpheusConfig = field(default_factory=MorpheusConfig)
     control: bool = True
-    record_samples: bool = True
     #: Censor T_LB samples from flows that just retransmitted.  A
     #: retransmission is detectable purely in-band (a data segment whose
     #: sequence range was already seen), and the batch gap it creates is
@@ -85,14 +87,20 @@ class FeedbackConfig:
 
 @dataclass
 class SampleRecord:
-    """One ``T_LB`` sample as seen by the feedback plane."""
+    """One ``T_LB`` sample, with the reporting timeout δₑ that emitted it."""
 
-    __slots__ = ("time", "flow", "backend", "t_lb")
+    __slots__ = ("time", "flow", "backend", "t_lb", "delta")
 
     time: int
     flow: FlowKey
     backend: str
     t_lb: int
+    delta: int
+
+    @property
+    def batch_start(self) -> int:
+        """Start of the batch gap this sample measured (ns)."""
+        return self.time - self.t_lb
 
 
 class _FlowState:
@@ -167,7 +175,19 @@ class InbandFeedback:
             )
         self.lb = lb
         self.config = config or FeedbackConfig()
-        self.estimator = BackendLatencyEstimator(self.config.estimator)
+        #: Resilience plane (None unless enabled).
+        self.quality = None
+        self.ladder = None
+        self.breakers = breakers
+        if resilience is not None and resilience.enabled:
+            # Imported lazily: repro.core loads before repro.resilience
+            # can finish initializing.
+            from repro.resilience.quality import SignalQualityTracker
+
+            self.quality = SignalQualityTracker(resilience.signal)
+        self.estimator = BackendLatencyEstimator(
+            self.config.estimator, quality=self.quality
+        )
         self.controller = None
         if self.config.control:
             # Registry dispatch: any law in repro.controllers, by name.
@@ -177,52 +197,31 @@ class InbandFeedback:
             )
         #: Per-flow measurement state, kept on the conntrack entries.
         self.flows = _FlowStates(conntrack)
+        #: Every T_LB sample folded into the estimator, in time order.
         self.samples: List[SampleRecord] = []
+        #: (epoch_end_time, chosen index) per epoch end, all flows.
+        self.epochs: List[Tuple[int, int]] = []
         self.censored_samples = 0
         # Hot-path flags and methods, hoisted once: _on_packet runs per
         # forwarded packet and these do not change after construction
         # (the conntrack table and estimator are never reassigned).
         self._censor = self.config.censor_retransmissions
-        self._record = self.config.record_samples
         self._ensemble_config = self.config.ensemble
         self._entry = conntrack.entry
         self._est_observe = self.estimator.observe
-        #: Per-backend sample series for reports (time, T_LB ns).
-        self.sample_series: Dict[str, TimeSeries] = {}
-        #: Resilience plane (None unless enabled).
-        self.quality = None
-        self.ladder = None
-        self.breakers = breakers
         self._was_invalid: Dict[str, bool] = {}
         # Sample-driven ladder-evaluation throttle (see
         # DegradationConfig.min_evaluate_gap); the periodic check always
         # evaluates regardless.
         self._eval_gap = 0
         self._last_eval = -1
-        #: Observability plane (both None unless attached).
-        self._metrics = None
-        self._tracer = None
-        #: Insight plane's flight recorder (None unless attached).
-        self._recorder = None
         #: The network's PacketSlab; the tap reads packet fields straight
         #: from its columns.
         self._slab = lb.network.slab
-        if resilience is not None and resilience.enabled:
+        if self.quality is not None:
             self._wire_resilience(resilience)
         conntrack.state_owner = self
         lb.add_tap(self._on_packet)
-
-    def attach_metrics(self, metrics) -> None:
-        """Attach measurement-plane instruments (see :mod:`repro.obs.plane`)."""
-        self._metrics = metrics
-
-    def attach_tracer(self, tracer) -> None:
-        """Record emitted samples as causal-trace spans."""
-        self._tracer = tracer
-
-    def attach_recorder(self, recorder) -> None:
-        """Report epoch rolls to the insight plane's flight recorder."""
-        self._recorder = recorder
 
     @property
     def sample_count(self) -> int:
@@ -247,13 +246,11 @@ class InbandFeedback:
         # Imported lazily: repro.core loads before repro.resilience can
         # finish initializing (resilience.ladder imports the controller).
         from repro.resilience.ladder import ControllerMode, DegradationLadder
-        from repro.resilience.quality import SignalGrade, SignalQualityTracker
+        from repro.resilience.quality import SignalGrade
 
         self._feedback_mode = ControllerMode.FEEDBACK
         self._invalid_grade = SignalGrade.INVALID
         sim = self.lb.network.sim
-        self.quality = SignalQualityTracker(resilience.signal)
-        self.estimator.attach_quality(self.quality)
         for name in self.lb.pool.names():
             self.quality.register(name, sim.now)
         controller = (
@@ -323,29 +320,17 @@ class InbandFeedback:
         entry = self._entry(slab.fid[packet])
         state = entry.state
         if state is None:
-            state = entry.state = _FlowState(EnsembleTimeout(self._ensemble_config))
+            state = entry.state = _FlowState(
+                EnsembleTimeout(self._ensemble_config, self.epochs)
+            )
             self.flows.stats.created += 1
         flags = slab.flags[packet]
         if self._censor:
             state.observe_seq_fields(
                 flags, slab.seq[packet], slab.payload_len[packet]
             )
-        metrics = self._metrics
-        recorder = self._recorder
-        if metrics is None and recorder is None:
-            ensemble = state.ensemble
-            t_lb = ensemble.observe(now)
-        else:
-            epochs_before = state.ensemble.epochs_completed
-            t_lb = state.ensemble.observe(now)
-            if state.ensemble.epochs_completed != epochs_before:
-                if metrics is not None:
-                    metrics.epoch_rolls.inc()
-                    metrics.cliff_picks.labels(
-                        delta_us=state.ensemble.current_timeout // 1000
-                    ).inc()
-                if recorder is not None:
-                    recorder.on_epoch_roll(now, state.ensemble.current_timeout)
+        ensemble = state.ensemble
+        t_lb = ensemble.observe(now)
 
         if flags & _FIN_OR_RST:
             # The flow is ending; its measurement state is no longer useful.
@@ -361,25 +346,9 @@ class InbandFeedback:
             return
 
         self._est_observe(backend, now, t_lb)
-        if metrics is not None:
-            metrics.estimator_samples.labels(backend=backend).inc()
-            if t_lb > 0:  # the log-bucketed histogram needs positive values
-                metrics.latency.labels(backend=backend).observe(float(t_lb))
-            metrics.tlb_samples.labels(
-                backend=backend,
-                delta_us=state.ensemble.current_timeout // 1000,
-            ).inc()
-        if self._tracer is not None:
-            self._tracer.on_sample(
-                now, flow, backend, t_lb, state.ensemble.current_timeout
-            )
-        if self._record:
-            self.samples.append(SampleRecord(now, flow, backend, t_lb))
-            series = self.sample_series.get(backend)
-            if series is None:
-                series = TimeSeries(name=backend)
-                self.sample_series[backend] = series
-            series.append(now, float(t_lb))
+        self.samples.append(
+            SampleRecord(now, flow, backend, t_lb, ensemble.current_timeout)
+        )
 
         if self.breakers is not None:
             # A T_LB sample is live-traffic evidence the backend answers.

@@ -123,20 +123,12 @@ class AutoscalingGroup:
         )
         self._ramp_running = False
         self._started = False
-        self._tracer = None
         now = sim.now
         for name in initial:
             self.lifecycle.transition(
                 now, name, BackendState.IN_SERVICE, "initial pool"
             )
         self.capacity_series.append(now, float(self.lifecycle.capacity()))
-
-    # ------------------------------------------------------------------
-    # Observability seam (the obs plane attaches; fleet never imports it)
-
-    def attach_tracer(self, tracer) -> None:
-        """Attach a span recorder with an ``on_scale`` hook."""
-        self._tracer = tracer
 
     # ------------------------------------------------------------------
     # Introspection
@@ -512,5 +504,3 @@ class AutoscalingGroup:
             )
         )
         self.capacity_series.append(now, float(after))
-        if self._tracer is not None:
-            self._tracer.on_scale(now, policy, direction, before, after, reason)

@@ -3,9 +3,10 @@
 Mirrors ``repro.obs.plane``: :meth:`InsightPlane.install` is called once
 by ``build_scenario`` when ``config.insight.enabled``, after the obs
 plane, so the recorder's LB tap observes post-update dataplane state.
-Components stay unaware of the plane — the recorder reaches them
-through the same ``attach_*`` seams and pure accessors the obs plane
-uses, and the feedback plane's new ``attach_recorder`` seam.
+Components stay unaware of the plane and carry no hook for it: the
+recorder reads them through the pure accessors and append-only logs
+the obs plane reads (the feedback loop's ``epochs`` log among them);
+its only seam is the LB packet tap that paces frames.
 """
 
 from __future__ import annotations
@@ -53,8 +54,6 @@ class InsightPlane:
         # Added after the obs plane's taps, so frames see post-update
         # state for the packet that paced them.
         scenario.lb.add_tap(recorder.on_packet_tap)
-        if scenario.feedback is not None:
-            scenario.feedback.attach_recorder(recorder)
         return cls(config, timeline, slo, recorder)
 
     def finalize(self, now: int) -> None:

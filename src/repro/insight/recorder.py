@@ -1,17 +1,14 @@
 """The flight recorder: epoch-paced, pull-only state capture.
 
 :class:`FlightRecorder` is the insight plane's only moving part.  It is
-driven from exactly two seams:
-
-* the LB's packet tap paces frame capture (``on_packet_tap``) — at
-  most one frame per ``frame_interval`` of simulated time, taken while
-  handling a packet the dataplane was forwarding anyway; and
-* ``InbandFeedback.attach_recorder`` reports epoch rolls
-  (``on_epoch_roll``) so frames can carry the cliff-chosen reporting
-  timeout without the recorder re-deriving ENSEMBLETIMEOUT state.
+driven from exactly one seam: the LB's packet tap paces frame capture
+(``on_packet_tap``) — at most one frame per ``frame_interval`` of
+simulated time, taken while handling a packet the dataplane was
+forwarding anyway.
 
 Everything else is a *pull*: at capture time the recorder reads pool
-weights, estimator state, signal grades, breaker/lifecycle/conntrack
+weights, the feedback loop's epoch log (epoch rolls and the latest
+cliff pick), estimator state, signal grades, breaker/lifecycle/conntrack
 state, the ladder mode, and active fault windows through their pure
 accessors, and diff-scans the append-only event lists (shifts, mode
 transitions, breaker transitions, fleet decisions) for annotations.
@@ -56,9 +53,6 @@ class FlightRecorder:
         #: Per-client count of records already folded into the SLO.
         self._consumed: List[int] = [0] * len(self._clients)
         self._next_frame = 0
-        #: Cliff state fed by the feedback seam.
-        self.epoch_rolls = 0
-        self.last_cliff_pick: Optional[int] = None
         #: High-water marks for the event lists we diff-scan.
         self._seen_shifts = 0
         self._seen_modes = 0
@@ -74,11 +68,6 @@ class FlightRecorder:
         if now >= self._next_frame:
             self.capture(now)
             self._next_frame = now + self.config.frame_interval
-
-    def on_epoch_roll(self, now: int, chosen_timeout: int) -> None:
-        """The feedback plane crossed an epoch boundary on some flow."""
-        self.epoch_rolls += 1
-        self.last_cliff_pick = chosen_timeout
 
     # ------------------------------------------------------------------
     # Capture
@@ -107,13 +96,16 @@ class FlightRecorder:
         frame = TimelineFrame(
             time=now,
             weights=dict(self._pool.weights()),
-            epoch_rolls=self.epoch_rolls,
-            cliff_pick=self.last_cliff_pick,
             flows=self._conntrack.counted(),
             slo=self.slo.snapshot(now),
         )
         feedback = self._feedback
         if feedback is not None:
+            epochs = feedback.epochs
+            if epochs:
+                _time, index = epochs[-1]
+                frame.epoch_rolls = len(epochs)
+                frame.cliff_pick = feedback.config.ensemble.timeouts[index]
             estimator = feedback.estimator
             frame.sample_total = estimator.total_samples
             frame.samples = estimator.sample_counts()

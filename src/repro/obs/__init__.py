@@ -36,7 +36,6 @@ from repro.obs.trace import (
     CausalTracer,
     ResponseSpan,
     RouteSpan,
-    SampleSpan,
     SendSpan,
     render_request_tree,
     render_shift_attribution,
@@ -55,7 +54,6 @@ __all__ = [
     "Registry",
     "ResponseSpan",
     "RouteSpan",
-    "SampleSpan",
     "SendSpan",
     "SiteStats",
     "parse_prometheus_text",

@@ -3,17 +3,17 @@
 The plane is the only module that knows both sides: the instruments
 (:mod:`repro.obs.metrics`, :mod:`repro.obs.trace`,
 :mod:`repro.obs.profiler`) and the components they observe.  Components
-never import ``repro.obs``, and most carry no instrument at all: the
-counters below marked *log* are recounted by a collect hook, before
-every read, from the stats and append-only logs the components keep
-anyway (``LoadBalancerStats``, the controller's ``updates`` and
-``stale_holds``, the ladder's and breakers' ``transitions``, the
-autoscaler's ``decisions``, the lifecycle's ``events``).  Only the
-per-sample instruments, which no log holds, are pushed: through
-``InbandFeedback.attach_metrics``, in a branch guarded on ``is not
-None``.  The tracer and flight recorder attach through the same kind
-of seam, so a scenario without the plane pays nothing and behaves
-identically.
+never import ``repro.obs`` and carry no instrument: every counter is
+filled by a collect hook, before every read, from the stats and
+append-only logs the components keep anyway.  Counters marked *log*
+are recounted whole (``LoadBalancerStats``, the controller's
+``updates`` and ``stale_holds``, the ladder's and breakers'
+``transitions``, the autoscaler's ``decisions``, the lifecycle's
+``events``).  Those marked *fold* grow with every packet, so the hook
+folds in only the entries the feedback loop's ``samples`` and
+``epochs`` logs gained since the last read, in log order.  The tracer
+reads the same sample log in place, so a scenario without the plane
+pays nothing and behaves identically.
 
 Instrument inventory (all prefixed ``repro_``):
 
@@ -21,11 +21,11 @@ Instrument inventory (all prefixed ``repro_``):
 ``lb_packets_total{backend}``             routed packets per backend (log)
 ``lb_new_flows_total{backend}``           new-flow placements (log)
 ``lb_misroutes_total``                    packets dropped off-VIP (log)
-``tlb_samples_total{backend,delta_us}``   T_LB samples per backend per δᵢ
-``tlb_latency_ns{backend}``               T_LB distribution (histogram)
-``estimator_samples_total{backend}``      samples folded into estimates
-``epoch_rolls_total``                     ENSEMBLETIMEOUT epoch ends
-``cliff_picks_total{delta_us}``           cliff-chosen reporting timeouts
+``tlb_samples_total{backend,delta_us}``   T_LB samples per backend per δᵢ (fold)
+``tlb_latency_ns{backend}``               T_LB distribution (histogram, fold)
+``estimator_samples_total{backend}``      samples folded into estimates (fold)
+``epoch_rolls_total``                     ENSEMBLETIMEOUT epoch ends (fold)
+``cliff_picks_total{delta_us}``           cliff-chosen reporting timeouts (fold)
 ``censored_samples_total``                retransmission-censored samples (log)
 ``weight_shifts_total{controller,reason}``  executed weight updates (log)
 ``stale_holds_total{controller}``         updates refused on stale signal (log)
@@ -62,40 +62,59 @@ if TYPE_CHECKING:  # pragma: no cover - type-only (harness imports obs)
     from repro.harness.scenario import Scenario
 
 
-class FeedbackMetrics:
-    """Per-sample instruments (attached to InbandFeedback).
+def _install_feedback_fold(registry: Registry, feedback) -> None:
+    """Register the per-sample families and the collect hook filling them.
 
-    Pushed, not recounted: no component keeps a per-sample log when
-    ``record_samples`` is off.  The estimator's sample counter lives
-    here too, since only the feedback plane feeds an instrumented
-    estimator.
+    Each collect folds only the ``samples`` and ``epochs`` entries
+    appended since the previous one, in log order, so children appear,
+    and histogram sums accumulate, exactly as one push per event would.
     """
+    tlb_samples = registry.counter(
+        "repro_tlb_samples_total",
+        "T_LB samples emitted, per backend per reporting timeout",
+        labels=("backend", "delta_us"),
+    )
+    estimator_samples = registry.counter(
+        "repro_estimator_samples_total",
+        "Samples folded into per-backend estimates",
+        labels=("backend",),
+    )
+    latency = registry.histogram(
+        "repro_tlb_latency_ns",
+        "Distribution of observed T_LB samples (ns)",
+        labels=("backend",),
+    )
+    epoch_rolls = registry.counter(
+        "repro_epoch_rolls_total",
+        "ENSEMBLETIMEOUT epoch boundaries crossed (all flows)",
+    )
+    cliff_picks = registry.counter(
+        "repro_cliff_picks_total",
+        "Reporting timeouts chosen at epoch ends, per delta",
+        labels=("delta_us",),
+    )
+    timeouts = feedback.config.ensemble.timeouts
+    samples_folded = epochs_folded = 0  # high-water marks
 
-    def __init__(self, registry: Registry):
-        self.tlb_samples = registry.counter(
-            "repro_tlb_samples_total",
-            "T_LB samples emitted, per backend per reporting timeout",
-            labels=("backend", "delta_us"),
-        )
-        self.estimator_samples = registry.counter(
-            "repro_estimator_samples_total",
-            "Samples folded into per-backend estimates",
-            labels=("backend",),
-        )
-        self.latency = registry.histogram(
-            "repro_tlb_latency_ns",
-            "Distribution of observed T_LB samples (ns)",
-            labels=("backend",),
-        )
-        self.epoch_rolls = registry.counter(
-            "repro_epoch_rolls_total",
-            "ENSEMBLETIMEOUT epoch boundaries crossed (all flows)",
-        )
-        self.cliff_picks = registry.counter(
-            "repro_cliff_picks_total",
-            "Reporting timeouts chosen at epoch ends, per delta",
-            labels=("delta_us",),
-        )
+    def fold() -> None:
+        nonlocal samples_folded, epochs_folded
+        samples = feedback.samples
+        for sample in samples[samples_folded:]:
+            backend = sample.backend
+            estimator_samples.labels(backend=backend).inc()
+            if sample.t_lb > 0:  # the log-bucketed histogram needs positives
+                latency.labels(backend=backend).observe(float(sample.t_lb))
+            tlb_samples.labels(
+                backend=backend, delta_us=sample.delta // 1000
+            ).inc()
+        samples_folded = len(samples)
+        epochs = feedback.epochs
+        for _time, index in epochs[epochs_folded:]:
+            epoch_rolls.inc()
+            cliff_picks.labels(delta_us=timeouts[index] // 1000).inc()
+        epochs_folded = len(epochs)
+
+    registry.add_collect_hook(fold)
 
 
 def _keyed(counts: Dict[str, int]) -> Dict[Tuple[str], int]:
@@ -167,7 +186,7 @@ class ObsPlane:
         feedback = scenario.feedback
         ladder = None
         if feedback is not None:
-            feedback.attach_metrics(FeedbackMetrics(registry))
+            _install_feedback_fold(registry, feedback)
             tally(
                 "repro_censored_samples_total",
                 "Samples censored as retransmission-tainted",
@@ -317,7 +336,11 @@ class ObsPlane:
         registry.add_collect_hook(collect)
 
     def _install_tracer(self, scenario: "Scenario") -> None:
-        tracer = CausalTracer(self.config.max_trace_events)
+        feedback = scenario.feedback
+        tracer = CausalTracer(
+            self.config.max_trace_events,
+            samples=feedback.samples if feedback is not None else (),
+        )
         self.tracer = tracer
         vip = scenario.vip
 
@@ -347,9 +370,5 @@ class ObsPlane:
             client.on_send = on_send
             client.on_response = on_response
 
-        if scenario.feedback is not None:
-            scenario.feedback.attach_tracer(tracer)
-        if scenario.fleet is not None:
-            scenario.fleet.attach_tracer(tracer)
         # Stored for request-tree rendering (flow reconstruction).
         tracer.vip = vip  # type: ignore[attr-defined]

@@ -9,14 +9,12 @@ chain as a span:
 * :class:`RouteSpan` — the LB's routing decision for the flow's first
   packet (later packets follow conntrack affinity);
 * :class:`ResponseSpan` — the server's reply arrived back at the
-  client, with the server-side queue/service split;
-* :class:`SampleSpan` — FIXEDTIMEOUT closed a batch on the flow and
-  emitted a ``T_LB`` sample (the batch boundary is ``time - t_lb``);
-* :class:`ScaleSpan` — the fleet plane executed a scaling decision
-  (capacity before/after, the policy that fired, its reason).
+  client, with the server-side queue/service split.
 
-Shifts themselves stay where they always were — the controller's
-``shifts`` list — and attribution is computed on demand:
+The emitted ``T_LB`` samples it reads in place from the feedback loop's
+sample log (:class:`~repro.core.feedback.SampleRecord`, whose batch
+boundary is ``time - t_lb``), and the shifts from the controller's
+``shifts`` list.  Attribution is computed on demand:
 :meth:`CausalTracer.contributing_samples` answers "which samples could
 the estimator have been looking at when this shift fired" (the last
 ``window`` samples per involved backend, the estimator's own memory).
@@ -28,10 +26,13 @@ traced run's simulation results are identical to an untraced one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.net.addr import FlowKey
 from repro.units import to_micros, to_millis
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.core.feedback import SampleRecord
 
 
 @dataclass
@@ -79,38 +80,6 @@ class ResponseSpan:
     latency: int
 
 
-@dataclass
-class SampleSpan:
-    """One emitted ``T_LB`` sample with its producing timeout δ."""
-
-    __slots__ = ("time", "flow", "backend", "t_lb", "delta")
-
-    time: int
-    flow: FlowKey
-    backend: str
-    t_lb: int
-    delta: int
-
-    @property
-    def batch_start(self) -> int:
-        """Start of the batch gap this sample measured (ns)."""
-        return self.time - self.t_lb
-
-
-@dataclass
-class ScaleSpan:
-    """The fleet plane executed one scaling decision."""
-
-    __slots__ = ("time", "policy", "direction", "before", "after", "reason")
-
-    time: int
-    policy: str
-    direction: str
-    before: int
-    after: int
-    reason: str
-
-
 #: A fault window as the runner reports it: (kind, targets, start, end).
 FaultWindow = Tuple[str, Tuple[str, ...], int, Optional[int]]
 
@@ -118,19 +87,23 @@ FaultWindow = Tuple[str, Tuple[str, ...], int, Optional[int]]
 class CausalTracer:
     """Request-scoped span recorder for the measurement-attribution chain.
 
-    ``max_events`` bounds memory: past it, new spans are counted in
-    ``dropped`` rather than stored (never silently lost).
+    ``samples`` is the time-ordered ``T_LB`` sample log the attribution
+    queries read: the feedback loop's ``samples`` list, in place.
+    ``max_events`` bounds the memory of the spans the tracer stores
+    itself — sends, routes and responses: past it, new spans are
+    counted in ``dropped`` rather than stored (never silently lost).
     """
 
-    def __init__(self, max_events: int = 200_000):
+    def __init__(
+        self, max_events: int = 200_000, samples: Sequence[SampleRecord] = ()
+    ):
         if max_events <= 0:
             raise ValueError("max_events must be positive")
         self.max_events = max_events
+        self.samples = samples
         self.sends: List[SendSpan] = []
         self.responses: Dict[int, ResponseSpan] = {}
         self.routes: Dict[FlowKey, RouteSpan] = {}
-        self.samples: List[SampleSpan] = []
-        self.scales: List[ScaleSpan] = []
         self.dropped = 0
         self._events = 0
         self._sends_by_id: Dict[int, List[SendSpan]] = {}
@@ -183,30 +156,6 @@ class CausalTracer:
             now, request_id, server, queue_delay, service_time, latency
         )
 
-    def on_sample(
-        self, now: int, flow: FlowKey, backend: str, t_lb: int, delta: int
-    ) -> None:
-        """The feedback plane emitted a ``T_LB`` sample for ``flow``."""
-        if not self._admit():
-            return
-        self.samples.append(SampleSpan(now, flow, backend, t_lb, delta))
-
-    def on_scale(
-        self,
-        now: int,
-        policy: str,
-        direction: str,
-        before: int,
-        after: int,
-        reason: str,
-    ) -> None:
-        """The fleet plane executed a scaling decision."""
-        if not self._admit():
-            return
-        self.scales.append(
-            ScaleSpan(now, policy, direction, before, after, reason)
-        )
-
     # ------------------------------------------------------------------
     # Attribution queries
     # ------------------------------------------------------------------
@@ -215,11 +164,11 @@ class CausalTracer:
         """Every send attempt of one request (retries included)."""
         return list(self._sends_by_id.get(request_id, []))
 
-    def samples_for_flow(self, flow: FlowKey) -> List[SampleSpan]:
+    def samples_for_flow(self, flow: FlowKey) -> List[SampleRecord]:
         """All samples emitted on one flow, in time order."""
         return [s for s in self.samples if s.flow == flow]
 
-    def contributing_samples(self, shift, window: int) -> List[SampleSpan]:
+    def contributing_samples(self, shift, window: int) -> List[SampleRecord]:
         """Samples the estimator could have weighed when ``shift`` fired.
 
         The estimator keeps a sliding window of ``window`` samples per
@@ -235,21 +184,21 @@ class CausalTracer:
             best = getattr(shift, "best_backend", None)
             if best:
                 backends.add(best)
-        per_backend: Dict[str, List[SampleSpan]] = {}
+        per_backend: Dict[str, List[SampleRecord]] = {}
         for sample in self.samples:
             if sample.time > shift.time:
                 break  # samples arrive in time order
             if backends is not None and sample.backend not in backends:
                 continue
             per_backend.setdefault(sample.backend, []).append(sample)
-        chosen: List[SampleSpan] = []
+        chosen: List[SampleRecord] = []
         for name in sorted(per_backend):
             chosen.extend(per_backend[name][-window:])
         chosen.sort(key=lambda s: (s.time, s.backend))
         return chosen
 
     def first_shift_containing(
-        self, sample: SampleSpan, shifts: Sequence, window: int
+        self, sample: SampleRecord, shifts: Sequence, window: int
     ) -> Optional[int]:
         """Index of the first shift whose causal set includes ``sample``."""
         for index, shift in enumerate(shifts):
@@ -307,10 +256,10 @@ def render_shift_attribution(
 ) -> str:
     """Which ``T_LB`` samples caused shift ``index``, with batch bounds.
 
-    ``scales`` (fleet :class:`ScaleSpan`-likes) and ``events`` (campaign
-    violation events) that fall inside the attribution window — from the
-    earliest contributing sample's batch start to the shift — are
-    rendered as extra cross-plane sections, so a shift provoked by a
+    ``scales`` (the fleet's ``ScalingDecision`` log) and ``events``
+    (campaign violation events) that fall inside the attribution window
+    — from the earliest contributing sample's batch start to the shift —
+    are rendered as extra cross-plane sections, so a shift provoked by a
     scale-in or coincident with a dark-routing violation says so.
     """
     shift = shifts[index]

@@ -69,6 +69,28 @@ class TestCommands:
         assert code == 0
         assert "first shift" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(
+                ["run", "--fault", "delay:node=server0,start=bogus"],
+                "bad time value 'bogus'",
+                id="run",
+            ),
+            pytest.param(
+                ["metrics", "--fault", "loss:node=nosuch*,start=10ms,prob=0.1"],
+                "matches no lb->server pipe",
+                id="metrics",
+            ),
+        ],
+    )
+    def test_config_error_is_one_line(self, argv, message, capsys):
+        code = main(["--duration", "0.05"] + argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
 
 class TestSweepCommand:
     def test_inline_grid_runs_and_caches(self, tmp_path, capsys):

@@ -10,9 +10,11 @@ from repro.units import MICROSECONDS, MILLISECONDS
 
 
 def make(n=2, alpha=0.10, floor=0.02, min_interval=0, hysteresis=1.0,
-         min_samples=1):
+         min_samples=1, quality=None):
     pool = BackendPool([Backend("s%d" % i) for i in range(n)])
-    estimator = BackendLatencyEstimator(EstimatorConfig(min_samples=min_samples))
+    estimator = BackendLatencyEstimator(
+        EstimatorConfig(min_samples=min_samples), quality=quality
+    )
     controller = AlphaShiftController(
         pool,
         estimator,
@@ -146,7 +148,7 @@ class TestStaleGuard:
     pre-empts this (it downgrades before the controller runs), but the
     guard must hold even when the controller is driven directly."""
 
-    def attach_quality(self, estimator):
+    def make_graded(self):
         from repro.resilience.quality import (
             SignalQualityConfig,
             SignalQualityTracker,
@@ -159,12 +161,10 @@ class TestStaleGuard:
                 min_samples=1,
             )
         )
-        estimator.attach_quality(tracker)
-        return tracker
+        return make(quality=tracker)
 
     def test_declines_to_shift_on_stale_estimates(self):
-        pool, estimator, controller = make()
-        self.attach_quality(estimator)
+        pool, estimator, controller = self.make_graded()
         feed(estimator, now=0)
         stale_now = 60 * MILLISECONDS  # past stale_after, both stale
         assert controller.maybe_shift(stale_now) is None
@@ -173,8 +173,7 @@ class TestStaleGuard:
 
     def test_one_stale_backend_is_enough_to_hold(self):
         """The consulted pair is worst/best; either one stale blocks."""
-        pool, estimator, controller = make()
-        self.attach_quality(estimator)
+        pool, estimator, controller = self.make_graded()
         feed(estimator, now=0)
         now = 60 * MILLISECONDS
         estimator.observe("s1", now, 100 * MICROSECONDS)  # s0 still stale
@@ -182,8 +181,7 @@ class TestStaleGuard:
         assert controller.stale_holds == 1
 
     def test_shifts_again_once_signal_refreshes(self):
-        pool, estimator, controller = make()
-        self.attach_quality(estimator)
+        pool, estimator, controller = self.make_graded()
         feed(estimator, now=0)
         assert controller.maybe_shift(60 * MILLISECONDS) is None
         feed(estimator, now=61 * MILLISECONDS)

@@ -65,10 +65,9 @@ def test_worst_and_best_is_the_sorted_snapshots_ends(
     metric, graded, stream, min_samples
 ):
     estimator = BackendLatencyEstimator(
-        EstimatorConfig(metric=metric, window=4, min_samples=min_samples)
+        EstimatorConfig(metric=metric, window=4, min_samples=min_samples),
+        quality=SignalQualityTracker(SignalQualityConfig()) if graded else None,
     )
-    if graded:
-        estimator.attach_quality(SignalQualityTracker(SignalQualityConfig()))
     now = 0
     for step in stream:
         if step[0] == "observe":
@@ -100,8 +99,9 @@ def test_equal_values_rank_last_name_worst_first_name_best():
 
 def test_grades_gate_and_flag_the_ranked_pair():
     tracker = SignalQualityTracker(SignalQualityConfig())
-    estimator = BackendLatencyEstimator(EstimatorConfig(min_samples=1))
-    estimator.attach_quality(tracker)
+    estimator = BackendLatencyEstimator(
+        EstimatorConfig(min_samples=1), quality=tracker
+    )
     for i in range(3):
         estimator.observe("dead", i, 900_000)
     late = 190 * MILLISECONDS

@@ -141,15 +141,17 @@ class TestObsExporters:
         assert float(by_metric["repro_latency_ns_sum"][3]) == 100.0
 
     def test_trace_events_round_trip(self, tmp_path):
+        from repro.core.feedback import SampleRecord
         from repro.harness.export import export_trace_events
         from repro.net.addr import FlowKey
         from repro.obs import CausalTracer
 
         flow = FlowKey("client0", 40000, "vip", 11211)
-        tracer = CausalTracer()
+        tracer = CausalTracer(
+            samples=[SampleRecord(200, flow, "server0", 90, 64_000)]
+        )
         tracer.on_send(100, 1, "client0", 40000, False)
         tracer.on_route(110, flow, "server0")
-        tracer.on_sample(200, flow, "server0", 90, 64_000)
         tracer.on_response(500, 1, "server0", 10, 50, 400)
 
         path = tmp_path / "trace.csv"

@@ -123,8 +123,9 @@ class TestCli:
         assert "start=100.000ms duration=100.000ms" in out
         assert "packet drops: queue=" in out
 
-    def test_bad_fault_spec_raises_config_error(self):
+    def test_bad_fault_spec_raises_config_error(self, capsys):
+        # The ConfigError reaches the user as one line and exit code 2.
         from repro.cli import main
 
-        with pytest.raises(ConfigError):
-            main(["--duration", "0.3", "run", "--fault", "nope"])
+        assert main(["--duration", "0.3", "run", "--fault", "nope"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")

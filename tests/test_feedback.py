@@ -111,21 +111,28 @@ class TestMeasurement:
         assert len(backends) == 1  # one flow, one backend
         assert backends <= {"s0", "s1"}
 
-    def test_sample_series_recorded(self, sim):
+    def test_sample_log_recorded(self, sim):
         network, lb, pool, feedback = build(sim, control=False)
         drive_flow(sim, network, 40_000, [i * 500 * MICROSECONDS for i in range(200)])
         sim.run()
-        (backend,) = feedback.sample_series
-        series = feedback.sample_series[backend]
-        assert len(series) == feedback.sample_count
-
-    def test_record_samples_can_be_disabled(self, sim):
-        config = FeedbackConfig(control=False, record_samples=False)
-        network, lb, pool, feedback = build(sim, config=config)
-        drive_flow(sim, network, 41_000, [i * 500 * MICROSECONDS for i in range(100)])
-        sim.run()
-        assert feedback.sample_count > 0
-        assert feedback.samples == []
+        samples = feedback.samples
+        assert len(samples) == feedback.sample_count
+        assert {s.backend for s in samples} == {entry_of(lb, 40_000).backend}
+        times = [s.time for s in samples]
+        assert times == sorted(times)
+        # 496us batch gaps: 64, 128 and 256us roll every batch, 512us
+        # never, so the first epoch's cliff picks 256us.  The packet that
+        # opens the new epoch is already measured with it.
+        ((epoch_end, index),) = feedback.epochs
+        assert index == 2
+        assert {s.delta for s in samples if s.time < epoch_end} == {
+            64 * MICROSECONDS
+        }
+        assert {s.delta for s in samples if s.time >= epoch_end} == {
+            256 * MICROSECONDS
+        }
+        assert samples[-1].time >= epoch_end
+        assert epoch_end in times
 
     def test_fin_clears_flow_state(self, sim):
         network, lb, pool, feedback = build(sim, control=False)
@@ -329,3 +336,39 @@ class TestControl:
         assert weights["s1"] < weights["s0"]
         assert feedback.shift_events()
         assert feedback.shift_events()[0].from_backend == "s1"
+
+
+class TestEpochLog:
+    def test_epoch_log_holds_every_flows_epoch_ends(self):
+        """``feedback.epochs`` is one log all flows' ensembles append to."""
+        from repro.app.client import MemtierConfig
+        from repro.harness.config import PolicyName, ScenarioConfig
+        from repro.harness.runner import run_scenario
+        from repro.harness.scenario import build_scenario
+
+        config = ScenarioConfig(
+            seed=3,
+            duration=200 * MILLISECONDS,
+            policy=PolicyName.FEEDBACK,
+            memtier=MemtierConfig(requests_per_connection=2000),
+        )
+        scenario = build_scenario(config)
+        lb = scenario.lb
+        # Hold every flow's ensemble, so ensembles whose flow ended and
+        # whose state was dropped still count.
+        ensembles = {}
+
+        def keep(now, flow, backend, packet):
+            state = lb.conntrack.entry(lb.network.slab.fid[packet]).state
+            if state is not None:
+                ensembles[id(state.ensemble)] = state.ensemble
+
+        lb.add_tap(keep)
+        run_scenario(config, scenario=scenario)
+        epochs = scenario.feedback.epochs
+        assert len(ensembles) > 1
+        completed = sum(e.epochs_completed for e in ensembles.values())
+        assert completed > 0
+        assert len(epochs) == completed
+        times = [time for time, _index in epochs]
+        assert times == sorted(times)

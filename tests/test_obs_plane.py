@@ -4,11 +4,13 @@ import functools
 
 import pytest
 
+from repro.app.client import MemtierConfig
 from repro.core.feedback import FeedbackConfig
 from repro.errors import ConfigError
 from repro.faults import DelayFault
 from repro.harness.config import PolicyName, ScenarioConfig
 from repro.harness.runner import run_scenario
+from repro.harness.scenario import build_scenario
 from repro.obs import ObsConfig, parse_prometheus_text, site_name
 from repro.obs.profiler import EngineProfiler
 from repro.resilience import ResilienceConfig
@@ -70,6 +72,29 @@ class TestMetricsPillar:
         }
         assert counted  # at least one (backend, delta) pair observed
         assert sum(counted.values()) == result.scenario.feedback.sample_count
+
+    def test_fold_counts_each_logged_event_once(self):
+        """A mid-run read and repeated reads fold each log entry once."""
+        config = ScenarioConfig(
+            seed=3,
+            duration=150 * MILLISECONDS,
+            policy=PolicyName.FEEDBACK,
+            memtier=MemtierConfig(requests_per_connection=2000),
+            obs=ObsConfig(enabled=True, tracing=False, profiling=False),
+        )
+        scenario = build_scenario(config)
+        registry = scenario.obs.registry
+        scenario.sim.schedule_fire_at(100 * MILLISECONDS, registry.collect)
+        run_scenario(config, scenario=scenario)
+        feedback = scenario.feedback
+        for _read in range(2):
+            family = registry.get("repro_estimator_samples_total")
+            counted = sum(child.value for _labels, child in family.children())
+            assert counted == len(feedback.samples) > 0
+            rolls = registry.get("repro_epoch_rolls_total").value
+            assert rolls == len(feedback.epochs) > 0
+            picks = registry.get("repro_cliff_picks_total")
+            assert sum(c.value for _labels, c in picks.children()) == rolls
 
     def test_lb_packet_counters_match_dataplane(self):
         result = run(ObsConfig(enabled=True))
@@ -172,6 +197,23 @@ class TestTracingPillar:
         assert [s.time for s in tracer.samples] == [
             s.time for s in feedback.samples
         ]
+
+    def test_over_budget_tracer_still_attributes_every_sample(self):
+        full = run(ObsConfig(enabled=True))
+        tight = run(ObsConfig(enabled=True, max_trace_events=1))
+        tracer = tight.scenario.obs.tracer
+        assert len(tracer) == 1 and tracer.dropped > 0
+        assert tracer.samples is tight.scenario.feedback.samples
+        window = tight.scenario.feedback.estimator.config.window
+
+        def attributed(result):
+            contributing = result.scenario.obs.tracer.contributing_samples
+            return [
+                [(s.time, s.backend) for s in contributing(shift, window)]
+                for shift in result.scenario.feedback.shift_events()
+            ]
+
+        assert attributed(tight) and attributed(tight) == attributed(full)
 
     def test_shift_attribution_on_real_run(self):
         result = run(ObsConfig(enabled=True))

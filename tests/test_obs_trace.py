@@ -1,6 +1,7 @@
 """Causal tracer: span recording, shift attribution, rendering."""
 
 from repro.core.controller import ShiftEvent
+from repro.core.feedback import SampleRecord
 from repro.net.addr import Endpoint, FlowKey
 from repro.obs.trace import (
     CausalTracer,
@@ -14,13 +15,16 @@ FLOW_B = FlowKey("client0", 40001, "vip", 11211)
 
 
 def make_tracer():
-    tracer = CausalTracer()
+    tracer = CausalTracer(
+        samples=[
+            SampleRecord(200, FLOW_A, "server0", 90, 64_000),
+            SampleRecord(300, FLOW_B, "server1", 80, 64_000),
+            SampleRecord(400, FLOW_A, "server0", 85, 64_000),
+        ]
+    )
     tracer.on_send(100, 1, "client0", 40000, False)
     tracer.on_route(110, FLOW_A, "server0")
     tracer.on_route(111, FLOW_B, "server1")
-    tracer.on_sample(200, FLOW_A, "server0", 90, 64_000)
-    tracer.on_sample(300, FLOW_B, "server1", 80, 64_000)
-    tracer.on_sample(400, FLOW_A, "server0", 85, 64_000)
     tracer.on_response(500, 1, "server0", 10, 50, 400)
     return tracer
 
@@ -59,6 +63,19 @@ class TestRecording:
         assert len(tracer.sends) == 2
         assert tracer.dropped == 3
 
+    def test_samples_outside_the_span_budget(self):
+        # The sample log is read in place: a tracer past its span budget
+        # still attributes every sample.
+        samples = [
+            SampleRecord(i * 10, FLOW_A, "server0", 5, 64_000) for i in range(10)
+        ]
+        tracer = CausalTracer(max_events=1, samples=samples)
+        tracer.on_send(0, 1, "client0", 40000, False)
+        tracer.on_route(5, FLOW_A, "server0")
+        assert tracer.dropped == 1
+        shift = make_shift(time=1000, best=None)
+        assert tracer.contributing_samples(shift, window=64) == samples
+
     def test_sends_for_collects_retries(self):
         tracer = CausalTracer()
         tracer.on_send(100, 7, "client0", 40000, False)
@@ -93,9 +110,12 @@ class TestAttribution:
         assert [s.time for s in samples] == [200]
 
     def test_window_caps_per_backend(self):
-        tracer = CausalTracer()
-        for i in range(10):
-            tracer.on_sample(i * 10, FLOW_A, "server0", 5, 64_000)
+        tracer = CausalTracer(
+            samples=[
+                SampleRecord(i * 10, FLOW_A, "server0", 5, 64_000)
+                for i in range(10)
+            ]
+        )
         shift = make_shift(time=1000, best=None)
         samples = tracer.contributing_samples(shift, window=3)
         assert [s.time for s in samples] == [70, 80, 90]
