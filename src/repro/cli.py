@@ -80,6 +80,60 @@ _SWEEPS = {
 }
 
 
+#: Options several verbs share, each declared once.  A verb opts in with
+#: :func:`_add_options`, which may override the default.
+_SHARED_OPTIONS = {
+    "--jobs": dict(
+        type=int, default=1, help="worker processes (default %(default)s)"
+    ),
+    "--store": dict(
+        default=".sweep-store",
+        metavar="DIR",
+        help="result store directory (default %(default)s)",
+    ),
+    "--no-cache": dict(
+        action="store_true",
+        help="re-simulate every point even when the store has its result",
+    ),
+    "--timeline": dict(
+        metavar="FILE",
+        default=None,
+        help="arm the insight plane and write its timeline artifact "
+        "(JSONL) to FILE",
+    ),
+    "--timelines": dict(
+        metavar="DIR",
+        default=None,
+        help="arm the insight plane and write each run's timeline "
+        "artifact into DIR",
+    ),
+    "--servers": dict(
+        type=int, default=2, help="backend servers (default %(default)s)"
+    ),
+    "--clients": dict(
+        type=int, default=1, help="client hosts (default %(default)s)"
+    ),
+    "--fault": dict(
+        action="append",
+        default=[],
+        metavar="SPEC",
+        help="chaos-plane fault: a preset name (%s) or an inline spec "
+        "like 'delay:node=server0,start=1s,extra=1ms'; repeatable"
+        % ", ".join(sorted(PRESETS)),
+    ),
+}
+
+
+def _add_options(cmd: argparse.ArgumentParser, *flags: str, **defaults) -> None:
+    """Add shared options to ``cmd``; ``defaults`` overrides by dest."""
+    for flag in flags:
+        spec = dict(_SHARED_OPTIONS[flag])
+        dest = flag[2:].replace("-", "_")
+        if dest in defaults:
+            spec["default"] = defaults[dest]
+        cmd.add_argument(flag, **spec)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument schema."""
     parser = argparse.ArgumentParser(
@@ -104,30 +158,13 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[p.value for p in PolicyName],
         default=PolicyName.FEEDBACK.value,
     )
-    run_cmd.add_argument("--servers", type=int, default=2)
-    run_cmd.add_argument("--clients", type=int, default=1)
     run_cmd.add_argument(
         "--strategy",
         choices=available_controllers(),
         default="alpha",
         help="control law for the feedback policy (default alpha)",
     )
-    run_cmd.add_argument(
-        "--fault",
-        action="append",
-        default=[],
-        metavar="SPEC",
-        help="chaos-plane fault: a preset name (%s) or an inline spec "
-        "like 'delay:node=server0,start=1s,extra=1ms'; repeatable"
-        % ", ".join(sorted(PRESETS)),
-    )
-    run_cmd.add_argument(
-        "--timeline",
-        metavar="FILE",
-        default=None,
-        help="arm the insight plane and write its timeline artifact "
-        "(JSONL) to FILE",
-    )
+    _add_options(run_cmd, "--servers", "--clients", "--fault", "--timeline")
 
     metrics_cmd = sub.add_parser(
         "metrics",
@@ -143,15 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[p.value for p in PolicyName],
         default=PolicyName.FEEDBACK.value,
     )
-    metrics_cmd.add_argument("--servers", type=int, default=2)
-    metrics_cmd.add_argument("--clients", type=int, default=1)
-    metrics_cmd.add_argument(
-        "--fault",
-        action="append",
-        default=[],
-        metavar="SPEC",
-        help="chaos-plane fault (preset name or inline spec); repeatable",
-    )
+    _add_options(metrics_cmd, "--servers", "--clients", "--fault")
     metrics_cmd.add_argument(
         "--format",
         choices=("prom", "json"),
@@ -263,8 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="crash",
         help="chaos preset to run against (default crash)",
     )
-    res_cmd.add_argument("--servers", type=int, default=2)
-    res_cmd.add_argument("--clients", type=int, default=1)
+    _add_options(res_cmd, "--servers", "--clients")
 
     compare_cmd = sub.add_parser(
         "compare",
@@ -292,28 +320,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list of control laws (default: every registered law: %s)"
         % ", ".join(available_controllers()),
     )
-    compare_cmd.add_argument("--servers", type=int, default=3)
-    compare_cmd.add_argument("--clients", type=int, default=1)
-    compare_cmd.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (default 1)"
-    )
-    compare_cmd.add_argument(
+    _add_options(
+        compare_cmd,
+        "--servers",
+        "--clients",
+        "--jobs",
         "--store",
-        default=".sweep-store",
-        metavar="DIR",
-        help="result store directory (default .sweep-store)",
-    )
-    compare_cmd.add_argument(
         "--no-cache",
-        action="store_true",
-        help="re-simulate every lane even when the store has its result",
-    )
-    compare_cmd.add_argument(
         "--timelines",
-        metavar="DIR",
-        default=None,
-        help="arm the insight plane and write each lane's timeline "
-        "artifact (preset-controller.jsonl) into DIR",
+        servers=3,
     )
 
     chaos_cmd = sub.add_parser(
@@ -350,8 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list of control laws cycled across runs, or 'all' "
         "(default alpha; registered: %s)" % ", ".join(available_controllers()),
     )
-    chaos_cmd.add_argument("--servers", type=int, default=3)
-    chaos_cmd.add_argument("--clients", type=int, default=1)
+    _add_options(chaos_cmd, "--servers", "--clients", servers=3)
     chaos_cmd.add_argument(
         "--invariants",
         metavar="I1,I2",
@@ -382,27 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="where shrunk reproducers are written (default "
         ".campaign-artifacts)",
     )
-    chaos_cmd.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (default 1)"
-    )
-    chaos_cmd.add_argument(
-        "--store",
-        default=".sweep-store",
-        metavar="DIR",
-        help="result store directory (default .sweep-store)",
-    )
-    chaos_cmd.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="re-simulate every run even when the store has its result",
-    )
-    chaos_cmd.add_argument(
-        "--timelines",
-        metavar="DIR",
-        default=None,
-        help="arm the insight plane and write each run's timeline "
-        "artifact (runNN.jsonl) into DIR",
-    )
+    _add_options(chaos_cmd, "--jobs", "--store", "--no-cache", "--timelines")
 
     fleet_cmd = sub.add_parser(
         "fleet",
@@ -438,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1024,
         help="provisioned backend universe / peak capacity (default 1024)",
     )
-    fleet_cmd.add_argument("--clients", type=int, default=4)
+    _add_options(fleet_cmd, "--clients", clients=4)
     fleet_cmd.add_argument(
         "--connections",
         type=int,
@@ -450,22 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="drop the correlated burst that lands during the scale-out",
     )
-    fleet_cmd.add_argument(
-        "--jobs", type=int, default=1, help="race-mode worker processes"
-    )
-    fleet_cmd.add_argument(
-        "--store",
-        default=".sweep-store",
-        metavar="DIR",
-        help="race-mode result store directory (default .sweep-store)",
-    )
-    fleet_cmd.add_argument(
-        "--timeline",
-        metavar="FILE",
-        default=None,
-        help="single-run mode: arm the insight plane and write its "
-        "timeline artifact (JSONL) to FILE",
-    )
+    _add_options(fleet_cmd, "--jobs", "--store", "--timeline")
 
     sub.add_parser("fig2a", help="paper Fig 2(a): fixed timeouts vs truth")
     sub.add_parser("fig2b", help="paper Fig 2(b): the ensemble tracks truth")
@@ -475,9 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ablation = sub.add_parser("ablation", help="run a parameter sweep")
     ablation.add_argument("sweep", choices=sorted(_SWEEPS))
-    ablation.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (default 1)"
-    )
+    _add_options(ablation, "--jobs")
 
     sweep_cmd = sub.add_parser(
         "sweep",
@@ -526,29 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[p.value for p in PolicyName],
         help="base routing policy (default: feedback)",
     )
-    sweep_cmd.add_argument(
-        "--fault",
-        action="append",
-        default=[],
-        metavar="SPEC",
-        help="base-config chaos-plane fault (preset name or inline spec); "
-        "repeatable",
-    )
     sweep_cmd.add_argument("--name", default="sweep", help="sweep name")
-    sweep_cmd.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (default 1)"
-    )
-    sweep_cmd.add_argument(
-        "--store",
-        default=".sweep-store",
-        metavar="DIR",
-        help="result store directory (default .sweep-store)",
-    )
-    sweep_cmd.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="re-simulate every point even when the store has its result",
-    )
+    _add_options(sweep_cmd, "--fault", "--jobs", "--store", "--no-cache")
     sweep_cmd.add_argument(
         "--resume",
         action="store_true",
@@ -571,9 +527,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 def _run_command(args: argparse.Namespace, duration: int) -> int:
     """Run the verb ``args.command`` names."""
     if args.command == "run":
-        faults = []
-        for spec in args.fault:
-            faults.extend(parse_faults(spec, duration))
+        faults = _parse_fault_args(args.fault, duration)
         config = ScenarioConfig(
             seed=args.seed,
             duration=duration,
@@ -593,9 +547,7 @@ def _run_command(args: argparse.Namespace, duration: int) -> int:
         return 0
 
     if args.command == "metrics":
-        faults = []
-        for spec in args.fault:
-            faults.extend(parse_faults(spec, duration))
+        faults = _parse_fault_args(args.fault, duration)
         config = ScenarioConfig(
             seed=args.seed,
             duration=duration,
@@ -892,23 +844,8 @@ def _fleet_command(args: argparse.Namespace, duration: int) -> int:
         insight=args.timeline is not None,
     )
     if args.controllers:
-        if args.controllers.strip() == "all":
-            controllers = available_controllers()
-        else:
-            controllers = [
-                part.strip()
-                for part in args.controllers.split(",")
-                if part.strip()
-            ]
-        registered = available_controllers()
-        for name in controllers:
-            if name not in registered:
-                raise ConfigError(
-                    "unknown control strategy %r (registered: %s)"
-                    % (name, ", ".join(registered))
-                )
         rows = run_elastic_race(
-            controllers,
+            _controller_list(args.controllers),
             base=base,
             jobs=args.jobs,
             store=ResultStore(args.store),
@@ -968,12 +905,6 @@ def _chaos_command(args: argparse.Namespace, duration: int) -> int:
             )
         return 1 if row["violations"] else 0
 
-    if args.controllers.strip() == "all":
-        controllers = available_controllers()
-    else:
-        controllers = [
-            part.strip() for part in args.controllers.split(",") if part.strip()
-        ]
     invariants = None
     if args.invariants:
         invariants = tuple(
@@ -985,7 +916,7 @@ def _chaos_command(args: argparse.Namespace, duration: int) -> int:
         duration=duration,
         n_servers=args.servers,
         n_clients=args.clients,
-        controllers=tuple(controllers),
+        controllers=tuple(_controller_list(args.controllers)),
         generator=GeneratorConfig(
             max_faults=args.max_faults, intensity_budget=args.budget
         ),
@@ -1022,15 +953,9 @@ def _chaos_command(args: argparse.Namespace, duration: int) -> int:
 def _compare_command(args: argparse.Namespace, duration: int) -> int:
     """The ``repro compare`` verb: race the zoo, print the leaderboard."""
     presets = args.preset or list(RACE_PRESETS)
-    if args.controllers:
-        controllers = [
-            part.strip() for part in args.controllers.split(",") if part.strip()
-        ]
-    else:
-        controllers = available_controllers()
     compare = run_compare(
         presets,
-        controllers,
+        _controller_list(args.controllers),
         seed=args.seed,
         duration=duration,
         n_servers=args.servers,
@@ -1062,9 +987,7 @@ def _sweep_command(args: argparse.Namespace, duration: int) -> int:
     if args.spec:
         spec = load_spec(args.spec)
     else:
-        faults = []
-        for text in args.fault:
-            faults.extend(parse_faults(text, duration))
+        faults = _parse_fault_args(args.fault, duration)
         policy = PolicyName(args.policy) if args.policy else PolicyName.FEEDBACK
         base = ScenarioConfig(
             seed=args.seed,
@@ -1081,17 +1004,7 @@ def _sweep_command(args: argparse.Namespace, duration: int) -> int:
                 raise ConfigError("--seeds must be a comma list of integers") from None
         grid = dict(parse_axis(text) for text in args.grid)
         if args.strategy:
-            strategies = [
-                part.strip() for part in args.strategy.split(",") if part.strip()
-            ]
-            registered = available_controllers()
-            for name in strategies:
-                if name not in registered:
-                    raise ConfigError(
-                        "unknown control strategy %r (registered: %s)"
-                        % (name, ", ".join(registered))
-                    )
-            grid["feedback.strategy"] = strategies
+            grid["feedback.strategy"] = _controller_list(args.strategy)
         spec = SweepSpec(
             base=base,
             grid=grid,
@@ -1127,6 +1040,32 @@ def _sweep_command(args: argparse.Namespace, duration: int) -> int:
         print(format_table(["point"] + headers, table_rows))
     print(report.summary(spec.name))
     return 0
+
+
+def _controller_list(text: Optional[str]) -> List[str]:
+    """Control laws from a comma list; empty or ``all`` means every one.
+
+    Raises ConfigError on a name the controller registry does not know.
+    """
+    registered = available_controllers()
+    if not text or text.strip() == "all":
+        return registered
+    names = [part.strip() for part in text.split(",") if part.strip()]
+    for name in names:
+        if name not in registered:
+            raise ConfigError(
+                "unknown control strategy %r (registered: %s)"
+                % (name, ", ".join(registered))
+            )
+    return names
+
+
+def _parse_fault_args(specs: List[str], duration: int) -> list:
+    """Every ``--fault`` spec (preset name or inline), parsed in order."""
+    faults = []
+    for spec in specs:
+        faults.extend(parse_faults(spec, duration))
+    return faults
 
 
 def _cell(value: object) -> object:

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.app.client import MemtierConfig
 from repro.harness.config import PolicyName, ScenarioConfig
+from repro.harness.runner import run_scenario
 from repro.harness.scenario import Scenario, build_scenario
 from repro.lb.backend import Backend
 from repro.net.addr import FlowKey
@@ -160,11 +161,7 @@ def run_churn(config: Optional[ChurnConfig] = None) -> ChurnResult:
         scenario.lb, phases=(config.scale_out_at, config.drain_at)
     )
 
-    for client in scenario.clients:
-        client.start()
-    sim.run_until(config.duration)
-    for client in scenario.clients:
-        client.stop()
+    run_scenario(scenario_config, scenario)
 
     return ChurnResult(
         config=config,

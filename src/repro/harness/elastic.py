@@ -34,7 +34,7 @@ from repro.fleet import FleetConfig, ScheduledAction, TargetTrackingPolicy
 from repro.harness.churn import AffinityWatch
 from repro.harness.config import PolicyName, ScenarioConfig
 from repro.harness.report import format_table
-from repro.harness.runner import ScenarioResult
+from repro.harness.runner import ScenarioResult, run_scenario
 from repro.harness.scenario import Scenario, build_scenario
 from repro.resilience.config import ResilienceConfig
 from repro.units import MILLISECONDS, SECONDS, to_millis
@@ -270,39 +270,9 @@ def run_elastic(config: Optional[ElasticConfig] = None) -> ElasticResult:
     scenario_config = config.scenario_config()
     scenario = build_scenario(scenario_config)
     watch = AffinityWatch(scenario.lb)
-
-    # The diurnal wave needs staggered client start/stop, which
-    # run_scenario's everyone-at-t=0 loop can't express; replicate the
-    # run loop with per-client windows instead.
-    import time
-
-    sim = scenario.sim
-    for index, client in enumerate(scenario.clients):
-        start, stop = config.client_window(index)
-        if start > 0:
-            sim.schedule_fire_at(start, client.start)
-        else:
-            client.start()
-        if stop < config.duration:
-            sim.schedule_fire_at(stop, client.stop)
-    started = time.perf_counter()
-    sim.run_until(config.duration)
-    wall_seconds = time.perf_counter() - started
-    records = []
-    for client in scenario.clients:
-        client.stop()
-        records.extend(client.records)
-    records.sort(key=lambda r: r.completed_at)
-    if scenario.insight is not None:
-        # Manual run loop: run_scenario's closing-frame hook never runs.
-        scenario.insight.finalize(scenario_config.duration)
-    result = ScenarioResult(
-        config=scenario_config,
-        scenario=scenario,
-        records=records,
-        wall_events=sim.events_processed,
-        wall_seconds=wall_seconds,
-    )
+    # The diurnal wave: each client runs in its own (start, stop) slot.
+    windows = [config.client_window(i) for i in range(len(scenario.clients))]
+    result = run_scenario(scenario_config, scenario, windows=windows)
 
     return ElasticResult(
         config=config,

@@ -43,6 +43,7 @@ from repro.harness.config import (
 from repro.insight.config import InsightConfig
 from repro.obs.config import ObsConfig
 from repro.harness.runner import ScenarioResult, run_scenario
+from repro.harness.scenario import VIP_HOST, wire_dsr
 from repro.lb.backend import Backend, BackendPool
 from repro.lb.dataplane import LoadBalancer
 from repro.lb.policies import MaglevPolicy
@@ -55,12 +56,7 @@ from repro.telemetry.timeseries import TimeSeries
 from repro.transport.ack_policy import DelayedAck
 from repro.transport.connection import TransportConfig
 from repro.transport.endpoint import Host
-from repro.units import (
-    GIGABITS_PER_SECOND,
-    MICROSECONDS,
-    MILLISECONDS,
-    SECONDS,
-)
+from repro.units import MICROSECONDS, MILLISECONDS, SECONDS
 
 VIP_PORT = 9000
 
@@ -80,10 +76,6 @@ class BacklogConfig:
     step_at: int = 3 * SECONDS
     #: Extra one-way delay injected on the LB→server pipe at the step.
     step_extra: int = 750 * MICROSECONDS
-    client_lb_delay: int = 10 * MICROSECONDS
-    lb_server_delay: int = 40 * MICROSECONDS
-    server_client_delay: int = 50 * MICROSECONDS
-    bandwidth_bps: int = 10 * GIGABITS_PER_SECOND
     #: Max uniform client-side jitter before the LB (scheduling noise);
     #: the source of false batch splits at small δ.
     jitter_max: int = 96 * MICROSECONDS
@@ -120,14 +112,8 @@ def build_backlog(config: BacklogConfig) -> BacklogRun:
     client_host = Host(network, "client0")
     server_host = Host(network, "server0")
     pool = BackendPool([Backend("server0")])
-    lb = LoadBalancer(
-        network,
-        "lb",
-        Endpoint("vip", VIP_PORT),
-        pool,
-        MaglevPolicy(pool, table_size=251),
-    )
-    network.add_alias("vip", "server0")
+    vip = Endpoint(VIP_HOST, VIP_PORT)
+    lb = LoadBalancer(network, "lb", vip, pool, MaglevPolicy(pool, table_size=251))
 
     jitter = None
     if config.jitter_max > 0:
@@ -136,32 +122,14 @@ def build_backlog(config: BacklogConfig) -> BacklogRun:
             if config.spike_prob > 0 and jitter_rng.random() < config.spike_prob:
                 return jitter_rng.randint(config.spike_min, config.spike_max)
             return jitter_rng.randrange(config.jitter_max)
-    network.connect(
-        "client0",
-        "lb",
-        prop_delay=config.client_lb_delay,
-        bandwidth_bps=config.bandwidth_bps,
-        jitter=jitter,
-    )
-    network.set_default_route("client0", "lb")
-    network.connect(
-        "lb",
-        "server0",
-        prop_delay=config.lb_server_delay,
-        bandwidth_bps=config.bandwidth_bps,
-    )
-    network.connect(
-        "server0",
-        "client0",
-        prop_delay=config.server_client_delay,
-        bandwidth_bps=config.bandwidth_bps,
+
+    wire_dsr(
+        network, "lb", ["server0"], ["client0"], NetworkParams(), client_jitter=jitter
     )
 
     SinkApp(server_host, VIP_PORT)
     transport = TransportConfig(window=config.window, mss=config.mss)
-    client = BacklogClient(
-        client_host, Endpoint("vip", VIP_PORT), transport=transport
-    )
+    client = BacklogClient(client_host, vip, transport=transport)
 
     ground_truth = TimeSeries(name="T_client")
     client.on_rtt = lambda now, rtt: ground_truth.append(now, float(rtt))

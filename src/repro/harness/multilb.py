@@ -24,6 +24,9 @@ from repro.app.servicetime import Deterministic
 from repro.app.variability import StepInjector
 from repro.core.feedback import FeedbackConfig, InbandFeedback
 from repro.errors import ConfigError
+from repro.harness.config import NetworkParams
+from repro.harness.runner import drive_clients
+from repro.harness.scenario import VIP_HOST, wire_dsr
 from repro.lb.backend import Backend, BackendPool
 from repro.lb.dataplane import LoadBalancer
 from repro.lb.policies import MaglevPolicy
@@ -33,12 +36,7 @@ from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 from repro.telemetry.timeseries import TimeSeries
 from repro.transport.endpoint import Host
-from repro.units import (
-    GIGABITS_PER_SECOND,
-    MICROSECONDS,
-    MILLISECONDS,
-    SECONDS,
-)
+from repro.units import MICROSECONDS, MILLISECONDS, SECONDS
 
 
 @dataclass
@@ -129,7 +127,8 @@ def run_multilb(config: Optional[MultiLbConfig] = None) -> MultiLbResult:
     sim = Simulator()
     network = Network(sim)
     streams = RandomStreams(config.seed)
-    bw = 10 * GIGABITS_PER_SECOND
+    params = NetworkParams()
+    vip = Endpoint(VIP_HOST, config.vip_port)
 
     server_names = ["server%d" % i for i in range(config.n_servers)]
 
@@ -137,8 +136,6 @@ def run_multilb(config: Optional[MultiLbConfig] = None) -> MultiLbResult:
     # processing delay, so every LB observes it.
     servers: List[ServerApp] = []
     for name in server_names:
-        host = Host(network, name)
-        network.add_alias("vip", name)
         server_config = ServerConfig(
             port=config.vip_port,
             workers=config.server.workers,
@@ -150,32 +147,40 @@ def run_multilb(config: Optional[MultiLbConfig] = None) -> MultiLbResult:
             )
         servers.append(
             ServerApp(
-                host,
+                Host(network, name),
                 server_config,
                 streams.get("server.%s" % name),
-                service_endpoint=Endpoint("vip", config.vip_port),
+                service_endpoint=vip,
             )
         )
 
-    # LBs, each with an independent pool + feedback loop.
+    # LBs, each with an independent pool + feedback loop and its own
+    # partition of the clients, all wired to the shared servers.
     lbs: List[LoadBalancer] = []
     feedbacks: List[InbandFeedback] = []
     weight_series: List[TimeSeries] = []
+    clients: List[MemtierClient] = []
     for index in range(config.n_lbs):
         lb_name = "lb%d" % index
         pool = BackendPool([Backend(name) for name in server_names])
         lb = LoadBalancer(
-            network,
-            lb_name,
-            Endpoint("vip", config.vip_port),
-            pool,
-            MaglevPolicy(pool, table_size=1021),
+            network, lb_name, vip, pool, MaglevPolicy(pool, table_size=1021)
         )
-        feedback = InbandFeedback(lb, config.feedback)
-        for name in server_names:
-            network.connect(lb_name, name, prop_delay=40 * MICROSECONDS, bandwidth_bps=bw)
         lbs.append(lb)
-        feedbacks.append(feedback)
+        feedbacks.append(InbandFeedback(lb, config.feedback))
+        client_names = [
+            "client%d_%d" % (index, c) for c in range(config.clients_per_lb)
+        ]
+        for name in client_names:
+            clients.append(
+                MemtierClient(
+                    Host(network, name),
+                    vip,
+                    config.memtier,
+                    streams.get("client.%s" % name),
+                )
+            )
+        wire_dsr(network, lb_name, server_names, client_names, params)
 
         series = TimeSeries(name="%s/injected-weight" % lb_name)
         weight_series.append(series)
@@ -189,30 +194,7 @@ def run_multilb(config: Optional[MultiLbConfig] = None) -> MultiLbResult:
 
         pool.on_change(track)
 
-    # Clients, partitioned across LBs.
-    clients: List[MemtierClient] = []
-    for lb_index in range(config.n_lbs):
-        for c_index in range(config.clients_per_lb):
-            name = "client%d_%d" % (lb_index, c_index)
-            host = Host(network, name)
-            network.connect(name, "lb%d" % lb_index, prop_delay=10 * MICROSECONDS, bandwidth_bps=bw)
-            network.set_default_route(name, "lb%d" % lb_index)
-            for s_name in server_names:
-                network.connect(s_name, name, prop_delay=50 * MICROSECONDS, bandwidth_bps=bw)
-            clients.append(
-                MemtierClient(
-                    host,
-                    Endpoint("vip", config.vip_port),
-                    config.memtier,
-                    streams.get("client.%s" % name),
-                )
-            )
-
-    for client in clients:
-        client.start()
-    sim.run_until(config.duration)
-    for client in clients:
-        client.stop()
+    drive_clients(sim, clients, config.duration)
 
     return MultiLbResult(
         config=config,

@@ -4,16 +4,20 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.app.client import RequestRecord
+from repro.app.client import MemtierClient, RequestRecord
 from repro.app.protocol import Op
 from repro.harness.config import ScenarioConfig
 from repro.harness.report import format_series
 from repro.harness.scenario import Scenario, build_scenario
+from repro.sim.engine import Simulator
 from repro.telemetry.summary import DistributionSummary, summarize
 from repro.telemetry.timeseries import BucketedSeries
 from repro.units import MILLISECONDS, to_millis
+
+if TYPE_CHECKING:  # pragma: no cover - type-only imports
+    from repro.insight.plane import InsightPlane
 
 
 @dataclass
@@ -352,23 +356,58 @@ class ScenarioResult:
         return "\n".join(lines)
 
 
+def drive_clients(
+    sim: Simulator,
+    clients: Sequence[MemtierClient],
+    duration: int,
+    windows: Optional[Sequence[Tuple[int, int]]] = None,
+    insight: Optional["InsightPlane"] = None,
+) -> float:
+    """The one run loop: start clients, run to ``duration``, stop them.
+
+    Every client starts at t=0 unless ``windows`` gives each one its own
+    ``(start, stop)`` slot.  The simulator runs once, every client is
+    then stopped, and ``insight`` (if any) records its closing frame —
+    purely observational, after the simulator has drained.  Returns the
+    wall-clock seconds spent simulating.
+    """
+    for index, client in enumerate(clients):
+        start, stop = (0, duration) if windows is None else windows[index]
+        if start > 0:
+            sim.schedule_fire_at(start, client.start)
+        else:
+            client.start()
+        if stop < duration:
+            sim.schedule_fire_at(stop, client.stop)
+    started = time.perf_counter()
+    sim.run_until(duration)
+    wall_seconds = time.perf_counter() - started
+    for client in clients:
+        client.stop()
+    if insight is not None:
+        insight.finalize(duration)
+    return wall_seconds
+
+
 def run_scenario(
-    config: ScenarioConfig, scenario: Optional[Scenario] = None
+    config: ScenarioConfig,
+    scenario: Optional[Scenario] = None,
+    windows: Optional[Sequence[Tuple[int, int]]] = None,
 ) -> ScenarioResult:
-    """Build (unless given) and run a scenario to its configured duration."""
+    """Build (unless given) and run a scenario to its configured duration.
+
+    ``windows`` gives each client a ``(start, stop)`` slot (see
+    :func:`drive_clients`); by default every client runs the whole time.
+    """
     if scenario is None:
         scenario = build_scenario(config)
-    for client in scenario.clients:
-        client.start()
-    started = time.perf_counter()
-    scenario.sim.run_until(config.duration)
-    wall_seconds = time.perf_counter() - started
-    for client in scenario.clients:
-        client.stop()
-    if scenario.insight is not None:
-        # Closing frame at end-of-run; purely observational, after the
-        # simulator has drained, so results stay byte-identical.
-        scenario.insight.finalize(config.duration)
+    wall_seconds = drive_clients(
+        scenario.sim,
+        scenario.clients,
+        config.duration,
+        windows=windows,
+        insight=scenario.insight,
+    )
 
     records: List[RequestRecord] = []
     for client in scenario.clients:

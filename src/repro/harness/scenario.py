@@ -9,12 +9,16 @@ clients over direct pipes — the LB never sees a response.
     client0 ──► lb ──► server0        server0 ──► client0   (direct)
             ╲        ╲
              ─► ...   ─► server1      server1 ──► client0   (direct)
+
+:func:`wire_dsr` is the one function that lays these pipes; every
+harness topology (this module, the Fig 2 backlog, many-LBs, tiered)
+calls it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.app.client import MemtierClient
 from repro.app.server import ServerApp
@@ -22,7 +26,7 @@ from repro.core.feedback import InbandFeedback
 from repro.errors import ConfigError
 from repro.faults.injector import Injector
 from repro.faults.schedule import FaultSchedule
-from repro.harness.config import PolicyName, ScenarioConfig
+from repro.harness.config import NetworkParams, PolicyName, ScenarioConfig
 from repro.lb.backend import Backend, BackendPool
 from repro.lb.conntrack import ConnTrack
 from repro.lb.dataplane import LoadBalancer
@@ -91,6 +95,56 @@ class Scenario:
         return Endpoint(VIP_HOST, self.config.vip_port)
 
 
+def wire_dsr(
+    network: Network,
+    lb_name: str,
+    server_names: Sequence[str],
+    client_names: Sequence[str],
+    params: NetworkParams,
+    client_jitter: Optional[Callable[[], int]] = None,
+) -> None:
+    """Wire the paper's DSR path (Fig 1) between existing nodes.
+
+    Each server owns the VIP alias and is fed by an ``lb→server`` pipe.
+    Each client gets a ``client→lb`` pipe (with ``client_jitter``, if
+    any) as its default route, and a direct ``server→client`` return
+    pipe from every server: the LB never sees a response.  A far client
+    (``params.client_delay``) is far on the return path by the same
+    margin.
+    """
+    for name in server_names:
+        network.add_alias(VIP_HOST, name)
+        network.connect(
+            lb_name,
+            name,
+            prop_delay=params.lb_server_delay,
+            bandwidth_bps=params.bandwidth_bps,
+            queue_capacity=params.queue_capacity,
+        )
+    for index, name in enumerate(client_names):
+        client_delay = params.client_delay(index)
+        network.connect(
+            name,
+            lb_name,
+            prop_delay=client_delay,
+            bandwidth_bps=params.bandwidth_bps,
+            queue_capacity=params.queue_capacity,
+            jitter=client_jitter,
+        )
+        network.set_default_route(name, lb_name)
+        return_delay = params.server_client_delay + max(
+            0, client_delay - params.client_lb_delay
+        )
+        for s_name in server_names:
+            network.connect(
+                s_name,
+                name,
+                prop_delay=return_delay,
+                bandwidth_bps=params.bandwidth_bps,
+                queue_capacity=params.queue_capacity,
+            )
+
+
 def build_scenario(config: ScenarioConfig) -> Scenario:
     """Construct the simulated deployment described by ``config``."""
     config.validate()
@@ -120,10 +174,11 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         policy = BreakerGatedPolicy(policy, pool, board)
 
     # --- the load balancer, owner of the VIP ---------------------------
+    vip = Endpoint(VIP_HOST, config.vip_port)
     lb = LoadBalancer(
         network,
         "lb",
-        Endpoint(VIP_HOST, config.vip_port),
+        vip,
         pool,
         policy,
         conntrack,
@@ -131,55 +186,23 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     )
 
     # --- servers --------------------------------------------------------
+    server_names = [config.server_name(i) for i in range(n_provisioned)]
     servers: List[ServerApp] = []
-    for index in range(n_provisioned):
-        name = config.server_name(index)
-        host = Host(network, name)
-        network.add_alias(VIP_HOST, name)
-        network.connect(
-            "lb",
-            name,
-            prop_delay=net_params.lb_server_delay,
-            bandwidth_bps=net_params.bandwidth_bps,
-            queue_capacity=net_params.queue_capacity,
-        )
+    for index, name in enumerate(server_names):
         server = ServerApp(
-            host,
+            Host(network, name),
             config.server_config(index),
             streams.get("server.%s.service" % name),
-            service_endpoint=Endpoint(VIP_HOST, config.vip_port),
+            service_endpoint=vip,
         )
         servers.append(server)
 
     # --- clients ----------------------------------------------------------
+    client_names = [config.client_name(i) for i in range(config.n_clients)]
     clients: List[MemtierClient] = []
-    vip = Endpoint(VIP_HOST, config.vip_port)
-    for index in range(config.n_clients):
-        name = config.client_name(index)
-        host = Host(network, name)
-        client_delay = net_params.client_delay(index)
-        network.connect(
-            name,
-            "lb",
-            prop_delay=client_delay,
-            bandwidth_bps=net_params.bandwidth_bps,
-            queue_capacity=net_params.queue_capacity,
-        )
-        network.set_default_route(name, "lb")
-        # Direct server→client return pipes (DSR).  A far client is far
-        # on the return path by the same margin.
-        extra_return = client_delay - net_params.client_lb_delay
-        for s_index in range(n_provisioned):
-            s_name = config.server_name(s_index)
-            network.connect(
-                s_name,
-                name,
-                prop_delay=net_params.server_client_delay + max(0, extra_return),
-                bandwidth_bps=net_params.bandwidth_bps,
-                queue_capacity=net_params.queue_capacity,
-            )
+    for name in client_names:
         client = MemtierClient(
-            host,
+            Host(network, name),
             vip,
             config.memtier,
             streams.get("client.%s.workload" % name),
@@ -191,6 +214,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
             ),
         )
         clients.append(client)
+    wire_dsr(network, "lb", server_names, client_names, net_params)
 
     scenario = Scenario(
         config=config,
@@ -259,7 +283,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
             pool,
             conntrack,
             fleet,
-            [config.server_name(i) for i in range(n_provisioned)],
+            server_names,
             feedback=scenario.feedback,
         )
         scenario.fleet.start()

@@ -35,6 +35,9 @@ from repro.errors import ConfigError
 from repro.faults.injector import Injector
 from repro.faults.model import DelayFault, FaultSpec
 from repro.faults.schedule import FaultSchedule
+from repro.harness.config import NetworkParams
+from repro.harness.runner import drive_clients
+from repro.harness.scenario import VIP_HOST, wire_dsr
 from repro.lb.backend import Backend, BackendPool
 from repro.lb.dataplane import LoadBalancer
 from repro.lb.policies import MaglevPolicy
@@ -43,12 +46,7 @@ from repro.net.network import Network
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 from repro.transport.endpoint import Host
-from repro.units import (
-    GIGABITS_PER_SECOND,
-    MICROSECONDS,
-    MILLISECONDS,
-    SECONDS,
-)
+from repro.units import MICROSECONDS, MILLISECONDS, SECONDS
 
 
 @dataclass
@@ -143,17 +141,12 @@ def run_tiered(config: Optional[TieredScenarioConfig] = None) -> TieredResult:
     sim = Simulator()
     network = Network(sim)
     streams = RandomStreams(config.seed)
-    bw = 10 * GIGABITS_PER_SECOND
+    params = NetworkParams()
+    vip = Endpoint(VIP_HOST, config.vip_port)
 
     frontend_names = ["frontend%d" % i for i in range(config.n_frontends)]
     pool = BackendPool([Backend(name) for name in frontend_names])
-    lb = LoadBalancer(
-        network,
-        "lb",
-        Endpoint("vip", config.vip_port),
-        pool,
-        MaglevPolicy(pool, table_size=1021),
-    )
+    lb = LoadBalancer(network, "lb", vip, pool, MaglevPolicy(pool, table_size=1021))
     feedback = InbandFeedback(lb, config.feedback)
 
     # Dependency host + app (with the optional service-side fault).
@@ -172,38 +165,37 @@ def run_tiered(config: Optional[TieredScenarioConfig] = None) -> TieredResult:
         dep_host, dep_config, streams.get("dep.service")
     )
 
-    # Frontends.
-    frontends: List[TieredServerApp] = []
-    for name in frontend_names:
-        host = Host(network, name)
-        network.add_alias("vip", name)
-        network.connect("lb", name, prop_delay=40 * MICROSECONDS, bandwidth_bps=bw)
-        network.connect(name, "dep0", prop_delay=20 * MICROSECONDS, bandwidth_bps=bw)
-        network.connect("dep0", name, prop_delay=20 * MICROSECONDS, bandwidth_bps=bw)
-        network.add_route(name, "dep0", "dep0")
-        frontends.append(
-            TieredServerApp(
-                host,
-                TieredServerConfig(
-                    port=config.vip_port,
-                    dependency=Endpoint("dep0", config.dep_port),
-                ),
-                streams.get("frontend.%s" % name),
-                service_endpoint=Endpoint("vip", config.vip_port),
-            )
-        )
-
-    # Client.
+    # The DSR path, then each frontend's legs to and from dep0 (half an
+    # LB→server hop each way).  Wired before the frontend apps, which
+    # dial dep0 as they are built.
+    frontend_hosts = [Host(network, name) for name in frontend_names]
     client_host = Host(network, "client0")
-    network.connect("client0", "lb", prop_delay=10 * MICROSECONDS, bandwidth_bps=bw)
-    network.set_default_route("client0", "lb")
+    wire_dsr(network, "lb", frontend_names, ["client0"], params)
     for name in frontend_names:
-        network.connect(name, "client0", prop_delay=50 * MICROSECONDS, bandwidth_bps=bw)
+        for src, dst in ((name, "dep0"), ("dep0", name)):
+            network.connect(
+                src,
+                dst,
+                prop_delay=params.lb_server_delay // 2,
+                bandwidth_bps=params.bandwidth_bps,
+                queue_capacity=params.queue_capacity,
+            )
+        network.add_route(name, "dep0", "dep0")
+
+    frontends = [
+        TieredServerApp(
+            host,
+            TieredServerConfig(
+                port=config.vip_port,
+                dependency=Endpoint("dep0", config.dep_port),
+            ),
+            streams.get("frontend.%s" % host.name),
+            service_endpoint=vip,
+        )
+        for host in frontend_hosts
+    ]
     client = MemtierClient(
-        client_host,
-        Endpoint("vip", config.vip_port),
-        config.memtier,
-        streams.get("client.workload"),
+        client_host, vip, config.memtier, streams.get("client.workload")
     )
 
     # Chaos plane: the legacy frontend-side fault and any declarative
@@ -224,9 +216,7 @@ def run_tiered(config: Optional[TieredScenarioConfig] = None) -> TieredResult:
         )
         injector.arm(FaultSchedule(faults), config.duration)
 
-    client.start()
-    sim.run_until(config.duration)
-    client.stop()
+    drive_clients(sim, [client], config.duration)
 
     return TieredResult(
         config=config,

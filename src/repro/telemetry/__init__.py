@@ -4,7 +4,6 @@ Everything here is dependency-free and O(1)-ish per observation so the
 load balancer's per-packet path can afford it:
 
 * :class:`~repro.telemetry.ewma.Ewma` — exponentially-weighted average.
-* :class:`~repro.telemetry.quantiles.P2Quantile` — streaming quantile.
 * :class:`~repro.telemetry.quantiles.WindowedQuantile` — exact sliding window.
 * :class:`~repro.telemetry.histogram.LogHistogram` — log-bucketed latencies.
 * :class:`~repro.telemetry.timeseries.TimeSeries` — raw (t, value) recorder.
@@ -13,14 +12,13 @@ load balancer's per-packet path can afford it:
 """
 
 from repro.telemetry.ewma import Ewma
-from repro.telemetry.quantiles import P2Quantile, WindowedQuantile, exact_quantile
+from repro.telemetry.quantiles import WindowedQuantile, exact_quantile
 from repro.telemetry.histogram import LogHistogram
 from repro.telemetry.timeseries import TimeSeries, BucketedSeries
 from repro.telemetry.summary import DistributionSummary, summarize
 
 __all__ = [
     "Ewma",
-    "P2Quantile",
     "WindowedQuantile",
     "exact_quantile",
     "LogHistogram",

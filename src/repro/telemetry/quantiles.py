@@ -1,4 +1,4 @@
-"""Streaming and windowed quantile estimators.
+"""Exact and windowed quantile estimators.
 
 The harness reports tail latency (the paper's Fig 3 plots p95), so we
 need quantiles both over sliding windows (recent behaviour, used by the
@@ -9,8 +9,6 @@ controller's per-backend estimator) and over full runs (reporting).
   ``numpy.percentile(..., method="linear")``).
 * :class:`WindowedQuantile` — exact quantile over the last N samples,
   maintained with a sorted list (O(log n) insert/remove via bisect).
-* :class:`P2Quantile` — the Jain & Chlamtac P² algorithm: O(1) memory
-  streaming estimate, used where windows would be too costly.
 """
 
 from __future__ import annotations
@@ -87,94 +85,3 @@ class WindowedQuantile:
         self._arrivals.clear()
         self._sorted.clear()
 
-
-class P2Quantile:
-    """Jain & Chlamtac's P² streaming quantile estimator (1985).
-
-    Tracks five markers whose heights approximate the q-quantile with
-    O(1) memory.  Before five samples arrive, falls back to the exact
-    quantile of what it has.
-    """
-
-    def __init__(self, q: float):
-        if not 0.0 < q < 1.0:
-            raise ValueError("q must be in (0, 1), got %r" % q)
-        self._q = q
-        self._heights: List[float] = []
-        self._positions = [1, 2, 3, 4, 5]
-        self._desired = [
-            1.0,
-            1.0 + 2.0 * q,
-            1.0 + 4.0 * q,
-            3.0 + 2.0 * q,
-            5.0,
-        ]
-        self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-        self._count = 0
-
-    @property
-    def count(self) -> int:
-        """Number of samples observed."""
-        return self._count
-
-    def observe(self, sample: float) -> None:
-        """Fold one sample into the estimator."""
-        sample = float(sample)
-        self._count += 1
-        if len(self._heights) < 5:
-            bisect.insort(self._heights, sample)
-            return
-
-        heights = self._heights
-        positions = self._positions
-
-        if sample < heights[0]:
-            heights[0] = sample
-            cell = 0
-        elif sample >= heights[4]:
-            heights[4] = sample
-            cell = 3
-        else:
-            # Find k with heights[k] <= sample < heights[k+1].
-            cell = 3
-            for i in range(1, 5):
-                if sample < heights[i]:
-                    cell = i - 1
-                    break
-
-        for i in range(cell + 1, 5):
-            positions[i] += 1
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-
-        for i in range(1, 4):
-            delta = self._desired[i] - positions[i]
-            if (delta >= 1 and positions[i + 1] - positions[i] > 1) or (
-                delta <= -1 and positions[i - 1] - positions[i] < -1
-            ):
-                step = 1 if delta >= 1 else -1
-                candidate = self._parabolic(i, step)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    heights[i] = self._linear(i, step)
-                positions[i] += step
-
-    def value(self) -> Optional[float]:
-        """Current estimate, or None before any observation."""
-        if self._count == 0:
-            return None
-        if len(self._heights) < 5 or self._count < 5:
-            return exact_quantile(self._heights, self._q)
-        return self._heights[2]
-
-    def _parabolic(self, i: int, step: int) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, step: int) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + step * (h[i + step] - h[i]) / (n[i + step] - n[i])

@@ -45,6 +45,88 @@ class TestParser:
         assert args.seeds == "5,6"
 
 
+#: Every verb's option strings (``-h``/``--help`` aside).  Shared
+#: options are declared once in the CLI; this pins that no verb gains
+#: or loses a flag through them.
+VERB_OPTIONS = {
+    "run": {"--policy", "--servers", "--clients", "--strategy", "--fault",
+            "--timeline"},
+    "metrics": {"--policy", "--servers", "--clients", "--fault", "--format"},
+    "trace": {"--shift", "--request"},
+    "explain": {"--shift", "--alert", "--lookback", "--export"},
+    "diff": {"--eps"},
+    "resilience": {"--fault", "--servers", "--clients"},
+    "compare": {"--preset", "--controllers", "--servers", "--clients",
+                "--jobs", "--store", "--no-cache", "--timelines"},
+    "chaos": {"--runs", "--controllers", "--servers", "--clients",
+              "--invariants", "--max-faults", "--budget", "--fleet-every",
+              "--artifacts", "--jobs", "--store", "--no-cache",
+              "--timelines"},
+    "fleet": {"--strategy", "--controllers", "--initial", "--max",
+              "--clients", "--connections", "--no-burst", "--jobs",
+              "--store", "--timeline"},
+    "fig2a": set(),
+    "fig2b": set(),
+    "fig3": set(),
+    "reaction": set(),
+    "error": set(),
+    "ablation": {"--jobs"},
+    "sweep": {"--grid", "--zip", "--seeds", "--strategy", "--policy",
+              "--fault", "--name", "--jobs", "--store", "--no-cache",
+              "--resume"},
+}
+
+
+def _verb_parsers():
+    import argparse
+
+    parser = build_parser()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    raise AssertionError("no subcommands")
+
+
+class TestVerbOptions:
+    def test_each_verb_has_exactly_its_options(self):
+        verbs = _verb_parsers()
+        assert set(verbs) == set(VERB_OPTIONS)
+        for verb, sub in verbs.items():
+            options = {
+                flag
+                for action in sub._actions
+                for flag in action.option_strings
+            } - {"-h", "--help"}
+            assert options == VERB_OPTIONS[verb], verb
+
+    @pytest.mark.parametrize(
+        "argv,servers,clients",
+        [
+            (["run"], 2, 1),
+            (["metrics"], 2, 1),
+            (["resilience"], 2, 1),
+            (["compare"], 3, 1),
+            (["chaos"], 3, 1),
+            (["fleet"], None, 4),
+        ],
+    )
+    def test_shared_counts_keep_each_verbs_default(self, argv, servers, clients):
+        args = build_parser().parse_args(argv)
+        assert getattr(args, "servers", None) == servers
+        assert args.clients == clients
+
+    def test_unknown_controller_is_a_config_error(self, capsys, tmp_path):
+        store = ["--store", str(tmp_path)]
+        for argv in (
+            ["compare", "--controllers", "alpha,nope"],
+            ["chaos", "--controllers", "nope"],
+            ["fleet", "--controllers", "nope"],
+            ["sweep", "--strategy", "nope"],
+        ):
+            assert main(argv + store) == 2, argv
+            assert "unknown control strategy 'nope'" in capsys.readouterr().err
+
+
 class TestCommands:
     def test_run_prints_report(self, capsys):
         code = main(["--duration", "0.2", "run"])

@@ -1,10 +1,10 @@
-"""Quantile estimators: exact, windowed, and P²."""
+"""Quantile estimators: exact and windowed."""
 
 import random
 
 import pytest
 
-from repro.telemetry.quantiles import P2Quantile, WindowedQuantile, exact_quantile
+from repro.telemetry.quantiles import WindowedQuantile, exact_quantile
 
 
 class TestExactQuantile:
@@ -85,47 +85,3 @@ class TestWindowedQuantile:
         with pytest.raises(ValueError):
             WindowedQuantile(0)
 
-
-class TestP2Quantile:
-    def test_empty_returns_none(self):
-        assert P2Quantile(0.5).value() is None
-
-    def test_small_sample_exact(self):
-        p2 = P2Quantile(0.5)
-        for value in (10, 20, 30):
-            p2.observe(value)
-        assert p2.value() == 20
-
-    def test_uniform_median_close(self):
-        rng = random.Random(42)
-        p2 = P2Quantile(0.5)
-        data = [rng.uniform(0, 1000) for _ in range(5000)]
-        for value in data:
-            p2.observe(value)
-        assert p2.value() == pytest.approx(exact_quantile(data, 0.5), rel=0.05)
-
-    def test_p95_of_exponential_close(self):
-        rng = random.Random(7)
-        p2 = P2Quantile(0.95)
-        data = [rng.expovariate(1.0) for _ in range(20000)]
-        for value in data:
-            p2.observe(value)
-        assert p2.value() == pytest.approx(exact_quantile(data, 0.95), rel=0.1)
-
-    def test_monotone_input(self):
-        p2 = P2Quantile(0.5)
-        for value in range(1, 1001):
-            p2.observe(value)
-        assert p2.value() == pytest.approx(500, rel=0.05)
-
-    def test_q_validation(self):
-        with pytest.raises(ValueError):
-            P2Quantile(0.0)
-        with pytest.raises(ValueError):
-            P2Quantile(1.0)
-
-    def test_count(self):
-        p2 = P2Quantile(0.9)
-        for i in range(10):
-            p2.observe(i)
-        assert p2.count == 10

@@ -23,28 +23,80 @@ def small_config(**kwargs):
     return ScenarioConfig(**defaults)
 
 
+def _dsr_scenario():
+    scenario = build_scenario(small_config())
+    return (
+        scenario.network,
+        {"client0": "lb", "client1": "lb"},
+        ["server0", "server1"],
+    )
+
+
+def _dsr_backlog():
+    from repro.harness.figures import BacklogConfig, build_backlog
+
+    run = build_backlog(BacklogConfig())
+    return run.lb.network, {"client0": "lb"}, ["server0"]
+
+
+def _dsr_multilb():
+    from repro.harness.multilb import MultiLbConfig, run_multilb
+
+    result = run_multilb(
+        MultiLbConfig(duration=20 * MILLISECONDS, n_lbs=2, clients_per_lb=2)
+    )
+    client_lbs = {
+        "client%d_%d" % (lb, c): "lb%d" % lb for lb in range(2) for c in range(2)
+    }
+    return result.lbs[0].network, client_lbs, ["server0", "server1"]
+
+
+def _dsr_tiered():
+    from repro.harness.tiered import TieredScenarioConfig, run_tiered
+
+    result = run_tiered(TieredScenarioConfig(duration=20 * MILLISECONDS))
+    return (
+        result.feedback.lb.network,
+        {"client0": "lb"},
+        ["frontend0", "frontend1"],
+    )
+
+
+#: Each topology builder → (network, client → its LB, server names).
+DSR_BUILDERS = {
+    "build_scenario": _dsr_scenario,
+    "build_backlog": _dsr_backlog,
+    "run_multilb": _dsr_multilb,
+    "run_tiered": _dsr_tiered,
+}
+
+
 class TestTopology:
     def test_all_nodes_present(self):
         scenario = build_scenario(small_config())
         for name in ("lb", "client0", "client1", "server0", "server1"):
             scenario.network.get_node(name)
 
-    def test_dsr_pipes_exist(self):
-        scenario = build_scenario(small_config())
-        network = scenario.network
-        # Forward path pieces.
-        network.pipe("client0", "lb")
-        network.pipe("lb", "server0")
-        # Direct return path.
-        network.pipe("server0", "client0")
-        network.pipe("server1", "client1")
-        # And crucially no LB→client or server→LB return pipes.
-        from repro.errors import NetworkError
-
-        with pytest.raises(NetworkError):
-            network.pipe("lb", "client0")
-        with pytest.raises(NetworkError):
-            network.pipe("server0", "lb")
+    @pytest.mark.parametrize(
+        "builder", ["build_scenario", "build_backlog", "run_multilb", "run_tiered"]
+    )
+    def test_dsr_pipes_exist(self, builder):
+        network, client_lbs, servers = DSR_BUILDERS[builder]()
+        lbs = set(client_lbs.values())
+        for client, lb in client_lbs.items():
+            # Forward path: the client reaches its LB.
+            assert network.has_pipe(client, lb)
+            # Direct return path from every server.
+            for server in servers:
+                assert network.has_pipe(server, client)
+            # And crucially no LB→client return pipe.
+            for other_lb in lbs:
+                assert not network.has_pipe(other_lb, client)
+        # The LB feeds every server, and no server answers through it.
+        for lb in lbs:
+            for server in servers:
+                assert network.has_pipe(lb, server)
+                assert not network.has_pipe(server, lb)
 
     def test_far_client_override_applied(self):
         from repro.harness.config import NetworkParams
