@@ -73,12 +73,3 @@ def write_report(name: str, text: str) -> None:
     print("=" * 70)
     print(text)
 
-
-def rows_to_table(rows):
-    """Render ablation row dicts with the shared table formatter."""
-    from repro.harness.report import format_table
-
-    if not rows:
-        return "(no rows)"
-    headers = list(rows[0].keys())
-    return format_table(headers, [[row[h] for h in headers] for row in rows])

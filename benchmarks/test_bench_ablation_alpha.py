@@ -4,21 +4,17 @@ Small α needs many shifts to drain a slow server; large α converges in
 one or two.  All drain eventually; the recovery tail differs.
 """
 
-from conftest import rows_to_table, write_report
+from conftest import write_report
 
-from repro.harness.ablations import sweep_alpha
-from repro.harness.figures import Fig3Config
-from repro.units import SECONDS
+from repro.harness.ablations import run_ablation
+from repro.harness.report import format_rows
 
 
 def test_alpha_sweep(benchmark):
-    config = Fig3Config(duration=2 * SECONDS)
     rows = benchmark.pedantic(
-        lambda: sweep_alpha(alphas=(0.02, 0.05, 0.10, 0.20, 0.40), fig3=config),
-        rounds=1,
-        iterations=1,
+        lambda: run_ablation("alpha"), rounds=1, iterations=1
     )
-    write_report("ablation_alpha", rows_to_table(rows))
+    write_report("ablation_alpha", format_rows(rows))
 
     by_alpha = {row["alpha"]: row for row in rows}
     # Every α reacts (a first shift exists) ...

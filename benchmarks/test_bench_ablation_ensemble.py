@@ -5,19 +5,17 @@ timeout is below the new batch pause), so tracking collapses; the
 paper's 7-timeout ladder and wider variants keep tracking.
 """
 
-from conftest import rows_to_table, write_report
+from conftest import write_report
 
-from repro.harness.ablations import sweep_ensemble
-from repro.harness.figures import BacklogConfig
-from repro.units import SECONDS
+from repro.harness.ablations import run_ablation
+from repro.harness.report import format_rows
 
 
 def test_ensemble_sweep(benchmark):
-    backlog = BacklogConfig(duration=2 * SECONDS, step_at=1 * SECONDS)
     rows = benchmark.pedantic(
-        lambda: sweep_ensemble(backlog), rounds=1, iterations=1
+        lambda: run_ablation("ensemble"), rounds=1, iterations=1
     )
-    write_report("ablation_ensemble", rows_to_table(rows))
+    write_report("ablation_ensemble", format_rows(rows))
 
     by_name = {row["ensemble"]: row for row in rows}
     paper = by_name["paper-7 (64us..4ms)"]

@@ -5,21 +5,17 @@ are smooth but stale across RTT changes.  The paper's 64 ms sits in the
 flat middle of the tracking-error curve.
 """
 
-from conftest import rows_to_table, write_report
+from conftest import write_report
 
-from repro.harness.ablations import sweep_epoch
-from repro.harness.figures import BacklogConfig
-from repro.units import MILLISECONDS, SECONDS
+from repro.harness.ablations import run_ablation
+from repro.harness.report import format_rows
 
 
 def test_epoch_sweep(benchmark):
-    backlog = BacklogConfig(duration=2 * SECONDS, step_at=1 * SECONDS)
     rows = benchmark.pedantic(
-        lambda: sweep_epoch(epochs_ms=(8, 16, 32, 64, 128, 256), backlog=backlog),
-        rounds=1,
-        iterations=1,
+        lambda: run_ablation("epoch"), rounds=1, iterations=1
     )
-    write_report("ablation_epoch", rows_to_table(rows))
+    write_report("ablation_epoch", format_rows(rows))
 
     by_epoch = {row["epoch_ms"]: row for row in rows}
     # The paper's default must track on both sides of the step.

@@ -6,21 +6,17 @@ Mild hysteresis silences the noise while keeping millisecond-scale
 reaction; too much (2.0) makes the controller miss or react late.
 """
 
-from conftest import rows_to_table, write_report
+from conftest import write_report
 
-from repro.harness.ablations import sweep_hysteresis
-from repro.harness.figures import Fig3Config
-from repro.units import SECONDS
+from repro.harness.ablations import run_ablation
+from repro.harness.report import format_rows
 
 
 def test_hysteresis_sweep(benchmark):
-    config = Fig3Config(duration=2 * SECONDS)
     rows = benchmark.pedantic(
-        lambda: sweep_hysteresis(ratios=(1.0, 1.1, 1.2, 1.5, 2.0), fig3=config),
-        rounds=1,
-        iterations=1,
+        lambda: run_ablation("hysteresis"), rounds=1, iterations=1
     )
-    write_report("ablation_hysteresis", rows_to_table(rows))
+    write_report("ablation_hysteresis", format_rows(rows))
 
     by_ratio = {row["hysteresis"]: row for row in rows}
 

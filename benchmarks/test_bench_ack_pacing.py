@@ -5,19 +5,17 @@ Delayed ACKs and pacing both weaken that; this bench quantifies by how
 much the T_LB estimate degrades under each.
 """
 
-from conftest import rows_to_table, write_report
+from conftest import write_report
 
-from repro.harness.ablations import sweep_ack_and_pacing
-from repro.units import SECONDS
+from repro.harness.ablations import run_ablation
+from repro.harness.report import format_rows
 
 
 def test_ack_and_pacing(benchmark):
     rows = benchmark.pedantic(
-        lambda: sweep_ack_and_pacing(duration=2 * SECONDS),
-        rounds=1,
-        iterations=1,
+        lambda: run_ablation("ack-pacing"), rounds=1, iterations=1
     )
-    write_report("ack_pacing", rows_to_table(rows))
+    write_report("ack_pacing", format_rows(rows))
 
     by_label = {row["transport"]: row for row in rows}
     # Measurement keeps producing samples under every timing behaviour.

@@ -6,21 +6,17 @@ healthy backends stays pinned to the injected 1 ms — ranking-based
 control survives; absolute-threshold control would not.
 """
 
-from conftest import rows_to_table, write_report
+from conftest import write_report
 
-from repro.harness.ablations import sweep_far_clients
-from repro.units import MILLISECONDS, SECONDS
+from repro.harness.ablations import run_ablation
+from repro.harness.report import format_rows
 
 
 def test_far_clients(benchmark):
     rows = benchmark.pedantic(
-        lambda: sweep_far_clients(
-            extra_delays_us=(0, 100, 500, 2000), duration=2 * SECONDS
-        ),
-        rounds=1,
-        iterations=1,
+        lambda: run_ablation("far-clients"), rounds=1, iterations=1
     )
-    write_report("far_clients", rows_to_table(rows))
+    write_report("far_clients", format_rows(rows))
 
     gaps = [float(row["gap_us"]) for row in rows]
     # The injected-vs-healthy gap ≈ 1000 us at every client distance.

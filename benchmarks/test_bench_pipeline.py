@@ -5,19 +5,17 @@ sweep records how sample volume and estimate quality change with the
 client's pipeline depth.
 """
 
-from conftest import rows_to_table, write_report
+from conftest import write_report
 
-from repro.harness.ablations import sweep_pipeline_depth
-from repro.units import SECONDS
+from repro.harness.ablations import run_ablation
+from repro.harness.report import format_rows
 
 
 def test_pipeline_depth(benchmark):
     rows = benchmark.pedantic(
-        lambda: sweep_pipeline_depth(depths=(1, 2, 4, 8), duration=2 * SECONDS),
-        rounds=1,
-        iterations=1,
+        lambda: run_ablation("pipeline"), rounds=1, iterations=1
     )
-    write_report("pipeline_depth", rows_to_table(rows))
+    write_report("pipeline_depth", format_rows(rows))
 
     # Samples are produced at every depth; the measurement keeps working.
     for row in rows:

@@ -6,30 +6,17 @@ and the response-observing oracle both drain it.  Comparing feedback to
 the oracle isolates the cost of measuring T_LB instead of T_client.
 """
 
-from conftest import rows_to_table, write_report
+from conftest import write_report
 
-from repro.harness.ablations import sweep_policies
-from repro.harness.config import PolicyName
-from repro.harness.figures import Fig3Config
-from repro.units import SECONDS
-
-
-POLICIES = (
-    PolicyName.MAGLEV,
-    PolicyName.FEEDBACK,
-    PolicyName.ORACLE,
-    PolicyName.ROUND_ROBIN,
-    PolicyName.LEAST_CONNECTIONS,
-    PolicyName.POWER_OF_TWO,
-)
+from repro.harness.ablations import run_ablation
+from repro.harness.report import format_rows
 
 
 def test_policy_comparison(benchmark):
-    config = Fig3Config(duration=2 * SECONDS)
     rows = benchmark.pedantic(
-        lambda: sweep_policies(config, POLICIES), rounds=1, iterations=1
+        lambda: run_ablation("policies"), rounds=1, iterations=1
     )
-    write_report("ablation_policies", rows_to_table(rows))
+    write_report("ablation_policies", format_rows(rows))
 
     by_policy = {row["policy"]: row for row in rows}
     fb_share = float(by_policy["feedback"]["slow_server_share"])

@@ -5,9 +5,10 @@ independent seeds, the ordering — feedback recovers, Maglev stays
 inflated — has to hold every time.  Durations are kept short (the
 shape, not the absolute numbers, is under test).
 
-The seeds fan out through the sweep executor: each seed is one
-:func:`~repro.harness.figures.fig3_robustness_point` task, so the bench
-parallelizes on multi-core runners and row values are raw nanoseconds.
+The seeds are a sweep spec's seed axis, run through the sweep path with
+:func:`~repro.harness.figures.fig3_robustness_point` as the row
+function, so the bench parallelizes on multi-core runners and row values
+are raw nanoseconds.
 """
 
 import os
@@ -16,7 +17,7 @@ from conftest import write_report
 
 from repro.harness.figures import Fig3Config, fig3_robustness_point
 from repro.harness.report import format_table
-from repro.sweep import run_tasks, task
+from repro.sweep import SweepSpec, run_sweep
 from repro.units import MICROSECONDS, MILLISECONDS, to_millis
 
 SEEDS = (3, 11, 47)
@@ -25,17 +26,11 @@ JOBS = min(len(SEEDS), max(1, len(os.sched_getaffinity(0))))
 
 
 def test_fig3_shape_holds_across_seeds(benchmark):
-    tasks = [
-        task(
-            fig3_robustness_point,
-            Fig3Config(seed=seed, duration=DURATION),
-            label="seed=%d" % seed,
-        )
-        for seed in SEEDS
-    ]
-
+    spec = SweepSpec(base=Fig3Config(duration=DURATION), seeds=SEEDS)
     report = benchmark.pedantic(
-        lambda: run_tasks(tasks, jobs=JOBS), rounds=1, iterations=1
+        lambda: run_sweep(spec, jobs=JOBS, runner=fig3_robustness_point),
+        rounds=1,
+        iterations=1,
     )
     rows_by_seed = {row["seed"]: row for row in report.rows}
     assert sorted(rows_by_seed) == sorted(SEEDS)

@@ -10,16 +10,15 @@ on — stays pinned to the injected 1 ms.
 Run:  python examples/far_clients.py
 """
 
-from repro.harness.ablations import sweep_far_clients
-from repro.harness.report import format_table
+from repro.harness.ablations import run_ablation
+from repro.harness.report import format_rows
 
 
 def main() -> None:
-    rows = sweep_far_clients(extra_delays_us=(0, 100, 500, 2000))
-    headers = list(rows[0].keys())
+    rows = run_ablation("far-clients")
     print("1 ms injected on server0 mid-run; measurement only (no control)")
     print()
-    print(format_table(headers, [[row[h] for h in headers] for row in rows]))
+    print(format_rows(rows))
     print()
     print(
         "Reading: est_injected - est_healthy (gap_us) stays ~1000 us even as\n"

@@ -27,6 +27,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.app.protocol import Op, Request, Response
 from repro.app.workload import WorkloadModel
+from repro.errors import ConfigError
 from repro.net.addr import Endpoint
 from repro.resilience.retry import (
     RetryBudget,
@@ -80,17 +81,17 @@ class MemtierConfig:
     transport: Optional[TransportConfig] = None
 
     def validate(self) -> None:
-        """Raise on nonsensical values."""
+        """Raise ConfigError on nonsensical values."""
         if self.connections <= 0:
-            raise ValueError("need at least one connection")
+            raise ConfigError("need at least one connection")
         if self.pipeline <= 0:
-            raise ValueError("pipeline depth must be positive")
+            raise ConfigError("pipeline depth must be positive")
         if self.requests_per_connection <= 0:
-            raise ValueError("requests_per_connection must be positive")
+            raise ConfigError("requests_per_connection must be positive")
         if self.reconnect_delay < 0:
-            raise ValueError("reconnect delay must be >= 0")
+            raise ConfigError("reconnect delay must be >= 0")
         if self.think_time < 0:
-            raise ValueError("think time must be >= 0")
+            raise ConfigError("think time must be >= 0")
 
 
 class MemtierClient:

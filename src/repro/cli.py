@@ -15,17 +15,7 @@ from repro import units
 from repro.controllers import available as available_controllers
 from repro.errors import ConfigError
 from repro.faults import PRESETS, parse_faults
-from repro.harness.ablations import (
-    sweep_ack_and_pacing,
-    sweep_alpha,
-    sweep_ensemble,
-    sweep_epoch,
-    sweep_far_clients,
-    sweep_hysteresis,
-    sweep_pipeline_depth,
-    sweep_policies,
-)
-from repro.harness.churn import sweep_churn
+from repro.harness.ablations import ABLATIONS, run_ablation
 from repro.harness.compare import RACE_PRESETS, run_compare
 from repro.harness.config import PolicyName, ScenarioConfig
 from repro.harness.figures import (
@@ -37,9 +27,8 @@ from repro.harness.figures import (
     run_fig3,
     run_reaction,
 )
-from repro.harness.multilb import sweep_multilb
 from repro.harness.recovery import fault_window, time_to_recovery
-from repro.harness.report import format_table
+from repro.harness.report import format_cell, format_rows, format_table
 from repro.harness.runner import run_scenario
 from repro.insight import (
     InsightConfig,
@@ -65,19 +54,6 @@ from repro.sweep import (
     run_sweep,
 )
 from repro.units import MICROSECONDS, to_micros, to_millis
-
-_SWEEPS = {
-    "epoch": sweep_epoch,
-    "alpha": sweep_alpha,
-    "ensemble": sweep_ensemble,
-    "hysteresis": sweep_hysteresis,
-    "policies": sweep_policies,
-    "far-clients": sweep_far_clients,
-    "pipeline": sweep_pipeline_depth,
-    "ack-pacing": sweep_ack_and_pacing,
-    "multilb": sweep_multilb,
-    "churn": sweep_churn,
-}
 
 
 #: Options several verbs share, each declared once.  A verb opts in with
@@ -453,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("error", help="error-model identity (§3)")
 
     ablation = sub.add_parser("ablation", help="run a parameter sweep")
-    ablation.add_argument("sweep", choices=sorted(_SWEEPS))
+    ablation.add_argument("sweep", choices=sorted(ABLATIONS))
     _add_options(ablation, "--jobs")
 
     sweep_cmd = sub.add_parser(
@@ -809,9 +785,7 @@ def _run_command(args: argparse.Namespace, duration: int) -> int:
         return 0
 
     if args.command == "ablation":
-        rows = _SWEEPS[args.sweep](jobs=args.jobs)
-        headers = list(rows[0].keys())
-        print(format_table(headers, [[row[h] for h in headers] for row in rows]))
+        print(format_rows(run_ablation(args.sweep, jobs=args.jobs)))
         return 0
 
     # argparse enforces the command set: the rest are these four.
@@ -1033,7 +1007,7 @@ def _sweep_command(args: argparse.Namespace, duration: int) -> int:
             if key not in headers:
                 headers.append(key)
     table_rows = [
-        [outcome.label] + [_cell(outcome.row.get(h)) for h in headers]
+        [outcome.label] + [format_cell(outcome.row.get(h)) for h in headers]
         for outcome in report.outcomes
     ]
     if table_rows:
@@ -1066,17 +1040,6 @@ def _parse_fault_args(specs: List[str], duration: int) -> list:
     for spec in specs:
         faults.extend(parse_faults(spec, duration))
     return faults
-
-
-def _cell(value: object) -> object:
-    """Render one row value for the table: compact but lossless."""
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        return "%g" % value
-    if isinstance(value, dict):
-        return ",".join("%s=%s" % (k, v) for k, v in sorted(value.items()))
-    return value
 
 
 def _us(value) -> str:

@@ -55,6 +55,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.fixed_timeout import FixedTimeout
+from repro.errors import ConfigError
 from repro.units import MICROSECONDS, MILLISECONDS
 
 
@@ -84,19 +85,19 @@ class EnsembleConfig:
     initial_index: int = 0
 
     def validate(self) -> None:
-        """Raise ValueError on malformed parameters."""
+        """Raise ConfigError on malformed parameters."""
         if len(self.timeouts) < 2:
-            raise ValueError("ensemble needs at least two timeouts")
+            raise ConfigError("ensemble needs at least two timeouts")
         if list(self.timeouts) != sorted(self.timeouts):
-            raise ValueError("timeouts must be sorted ascending")
+            raise ConfigError("timeouts must be sorted ascending")
         if len(set(self.timeouts)) != len(self.timeouts):
-            raise ValueError("timeouts must be distinct")
+            raise ConfigError("timeouts must be distinct")
         if any(t <= 0 for t in self.timeouts):
-            raise ValueError("timeouts must be positive")
+            raise ConfigError("timeouts must be positive")
         if self.epoch <= 0:
-            raise ValueError("epoch must be positive")
+            raise ConfigError("epoch must be positive")
         if not 0 <= self.initial_index < len(self.timeouts):
-            raise ValueError("initial_index out of range")
+            raise ConfigError("initial_index out of range")
 
 
 class EnsembleTimeout:

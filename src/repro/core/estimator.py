@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.errors import ConfigError
 from repro.telemetry.ewma import TimeDecayEwma
 from repro.telemetry.quantiles import WindowedQuantile
 from repro.units import MILLISECONDS
@@ -49,11 +50,11 @@ class EstimatorConfig:
     min_samples: int = 3            # samples needed before ranking
 
     def validate(self) -> None:
-        """Raise ValueError on malformed parameters."""
+        """Raise ConfigError on malformed parameters."""
         if self.metric not in _QUANTILES:
-            raise ValueError("unknown metric %r" % self.metric)
+            raise ConfigError("unknown metric %r" % self.metric)
         if self.window <= 0 or self.tau <= 0 or self.min_samples <= 0:
-            raise ValueError("estimator parameters must be positive")
+            raise ConfigError("estimator parameters must be positive")
 
 
 @dataclass

@@ -84,6 +84,12 @@ class FeedbackConfig:
     #: EXPERIMENTS.md "Robustness under packet loss".
     censor_retransmissions: bool = False
 
+    def validate(self) -> None:
+        """Raise ConfigError on a malformed ensemble, estimator or controller."""
+        self.ensemble.validate()
+        self.estimator.validate()
+        self.controller.validate()
+
 
 @dataclass
 class SampleRecord:

@@ -41,8 +41,8 @@ class BalancerError(ReproError):
     """Invalid load-balancer configuration (e.g. empty backend pool)."""
 
 
-class ConfigError(ReproError):
-    """Invalid experiment/scenario configuration value."""
+class ConfigError(ReproError, ValueError):
+    """Invalid experiment/scenario configuration value (a ValueError too)."""
 
 
 class SweepError(ReproError):

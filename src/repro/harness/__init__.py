@@ -7,7 +7,9 @@
 * :mod:`~repro.harness.report` — ASCII tables/series for the terminal.
 * :mod:`~repro.harness.figures` — the paper's experiments (Fig 2a, 2b,
   Fig 3, reaction time, error decomposition).
-* :mod:`~repro.harness.ablations` — parameter sweeps around the design.
+* :mod:`~repro.harness.ablations` — parameter sweeps around the design,
+  each a :class:`~repro.sweep.spec.SweepSpec` (whose base may be any
+  config with ``validate()``) plus a row function.
 
 Fault injection lives in :mod:`repro.faults` (the chaos plane);
 ``ScenarioConfig.faults`` is the hook that arms it on a built scenario.

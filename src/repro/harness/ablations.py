@@ -1,77 +1,56 @@
-"""Parameter sweeps around the paper's design choices.
+"""Parameter sweeps around the paper's design choices (DESIGN.md §5).
 
-Each ``sweep_*`` function builds a family of scenarios differing in
-exactly one knob and returns a list of row dicts, which the ablation
-benches print with :func:`~repro.harness.report.format_table`.
-DESIGN.md §5 lists the design choices these interrogate.
-
-Every sweep submits its points through the sweep executor
-(:mod:`repro.sweep`): pass ``jobs=N`` to fan points out across worker
-processes and ``store=ResultStore(...)`` to make unchanged points cache
-hits.  Each point is a module-level runner function over a picklable
-payload, so rows are pure functions of their configs — ``jobs=1`` and
-``jobs=N`` produce identical rows.
+Every ablation is data: a :class:`~repro.sweep.spec.SweepSpec` (a base
+config plus the one knob it varies, every point on the base seed) and a
+row function that reads the swept value, and the fault
+(``config.faults[0]``), from the config it runs.  :data:`ABLATIONS` maps
+each ``repro ablation`` name to that pair; :func:`run_ablation` runs it
+through :func:`~repro.sweep.points.run_sweep`, so ``jobs=`` and
+``store=`` work as for any sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Tuple
 
 from repro.app.protocol import Op
-from repro.core.ensemble import EnsembleConfig
+from repro.core.feedback import FeedbackConfig
 from repro.faults.model import DelayFault
+from repro.harness.churn import ChurnConfig, churn_point
 from repro.harness.config import NetworkParams, PolicyName, ScenarioConfig
-from repro.harness.figures import (
-    BacklogConfig,
-    Fig3Config,
-    run_fig2b,
-)
-from repro.harness.runner import run_scenario
-from repro.sweep.executor import run_tasks, task
+from repro.harness.figures import BacklogConfig, run_fig2b
+from repro.harness.multilb import MultiLbConfig, multilb_point
+from repro.harness.runner import ScenarioResult, run_scenario
+from repro.sweep.points import run_sweep
+from repro.sweep.spec import SweepSpec
 from repro.telemetry.quantiles import exact_quantile
-from repro.units import (
-    MICROSECONDS,
-    MILLISECONDS,
-    SECONDS,
-    to_micros,
-    to_millis,
-)
+from repro.transport.ack_policy import DelayedAck, ImmediateAck
+from repro.transport.connection import TransportConfig
+from repro.units import MICROSECONDS, MILLISECONDS, SECONDS, to_micros, to_millis
 
 Row = Dict[str, object]
 
+#: ABL-ENSEMBLE's variants: report label → timeout ladder.
+ENSEMBLES: Dict[str, List[int]] = {
+    "narrow-3 (64..256us)": [64 * MICROSECONDS * (2 ** i) for i in range(3)],
+    "paper-7 (64us..4ms)": [64 * MICROSECONDS * (2 ** i) for i in range(7)],
+    "wide-9 (16us..4ms)": [16 * MICROSECONDS * (2 ** i) for i in range(9)],
+    "coarse-4 (64us..4ms x4)": [64 * MICROSECONDS * (4 ** i) for i in range(4)],
+}
 
-def sweep_epoch(
-    epochs_ms: Sequence[int] = (8, 16, 32, 64, 128, 256),
-    backlog: Optional[BacklogConfig] = None,
-    jobs: int = 1,
-    store=None,
-) -> List[Row]:
-    """ABL-EPOCH: ENSEMBLETIMEOUT tracking quality vs epoch length E.
-
-    Short epochs adapt faster but count fewer samples per timeout (noisy
-    cliffs); long epochs are stable but stale after an RTT change.
-    """
-    backlog = backlog or BacklogConfig(duration=2 * SECONDS, step_at=1 * SECONDS)
-    tasks = [
-        task(
-            _epoch_point,
-            {
-                "backlog": backlog,
-                "ensemble": EnsembleConfig(epoch=epoch_ms * MILLISECONDS),
-                "epoch_ms": epoch_ms,
-            },
-            label="epoch=%dms" % epoch_ms,
-        )
-        for epoch_ms in epochs_ms
-    ]
-    return run_tasks(tasks, jobs=jobs, store=store).rows
+#: ABL-ACK's packet-timing variants: report label → transport.
+TRANSPORTS: Dict[str, TransportConfig] = {
+    "immediate-acks": TransportConfig(ack_policy_factory=ImmediateAck),
+    "delayed-acks": TransportConfig(ack_policy_factory=DelayedAck),
+    "paced-1gbps": TransportConfig(pacing_rate_bps=1_000_000_000),
+}
 
 
-def _epoch_point(payload: Dict[str, object]) -> Row:
-    result = run_fig2b(payload["backlog"], payload["ensemble"])
+def epoch_row(config: BacklogConfig) -> Row:
+    """ABL-EPOCH: short epochs adapt fast on few samples, long ones go stale."""
+    result = run_fig2b(config)
     return {
-        "epoch_ms": payload["epoch_ms"],
+        "epoch_ms": config.ensemble.epoch // MILLISECONDS,
         "epochs": result.epochs,
         "err_pre": _fmt_ratio(result.tracking_error(False)),
         "err_post": _fmt_ratio(result.tracking_error(True)),
@@ -80,238 +59,75 @@ def _epoch_point(payload: Dict[str, object]) -> Row:
     }
 
 
-def sweep_ensemble(
-    backlog: Optional[BacklogConfig] = None,
-    jobs: int = 1,
-    store=None,
-) -> List[Row]:
-    """ABL-ENSEMBLE: ensemble width/range vs tracking quality.
-
-    A too-narrow ensemble cannot bracket the true RTT after the step; a
-    wider one costs more per-packet state but keeps tracking.
-    """
-    backlog = backlog or BacklogConfig(duration=2 * SECONDS, step_at=1 * SECONDS)
-    variants = {
-        "narrow-3 (64..256us)": [64 * MICROSECONDS * (2 ** i) for i in range(3)],
-        "paper-7 (64us..4ms)": [64 * MICROSECONDS * (2 ** i) for i in range(7)],
-        "wide-9 (16us..4ms)": [16 * MICROSECONDS * (2 ** i) for i in range(9)],
-        "coarse-4 (64us..4ms x4)": [64 * MICROSECONDS * (4 ** i) for i in range(4)],
-    }
-    tasks = [
-        task(
-            _ensemble_point,
-            {
-                "backlog": backlog,
-                "ensemble": EnsembleConfig(timeouts=timeouts),
-                "label": label,
-            },
-            label=label,
-        )
-        for label, timeouts in variants.items()
-    ]
-    return run_tasks(tasks, jobs=jobs, store=store).rows
-
-
-def _ensemble_point(payload: Dict[str, object]) -> Row:
-    result = run_fig2b(payload["backlog"], payload["ensemble"])
+def ensemble_row(config: BacklogConfig) -> Row:
+    """ABL-ENSEMBLE: a too-narrow ensemble cannot bracket the stepped RTT."""
+    result = run_fig2b(config)
+    timeouts = config.ensemble.timeouts
     return {
-        "ensemble": payload["label"],
-        "k": len(payload["ensemble"].timeouts),
+        "ensemble": _name_of(ENSEMBLES, timeouts),
+        "k": len(timeouts),
         "err_pre": _fmt_ratio(result.tracking_error(False)),
         "err_post": _fmt_ratio(result.tracking_error(True)),
         "est_post_us": _fmt_us(result.median_estimate(True)),
     }
 
 
-def sweep_alpha(
-    alphas: Sequence[float] = (0.02, 0.05, 0.10, 0.20, 0.40),
-    fig3: Optional[Fig3Config] = None,
-    jobs: int = 1,
-    store=None,
-) -> List[Row]:
-    """ABL-ALPHA: shift fraction vs recovery speed and stability.
-
-    Small α converges slowly (many shifts to drain the slow server);
-    large α converges in one or two shifts but overshoots more
-    aggressively on noise.
-    """
-    fig3 = fig3 or Fig3Config(duration=2 * SECONDS)
-    tasks = []
-    for alpha in alphas:
-        config = _fig3_scenario(fig3, PolicyName.FEEDBACK)
-        config.feedback.controller.alpha = alpha
-        tasks.append(
-            task(
-                _alpha_point,
-                {"config": config, "fig3": _fig3_meta(fig3), "alpha": alpha},
-                label="alpha=%g" % alpha,
-            )
-        )
-    return run_tasks(tasks, jobs=jobs, store=store).rows
-
-
-def _alpha_point(payload: Dict[str, object]) -> Row:
-    meta = payload["fig3"]
-    result = run_scenario(payload["config"])
-    injection = meta["injection_at"]
+def alpha_row(config: ScenarioConfig) -> Row:
+    """ABL-ALPHA: small α drains the slow server in many shifts, large in few."""
+    result = run_scenario(config)
+    injection = config.faults[0].start
     first = result.first_shift_after(injection)
-    post = result.latencies(Op.GET, injection + meta["duration"] // 8, None)
+    post = result.latencies(Op.GET, injection + config.duration // 8, None)
     return {
-        "alpha": payload["alpha"],
+        "alpha": config.feedback.controller.alpha,
         "shifts": len(result.shift_times()),
         "react_ms": _fmt_ms(None if first is None else first - injection),
         "post_p95_ms": _fmt_ms(exact_quantile(post, 0.95) if post else None),
-        "slow_server_share": "%.3f" % _injected_share(result, meta),
+        "slow_server_share": "%.3f" % _injected_share(result, config),
     }
 
 
-def sweep_hysteresis(
-    ratios: Sequence[float] = (1.0, 1.1, 1.2, 1.5, 2.0),
-    fig3: Optional[Fig3Config] = None,
-    jobs: int = 1,
-    store=None,
-) -> List[Row]:
-    """ABL-HYST: the paper-verbatim always-shift rule vs damped variants.
-
-    At ratio 1.0 the controller shifts on noise every sample and weights
-    collapse to the floor *before* any fault — the instability that
-    motivated our 1.2 default (see controller module docs).
-    """
-    fig3 = fig3 or Fig3Config(duration=2 * SECONDS)
-    tasks = []
-    for ratio in ratios:
-        config = _fig3_scenario(fig3, PolicyName.FEEDBACK)
-        config.feedback.controller.hysteresis_ratio = ratio
-        tasks.append(
-            task(
-                _hysteresis_point,
-                {"config": config, "fig3": _fig3_meta(fig3), "ratio": ratio},
-                label="hysteresis=%g" % ratio,
-            )
-        )
-    return run_tasks(tasks, jobs=jobs, store=store).rows
-
-
-def _hysteresis_point(payload: Dict[str, object]) -> Row:
-    meta = payload["fig3"]
-    result = run_scenario(payload["config"])
-    injection = meta["injection_at"]
+def hysteresis_row(config: ScenarioConfig) -> Row:
+    """ABL-HYST: at ratio 1.0 (the paper's verbatim rule) noise drives shifts."""
+    result = run_scenario(config)
+    injection = config.faults[0].start
     shifts = result.shift_times()
     first = result.first_shift_after(injection)
     return {
-        "hysteresis": payload["ratio"],
+        "hysteresis": config.feedback.controller.hysteresis_ratio,
         "pre_injection_shifts": sum(1 for t in shifts if t < injection),
         "post_injection_shifts": sum(1 for t in shifts if t >= injection),
         "react_ms": _fmt_ms(None if first is None else first - injection),
     }
 
 
-def sweep_policies(
-    fig3: Optional[Fig3Config] = None,
-    policies: Sequence[PolicyName] = (
-        PolicyName.MAGLEV,
-        PolicyName.FEEDBACK,
-        PolicyName.ORACLE,
-        PolicyName.ROUND_ROBIN,
-        PolicyName.LEAST_CONNECTIONS,
-        PolicyName.POWER_OF_TWO,
-    ),
-    jobs: int = 1,
-    store=None,
-) -> List[Row]:
-    """ABL-POLICY: every routing policy on the Fig 3 stimulus.
-
-    Connection-oblivious policies (Maglev, RR, least-conn, P2C without a
-    latency signal) keep feeding the slow server; the in-band feedback
-    loop and the oracle drain it.
-    """
-    fig3 = fig3 or Fig3Config(duration=2 * SECONDS)
-    tasks = [
-        task(
-            _policy_point,
-            {
-                "config": _fig3_scenario(fig3, policy),
-                "fig3": _fig3_meta(fig3),
-                "policy": policy.value,
-            },
-            label="policy=%s" % policy.value,
-        )
-        for policy in policies
-    ]
-    return run_tasks(tasks, jobs=jobs, store=store).rows
-
-
-def _policy_point(payload: Dict[str, object]) -> Row:
-    meta = payload["fig3"]
-    result = run_scenario(payload["config"])
-    injection = meta["injection_at"]
-    settle = meta["duration"] // 8
-    pre = result.latencies(Op.GET, meta["duration"] // 10, injection)
-    post = result.latencies(Op.GET, injection + settle, meta["duration"])
+def policy_row(config: ScenarioConfig) -> Row:
+    """ABL-POLICY: latency-oblivious policies keep feeding the slow server."""
+    result = run_scenario(config)
+    injection = config.faults[0].start
+    duration = config.duration
+    pre = result.latencies(Op.GET, duration // 10, injection)
+    post = result.latencies(Op.GET, injection + duration // 8, duration)
     return {
-        "policy": payload["policy"],
+        "policy": config.policy.value,
         "pre_p95_ms": _fmt_ms(exact_quantile(pre, 0.95) if pre else None),
         "post_p95_ms": _fmt_ms(exact_quantile(post, 0.95) if post else None),
-        "slow_server_share": "%.3f" % _injected_share(result, meta),
+        "slow_server_share": "%.3f" % _injected_share(result, config),
         "requests": len(result.records),
     }
 
 
-def sweep_far_clients(
-    extra_delays_us: Sequence[int] = (0, 100, 500, 2000),
-    duration: int = 2 * SECONDS,
-    seed: int = 5,
-    jobs: int = 1,
-    store=None,
-) -> List[Row]:
-    """Open question #1: how far clients distort the in-band signal.
-
-    The LB's ``T_LB`` includes the client↔LB legs it cannot control; as
-    those grow, per-backend estimates inflate uniformly.  Ranking (and
-    therefore control) still works when all backends serve the same
-    client mix, which this sweep demonstrates: the *difference* between
-    the injected and healthy backends' estimates stays ≈ the injected
-    delay even for far clients.
-    """
-    tasks = []
-    for extra_us in extra_delays_us:
-        network = NetworkParams(
-            client_lb_delay_overrides=[10 * MICROSECONDS + extra_us * MICROSECONDS]
-        )
-        config = ScenarioConfig(
-            seed=seed,
-            duration=duration,
-            policy=PolicyName.FEEDBACK,
-            network=network,
-            faults=[
-                DelayFault(
-                    start=duration // 2, node="server0", extra=1 * MILLISECONDS
-                )
-            ],
-            warmup=duration // 10,
-        )
-        config.feedback.control = False  # isolate measurement
-        tasks.append(
-            task(
-                _far_clients_point,
-                {"config": config, "extra_us": extra_us},
-                label="extra=%dus" % extra_us,
-            )
-        )
-    return run_tasks(tasks, jobs=jobs, store=store).rows
-
-
-def _far_clients_point(payload: Dict[str, object]) -> Row:
-    result = run_scenario(payload["config"])
+def far_clients_row(config: ScenarioConfig) -> Row:
+    """EXT-FAR: far clients inflate every estimate, not the injected gap."""
+    result = run_scenario(config)
     feedback = result.scenario.feedback
-    assert feedback is not None
+    network = config.network
     est0 = feedback.estimator.estimate("server0")
     est1 = feedback.estimator.estimate("server1")
-    gap = None
-    if est0 is not None and est1 is not None:
-        gap = est0 - est1
+    gap = None if est0 is None or est1 is None else est0 - est1
+    extra = network.client_lb_delay_overrides[0] - network.client_lb_delay
     return {
-        "client_extra_us": payload["extra_us"],
+        "client_extra_us": extra // MICROSECONDS,
         "est_injected_us": _fmt_us(est0),
         "est_healthy_us": _fmt_us(est1),
         "gap_us": _fmt_us(gap),
@@ -319,161 +135,138 @@ def _far_clients_point(payload: Dict[str, object]) -> Row:
     }
 
 
-def sweep_pipeline_depth(
-    depths: Sequence[int] = (1, 2, 4, 8),
-    duration: int = 2 * SECONDS,
-    seed: int = 9,
-    jobs: int = 1,
-    store=None,
-) -> List[Row]:
-    """Measurement quality vs application concurrency limit.
-
-    Deeper pipelines make batches longer and pauses shorter; at some
-    depth flows stop pausing (the flow-control assumption of §3 erodes)
-    and samples get scarcer relative to traffic.
-    """
-    tasks = []
-    for depth in depths:
-        config = ScenarioConfig(
-            seed=seed,
-            duration=duration,
-            policy=PolicyName.FEEDBACK,
-            warmup=duration // 10,
-        )
-        config.memtier = replace(config.memtier, pipeline=depth)
-        config.feedback.control = False
-        tasks.append(
-            task(
-                _pipeline_point,
-                {"config": config, "depth": depth},
-                label="pipeline=%d" % depth,
-            )
-        )
-    return run_tasks(tasks, jobs=jobs, store=store).rows
-
-
-def _pipeline_point(payload: Dict[str, object]) -> Row:
-    config = payload["config"]
-    result = run_scenario(config)
-    feedback = result.scenario.feedback
-    assert feedback is not None
-    t_lbs = [float(s.t_lb) for s in feedback.samples]
-    truth = result.latencies(start=config.warmup)
+def pipeline_row(config: ScenarioConfig) -> Row:
+    """ABL-PIPELINE: deeper pipelines shorten the pauses samples need."""
+    result, samples, med_lb, med_truth = _measurement(config)
     return {
-        "pipeline": payload["depth"],
+        "pipeline": config.memtier.pipeline,
         "requests": len(result.records),
-        "t_lb_samples": feedback.sample_count,
-        "med_t_lb_us": _fmt_us(exact_quantile(t_lbs, 0.5) if t_lbs else None),
-        "med_t_client_us": _fmt_us(
-            exact_quantile([float(v) for v in truth], 0.5) if truth else None
-        ),
+        "t_lb_samples": samples,
+        "med_t_lb_us": _fmt_us(med_lb),
+        "med_t_client_us": _fmt_us(med_truth),
     }
 
 
-def sweep_ack_and_pacing(
-    duration: int = 2 * SECONDS,
-    seed: int = 13,
-    jobs: int = 1,
-    store=None,
-) -> List[Row]:
-    """Open question #2: packet-timing behaviours vs estimator accuracy.
-
-    Compares the measurement error (median T_LB vs median T_client) of
-    the same workload under: immediate ACKs, delayed ACKs, and paced
-    clients.  Delayed ACKs remove the early pure-ACK trigger (error
-    grows toward T_trigger); pacing smears batch boundaries.
-    """
-    from repro.transport.ack_policy import DelayedAck, ImmediateAck
-    from repro.transport.connection import TransportConfig
-
-    variants = {
-        "immediate-acks": TransportConfig(ack_policy_factory=ImmediateAck),
-        "delayed-acks": TransportConfig(ack_policy_factory=DelayedAck),
-        "paced-1gbps": TransportConfig(pacing_rate_bps=1_000_000_000),
-    }
-    tasks = []
-    for label, transport in variants.items():
-        config = ScenarioConfig(
-            seed=seed,
-            duration=duration,
-            policy=PolicyName.FEEDBACK,
-            warmup=duration // 10,
-        )
-        config.memtier = replace(config.memtier, transport=transport)
-        config.feedback.control = False
-        tasks.append(
-            task(
-                _ack_pacing_point,
-                {"config": config, "label": label},
-                label=label,
-            )
-        )
-    return run_tasks(tasks, jobs=jobs, store=store).rows
-
-
-def _ack_pacing_point(payload: Dict[str, object]) -> Row:
-    config = payload["config"]
-    result = run_scenario(config)
-    feedback = result.scenario.feedback
-    assert feedback is not None
-    t_lbs = [float(s.t_lb) for s in feedback.samples]
-    truth = [float(v) for v in result.latencies(start=config.warmup)]
-    med_lb = exact_quantile(t_lbs, 0.5) if t_lbs else None
-    med_truth = exact_quantile(truth, 0.5) if truth else None
+def ack_pacing_row(config: ScenarioConfig) -> Row:
+    """ABL-ACK: delayed ACKs and pacing move the median T_LB off T_client."""
+    _result, samples, med_lb, med_truth = _measurement(config)
     error = None
     if med_lb is not None and med_truth:
         error = abs(med_lb - med_truth) / med_truth
     return {
-        "transport": payload["label"],
-        "t_lb_samples": feedback.sample_count,
+        "transport": _name_of(TRANSPORTS, config.memtier.transport),
+        "t_lb_samples": samples,
         "med_t_lb_us": _fmt_us(med_lb),
         "med_t_client_us": _fmt_us(med_truth),
         "rel_error": _fmt_ratio(error),
     }
 
 
-# ----------------------------------------------------------------------
+#: Fig 3's stimulus: server0 gains 1 ms at the midpoint of a 2 s run.
+_SLOW_SERVER0 = DelayFault(start=1 * SECONDS, node="server0", extra=1 * MILLISECONDS)
+_BACKLOG = BacklogConfig(duration=2 * SECONDS, step_at=1 * SECONDS)
 
 
-def _fig3_scenario(fig3: Fig3Config, policy: PolicyName) -> ScenarioConfig:
+def _two_seconds(seed: int, control: bool = True, faults=(_SLOW_SERVER0,)):
+    """A 2 s feedback run; ``control=False`` isolates the measurement."""
     return ScenarioConfig(
-        seed=fig3.seed,
-        duration=fig3.duration,
-        n_servers=fig3.n_servers,
-        policy=policy,
-        memtier=fig3.memtier,
-        faults=[
-            DelayFault(
-                start=fig3.injection_at,
-                node=fig3.injected_server,
-                extra=fig3.injection_extra,
-            )
-        ],
-        warmup=fig3.duration // 10,
+        seed=seed,
+        duration=2 * SECONDS,
+        policy=PolicyName.FEEDBACK,
+        feedback=FeedbackConfig(control=control),
+        faults=list(faults),
+        warmup=200 * MILLISECONDS,
     )
 
 
-def _fig3_meta(fig3: Fig3Config) -> Dict[str, object]:
-    """The picklable slice of Fig3Config the point metrics need."""
-    return {
-        "injection_at": fig3.injection_at,
-        "duration": fig3.duration,
-        "injected_server": fig3.injected_server,
-    }
+def _ablation(name: str, base: object, row: Callable, **axes) -> Tuple[str, tuple]:
+    return name, (SweepSpec(base=base, name=name, derive_seeds=False, **axes), row)
 
 
-def _injected_share(result, meta: Dict[str, object]) -> float:
+_EPOCHS = [ms * MILLISECONDS for ms in (8, 16, 32, 64, 128, 256)]
+_NEAR = NetworkParams().client_lb_delay
+_FAR = [[_NEAR + us * MICROSECONDS] for us in (0, 100, 500, 2000)]
+_POLICIES = [
+    "maglev", "feedback", "oracle", "round_robin", "least_connections", "power_of_two"
+]
+
+#: ``repro ablation`` name → (spec, row function).
+ABLATIONS: Dict[str, Tuple[SweepSpec, Callable[[object], Row]]] = dict(
+    [
+        _ablation("epoch", _BACKLOG, epoch_row, grid={"ensemble.epoch": _EPOCHS}),
+        _ablation(
+            "ensemble",
+            _BACKLOG,
+            ensemble_row,
+            points=[{"ensemble.timeouts": t} for t in ENSEMBLES.values()],
+        ),
+        _ablation(
+            "alpha",
+            _two_seconds(11),
+            alpha_row,
+            grid={"feedback.controller.alpha": [0.02, 0.05, 0.10, 0.20, 0.40]},
+        ),
+        _ablation(
+            "hysteresis",
+            _two_seconds(11),
+            hysteresis_row,
+            grid={"feedback.controller.hysteresis_ratio": [1.0, 1.1, 1.2, 1.5, 2.0]},
+        ),
+        _ablation("policies", _two_seconds(11), policy_row, grid={"policy": _POLICIES}),
+        _ablation(
+            "far-clients",
+            _two_seconds(5, control=False),
+            far_clients_row,
+            grid={"network.client_lb_delay_overrides": _FAR},
+        ),
+        _ablation(
+            "pipeline",
+            _two_seconds(9, control=False, faults=()),
+            pipeline_row,
+            grid={"memtier.pipeline": [1, 2, 4, 8]},
+        ),
+        _ablation(
+            "ack-pacing",
+            _two_seconds(13, control=False, faults=()),
+            ack_pacing_row,
+            points=[{"memtier.transport": t} for t in TRANSPORTS.values()],
+        ),
+        _ablation("multilb", MultiLbConfig(), multilb_point, grid={"n_lbs": [1, 2, 4]}),
+        _ablation("churn", ChurnConfig(), churn_point, seeds=[29, 31, 37]),
+    ]
+)
+
+
+def run_ablation(name: str, jobs: int = 1, store=None) -> List[Row]:
+    """Run the ablation ``name`` (a key of :data:`ABLATIONS`); its rows."""
+    spec, row = ABLATIONS[name]
+    return run_sweep(spec, jobs=jobs, store=store, runner=row).rows
+
+
+def _measurement(config: ScenarioConfig) -> tuple:
+    """Run ``config``: (result, T_LB sample count, median T_LB, median T_client)."""
+    result = run_scenario(config)
+    feedback = result.scenario.feedback
+    t_lbs = [float(s.t_lb) for s in feedback.samples]
+    truth = [float(v) for v in result.latencies(start=config.warmup)]
+    return result, feedback.sample_count, _median(t_lbs), _median(truth)
+
+
+def _median(values: List[float]):
+    return exact_quantile(values, 0.5) if values else None
+
+
+def _name_of(variants: Mapping[str, object], value: object) -> str:
+    """The report label whose variant equals ``value``."""
+    return next(name for name, variant in variants.items() if variant == value)
+
+
+def _injected_share(result: ScenarioResult, config: ScenarioConfig) -> float:
     """Fraction of post-injection requests served by the slow server."""
-    injected = meta["injected_server"]
-    start = meta["injection_at"] + meta["duration"] // 8
-    total = 0
-    hit = 0
-    for record in result.records:
-        if record.completed_at >= start:
-            total += 1
-            if record.server == injected:
-                hit += 1
-    return hit / total if total else 0.0
+    fault = config.faults[0]
+    start = fault.start + config.duration // 8
+    served = [r.server for r in result.records if r.completed_at >= start]
+    return served.count(fault.node) / len(served) if served else 0.0
 
 
 def _fmt_us(value) -> str:

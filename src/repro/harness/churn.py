@@ -21,7 +21,7 @@ Measured invariants:
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.app.client import MemtierConfig
@@ -51,6 +51,10 @@ class ChurnConfig:
             connections=6, pipeline=2, requests_per_connection=2000
         )
     )
+
+    def validate(self) -> None:
+        """Raise ConfigError on malformed values."""
+        self.memtier.validate()
 
     @property
     def scale_out_at(self) -> int:
@@ -187,19 +191,3 @@ def churn_point(config: ChurnConfig) -> Dict[str, object]:
         "new_flows_after_drain": result.new_flows_after_drain,
     }
 
-
-def sweep_churn(
-    seeds: Sequence[int] = (29, 31, 37),
-    base: Optional[ChurnConfig] = None,
-    jobs: int = 1,
-    store=None,
-) -> List[Dict[str, object]]:
-    """Churn invariants across seeds, fanned out through the sweep executor."""
-    from repro.sweep.executor import run_tasks, task
-
-    base = base or ChurnConfig()
-    tasks = [
-        task(churn_point, replace(base, seed=seed), label="seed=%d" % seed)
-        for seed in seeds
-    ]
-    return run_tasks(tasks, jobs=jobs, store=store).rows

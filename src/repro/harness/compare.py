@@ -23,7 +23,7 @@ from repro.errors import ConfigError
 from repro.faults.presets import preset as fault_preset
 from repro.harness.config import PolicyName, ScenarioConfig
 from repro.harness.recovery import fault_window, time_to_recovery
-from repro.harness.report import format_table
+from repro.harness.report import format_cell, format_table
 from repro.harness.runner import run_scenario
 from repro.resilience.config import ResilienceConfig
 from repro.sweep.executor import Outcome, SweepReport, run_tasks, task
@@ -184,14 +184,14 @@ class CompareReport:
                     (
                         position,
                         name,
-                        _cell(row.get("p95_ms")),
-                        _cell(row.get("p99_ms")),
-                        _cell(row.get("recovery_ms")),
+                        format_cell(row.get("p95_ms")),
+                        format_cell(row.get("p99_ms")),
+                        format_cell(row.get("recovery_ms")),
                         row.get("shifts"),
-                        _cell(row.get("churn")),
+                        format_cell(row.get("churn")),
                         row.get("stale_holds"),
                         # Rows cached before the column existed render "-".
-                        _cell(row.get("violations")),
+                        format_cell(row.get("violations")),
                         row.get("requests"),
                     )
                 )
@@ -339,10 +339,3 @@ def _rank_value(value) -> float:
     """Missing metrics rank after every measured one."""
     return float("inf") if value is None else float(value)
 
-
-def _cell(value) -> object:
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        return "%g" % value
-    return value

@@ -133,6 +133,7 @@ class ScenarioConfig:
             raise ConfigError("warmup must be within the run duration")
         self.network.validate()
         self.memtier.validate()
+        self.feedback.validate()
         self.resilience.validate()
         self.obs.validate()
         self.fleet.validate()

@@ -62,6 +62,10 @@ class ElasticConfig:
     #: Arm the insight plane (flight-recorder timeline on the result).
     insight: bool = False
 
+    def validate(self) -> None:
+        """Raise ConfigError on malformed values."""
+        self.scenario_config().validate()
+
     def scenario_config(self) -> ScenarioConfig:
         """The underlying ScenarioConfig, fleet plane armed."""
         duration = self.duration
@@ -314,18 +318,15 @@ def run_elastic_race(
     store=None,
 ) -> List[Dict[str, object]]:
     """Race the controller zoo through the elastic scenario."""
-    from repro.sweep.executor import run_tasks, task
+    from repro.sweep import SweepSpec, run_sweep
 
-    base = base or ElasticConfig()
-    tasks = [
-        task(
-            elastic_point,
-            replace(base, strategy=name),
-            label="elastic/%s" % name,
-        )
-        for name in controllers
-    ]
-    return run_tasks(tasks, jobs=jobs, store=store).rows
+    spec = SweepSpec(
+        base=base or ElasticConfig(),
+        grid={"strategy": list(controllers)},
+        name="elastic",
+        derive_seeds=False,
+    )
+    return run_sweep(spec, jobs=jobs, store=store, runner=elastic_point).rows
 
 
 def race_table(rows: List[Dict[str, object]]) -> str:

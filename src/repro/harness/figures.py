@@ -32,6 +32,7 @@ from repro.app.protocol import Op
 from repro.app.server import SinkApp
 from repro.core.ensemble import EnsembleConfig, EnsembleTimeout
 from repro.core.fixed_timeout import FixedTimeout
+from repro.errors import ConfigError
 from repro.faults.injector import Injector
 from repro.faults.model import DelayFault
 from repro.faults.schedule import FaultSchedule
@@ -89,6 +90,12 @@ class BacklogConfig:
     #: Flow-control window: small enough to stay window-limited (bursty).
     window: int = 16 * 1024
     mss: int = 1448
+    #: The ENSEMBLETIMEOUT parameters :func:`run_fig2b` tracks with.
+    ensemble: EnsembleConfig = field(default_factory=EnsembleConfig)
+
+    def validate(self) -> None:
+        """Raise ConfigError on malformed values."""
+        self.ensemble.validate()
 
 
 @dataclass
@@ -274,13 +281,10 @@ class Fig2bResult:
         return abs(est - truth) / truth
 
 
-def run_fig2b(
-    config: Optional[BacklogConfig] = None,
-    ensemble: Optional[EnsembleConfig] = None,
-) -> Fig2bResult:
+def run_fig2b(config: Optional[BacklogConfig] = None) -> Fig2bResult:
     """ENSEMBLETIMEOUT tracking the RTT step (paper Fig 2b)."""
     config = config or BacklogConfig()
-    ensemble_config = ensemble or EnsembleConfig()
+    ensemble_config = config.ensemble
     run = build_backlog(config)
 
     ensembles: Dict[FlowKey, EnsembleTimeout] = {}
@@ -341,6 +345,12 @@ class Fig3Config:
     def injection_at(self) -> int:
         """Injection fires at the midpoint of the run."""
         return self.duration // 2
+
+    def validate(self) -> None:
+        """Raise ConfigError on malformed values."""
+        if self.duration <= 0:
+            raise ConfigError("duration must be positive")
+        self.memtier.validate()
 
 
 @dataclass

@@ -15,8 +15,8 @@ trajectories so benches can quantify exactly that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional
 
 from repro.app.client import MemtierClient, MemtierConfig
 from repro.app.server import ServerApp, ServerConfig
@@ -221,23 +221,3 @@ def multilb_point(config: MultiLbConfig) -> Dict[str, object]:
         ),
     }
 
-
-def sweep_multilb(
-    n_lbs_values: Sequence[int] = (1, 2, 4),
-    base: Optional[MultiLbConfig] = None,
-    jobs: int = 1,
-    store=None,
-) -> List[Dict[str, object]]:
-    """Herd behaviour vs LB count, fanned out through the sweep executor."""
-    from repro.sweep.executor import run_tasks, task
-
-    base = base or MultiLbConfig()
-    tasks = [
-        task(
-            multilb_point,
-            replace(base, n_lbs=n_lbs),
-            label="n_lbs=%d" % n_lbs,
-        )
-        for n_lbs in n_lbs_values
-    ]
-    return run_tasks(tasks, jobs=jobs, store=store).rows

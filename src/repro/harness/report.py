@@ -7,7 +7,7 @@ look: fixed-width columns, values pre-scaled by the caller.
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 _WALLCLOCK = re.compile(r", \d+ events/sec wall-clock")
 
@@ -38,6 +38,25 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> st
     for row in cells:
         lines.append("  ".join(v.ljust(widths[i]) for i, v in enumerate(row)))
     return "\n".join(lines)
+
+
+def format_cell(value: object) -> object:
+    """Render one sweep-row value for a table: compact but lossless."""
+    if value is None:
+        return "-"
+    if isinstance(value, float):
+        return "%g" % value
+    if isinstance(value, dict):
+        return ",".join("%s=%s" % (k, v) for k, v in sorted(value.items()))
+    return value
+
+
+def format_rows(rows: Sequence[Dict[str, object]]) -> str:
+    """Render row dicts as a table headed by the first row's keys."""
+    if not rows:
+        return "(no rows)"
+    headers = list(rows[0])
+    return format_table(headers, [[row[h] for h in headers] for row in rows])
 
 
 def format_series(

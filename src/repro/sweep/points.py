@@ -52,9 +52,9 @@ def run_sweep(
     use_cache: bool = True,
     retries: int = 2,
     progress: Optional[Callable[[Outcome, int, int], None]] = None,
-    runner: Callable[[ScenarioConfig], Dict[str, object]] = simulate_point,
+    runner: Callable[[object], Dict[str, object]] = simulate_point,
 ) -> SweepReport:
-    """Expand ``spec`` and execute every point through the executor."""
+    """Expand ``spec`` and run every point's config through ``runner``."""
     tasks = [
         task(runner, point.config, label=point.label)
         for point in spec.expand()

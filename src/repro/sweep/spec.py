@@ -1,8 +1,10 @@
 """Declarative sweep specifications.
 
-A :class:`SweepSpec` names a family of :class:`ScenarioConfig` points:
-a base config plus axes that vary fields of it.  Three expansion forms
-compose (explicit points × zipped axes × grid axes × seeds):
+A :class:`SweepSpec` names a family of config points: a base config
+plus axes that vary fields of it.  The base may be any config dataclass
+with ``validate()`` (spec files build a :class:`ScenarioConfig`).  Three
+expansion forms compose (explicit points × zipped axes × grid axes ×
+seeds):
 
 * ``grid`` — dotted field path → value list; axes combine as a
   cartesian product (``{"feedback.controller.alpha": [.05, .1],
@@ -49,7 +51,7 @@ class SweepPoint:
 
     index: int
     overrides: Dict[str, object]
-    config: ScenarioConfig
+    config: object
     label: str
 
     def key(self, runner: object) -> str:
@@ -59,9 +61,9 @@ class SweepPoint:
 
 @dataclass
 class SweepSpec:
-    """A base config and the axes that vary it."""
+    """A base config (any dataclass with ``validate()``) and its axes."""
 
-    base: ScenarioConfig = field(default_factory=ScenarioConfig)
+    base: object = field(default_factory=ScenarioConfig)
     grid: Dict[str, Sequence[object]] = field(default_factory=dict)
     zipped: Dict[str, Sequence[object]] = field(default_factory=dict)
     points: List[Dict[str, object]] = field(default_factory=list)
@@ -160,10 +162,8 @@ def load_spec(path: str) -> SweepSpec:
     return SweepSpec.from_dict(data)
 
 
-def apply_overrides(
-    base: ScenarioConfig, overrides: Dict[str, object]
-) -> ScenarioConfig:
-    """Deep-copy ``base`` and assign every dotted-path override.
+def apply_overrides(base: object, overrides: Dict[str, object]) -> object:
+    """Deep-copy ``base`` and assign a deep copy of every dotted-path override.
 
     ``duration`` is applied first so time-relative values (fault spec
     strings expanded against the run length) see the final horizon.
@@ -171,11 +171,11 @@ def apply_overrides(
     config = copy.deepcopy(base)
     ordered = sorted(overrides, key=lambda path: (path != "duration", path))
     for path in ordered:
-        _assign(config, path, overrides[path])
+        _assign(config, path, copy.deepcopy(overrides[path]))
     return config
 
 
-def _assign(config: ScenarioConfig, path: str, value: object) -> None:
+def _assign(config: object, path: str, value: object) -> None:
     target = config
     parts = path.split(".")
     for part in parts[:-1]:
@@ -194,9 +194,7 @@ def _assign(config: ScenarioConfig, path: str, value: object) -> None:
     setattr(target, leaf, _coerce(leaf, value, getattr(target, leaf), config))
 
 
-def _coerce(
-    leaf: str, value: object, current: object, config: ScenarioConfig
-) -> object:
+def _coerce(leaf: str, value: object, current: object, config: object) -> object:
     """Interpret string forms against the field being assigned."""
     if leaf == "policy" and isinstance(value, str):
         try:

@@ -229,6 +229,27 @@ class TestSweepCommand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "axis, message",
+        [
+            ("memtier.pipeline=0", "pipeline depth must be positive"),
+            ("feedback.controller.alpha=-1", "alpha must be in (0, 1)"),
+        ],
+    )
+    def test_malformed_point_fails_before_running(
+        self, axis, message, tmp_path, capsys
+    ):
+        store = tmp_path / "store"
+        code = main(
+            ["--duration", "0.2", "sweep", "--grid", axis, "--store", str(store)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        # Nothing was simulated, so nothing was stored.
+        assert not any(store.rglob("*.json"))
+
 
 class TestResilienceCommand:
     def test_parser_defaults(self):

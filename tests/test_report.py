@@ -1,6 +1,6 @@
 """Report formatting."""
 
-from repro.harness.report import format_series, format_table
+from repro.harness.report import format_rows, format_series, format_table
 
 
 class TestFormatTable:
@@ -18,6 +18,15 @@ class TestFormatTable:
     def test_empty_rows(self):
         out = format_table(("a", "b"), [])
         assert "a" in out and "b" in out
+
+
+class TestFormatRows:
+    def test_headers_are_the_first_rows_keys(self):
+        rows = [{"b": 1, "a": "x"}, {"a": "y", "b": 2}]
+        assert format_rows(rows) == format_table(["b", "a"], [[1, "x"], [2, "y"]])
+
+    def test_no_rows(self):
+        assert format_rows([]) == "(no rows)"
 
 
 class TestFormatSeries:

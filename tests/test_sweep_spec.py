@@ -61,6 +61,17 @@ class TestGridExpansion:
         assert points[1].config.n_servers != 99
         assert spec.base.n_servers != 99
 
+    def test_override_values_are_copies(self):
+        timeouts = [1000, 2000]
+        spec = SweepSpec(
+            base=_base(),
+            grid={"feedback.ensemble.timeouts": [timeouts], "seed": [1, 2]},
+        )
+        points = spec.expand()
+        points[0].config.feedback.ensemble.timeouts.append(3000)
+        assert timeouts == [1000, 2000]
+        assert points[1].config.feedback.ensemble.timeouts == [1000, 2000]
+
 
 class TestZipExpansion:
     def test_zipped_axes_advance_together(self):
