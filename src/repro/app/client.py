@@ -36,6 +36,7 @@ from repro.resilience.retry import (
     backoff_delay,
 )
 from repro.sim.engine import Timer
+from repro.telemetry.timeseries import TimeSeries
 from repro.transport.connection import Connection, ConnectionState, TransportConfig
 from repro.transport.endpoint import Host
 from repro.units import MICROSECONDS
@@ -376,7 +377,8 @@ class BacklogClient:
         self.host = host
         self.service = service
         self.chunk_bytes = chunk_bytes
-        self.rtt_samples: List[tuple] = []  # (time_ns, rtt_ns)
+        #: Transport RTT samples, (time_ns, rtt_ns): the ground truth.
+        self.rtt_samples = TimeSeries(name="T_client")
         self.on_rtt: Optional[Callable[[int, int], None]] = None
         self._stopped = False
         self._chunk_counter = 0
@@ -397,7 +399,7 @@ class BacklogClient:
 
     def _on_rtt_sample(self, conn: Connection, rtt: int) -> None:
         now = self.host.sim.now
-        self.rtt_samples.append((now, rtt))
+        self.rtt_samples.append(now, rtt)
         if self.on_rtt is not None:
             self.on_rtt(now, rtt)
         if conn.state is ConnectionState.ESTABLISHED:

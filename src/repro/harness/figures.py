@@ -138,9 +138,6 @@ def build_backlog(config: BacklogConfig) -> BacklogRun:
     transport = TransportConfig(window=config.window, mss=config.mss)
     client = BacklogClient(client_host, vip, transport=transport)
 
-    ground_truth = TimeSeries(name="T_client")
-    client.on_rtt = lambda now, rtt: ground_truth.append(now, float(rtt))
-
     # The RTT step, expressed as a chaos-plane fault.
     injector = Injector(
         sim, network, server_names=["server0"], client_names=["client0"]
@@ -153,7 +150,11 @@ def build_backlog(config: BacklogConfig) -> BacklogRun:
     )
 
     return BacklogRun(
-        config=config, sim=sim, lb=lb, client=client, ground_truth=ground_truth
+        config=config,
+        sim=sim,
+        lb=lb,
+        client=client,
+        ground_truth=client.rtt_samples,
     )
 
 

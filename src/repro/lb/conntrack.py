@@ -91,8 +91,14 @@ class ConnTrack:
         return sum(1 for entry in self._entries.values() if entry.state is not None)
 
     def lookup(self, flow: FlowId, now: int) -> Optional[str]:
-        """Backend for ``flow``, refreshing its idle clock; None if absent."""
-        self._maybe_sweep(now)
+        """Backend for ``flow``, refreshing its idle clock; None if absent.
+
+        Every ``sweep_every``-th lookup first sweeps expired entries.
+        """
+        ops = self._ops + 1
+        self._ops = ops
+        if not ops % self._sweep_every:
+            self._sweep(now)
         entry = self._entries.get(flow)
         if entry is None:
             self.stats.misses += 1
@@ -149,10 +155,7 @@ class ConnTrack:
             if entry.backend == backend and entry.closing_at is None
         )
 
-    def _maybe_sweep(self, now: int) -> None:
-        self._ops += 1
-        if self._ops % self._sweep_every:
-            return
+    def _sweep(self, now: int) -> None:
         dead = []
         for flow, entry in self._entries.items():
             if entry.closing_at is not None and now - entry.closing_at > self._fin_linger:

@@ -14,8 +14,9 @@ client→server packet it:
    ``(now, flow, backend, packet)`` — exactly the information an XDP
    program would have, and *never* any response traffic.
 
-Per-backend forwarding statistics come for free and let experiments
-verify how traffic actually shifted.
+Per-backend forwarding statistics come for free — the ``lb→backend``
+pipes count them — and let experiments verify how traffic actually
+shifted.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from repro.lb.policies import RoutingPolicy
 from repro.net.addr import Endpoint, FlowKey
 from repro.net.network import Network
 from repro.net.packet import FLAG_ACK, FLAG_FIN, FLAG_RST, FLAG_SYN
+from repro.net.pipe import Pipe
 
 if TYPE_CHECKING:  # pragma: no cover - resilience imports lb submodules
     from repro.resilience.breaker import BreakerBoard
@@ -57,8 +59,20 @@ class LoadBalancerStats:
     #: the time (affinity keeps established flows pinned; only new-flow
     #: placement is breaker-gated).
     packets_to_open_backend: int = 0
-    per_backend_packets: Dict[str, int] = field(default_factory=dict)
     per_backend_new_flows: Dict[str, int] = field(default_factory=dict)
+    #: Backend -> its ``lb→backend`` pipe, in first-forward order.
+    pipes: Dict[str, Pipe] = field(default_factory=dict, repr=False)
+
+    @property
+    def per_backend_packets(self) -> Dict[str, int]:
+        """Packets forwarded per backend, in first-forward order.
+
+        A view over the ``lb→backend`` pipes' ``packets_sent``: nothing
+        else sends on them (health probes have their own pipes).
+        """
+        return {
+            name: pipe.stats.packets_sent for name, pipe in self.pipes.items()
+        }
 
 
 class LoadBalancer:
@@ -111,10 +125,8 @@ class LoadBalancer:
         # receive the interned FlowKey object (free: a list index).
         self._slab = network.slab
         # Prebound hot-path handles: on_packet runs once per forwarded
-        # packet, so skip the network.sim.now property chain and the
-        # send_via attribute hop.
+        # packet, so skip the network.sim.now property chain.
         self._sim = network.sim
-        self._send_via = network.send_via
         network.add_node(self)
 
     def add_tap(self, tap: PacketTap) -> None:
@@ -127,17 +139,18 @@ class LoadBalancer:
 
     def on_packet(self, packet: int) -> None:
         """Process one client→server packet (a slab handle)."""
-        self.stats.packets_in += 1
+        stats = self.stats
+        stats.packets_in += 1
         slab = self._slab
         if slab.ep_host[slab.dst_i[packet]] != self.vip.host:
             # Not for our VIP: a misrouted packet; drop (and free — the
             # LB owns the handle on delivery).
-            self.stats.packets_dropped_no_backend += 1
+            stats.packets_dropped_no_backend += 1
             slab.free(packet)
             return
         flags = slab.flags[packet]
-        flow = slab.flow(packet)
         key = slab.fid[packet]
+        flow = slab.flows[key]
 
         now = self._sim._now
         backend = self.conntrack.lookup(key, now)
@@ -145,18 +158,18 @@ class LoadBalancer:
             # The backend left the pool but the flow is pinned: keep
             # draining it (§2.5 — membership churn must not break
             # established connections).  Only new flows avoid it.
-            self.stats.draining_packets += 1
+            stats.draining_packets += 1
         if backend is None:
             is_new = flags & FLAG_SYN and not flags & FLAG_ACK
             backend = self.policy.select(flow, now)
             self.conntrack.insert(key, backend, now)
             if is_new:
-                self.stats.new_flows += 1
-                self.stats.per_backend_new_flows[backend] = (
-                    self.stats.per_backend_new_flows.get(backend, 0) + 1
+                stats.new_flows += 1
+                stats.per_backend_new_flows[backend] = (
+                    stats.per_backend_new_flows.get(backend, 0) + 1
                 )
             else:
-                self.stats.conntrack_fallbacks += 1
+                stats.conntrack_fallbacks += 1
 
         if flags & _FIN_OR_RST:
             self.conntrack.mark_closing(key, now)
@@ -165,20 +178,21 @@ class LoadBalancer:
             tap(now, flow, backend, packet)
 
         if self.breakers is not None and self.breakers.is_open(backend, now):
-            self.stats.packets_to_open_backend += 1
+            stats.packets_to_open_backend += 1
 
-        self.stats.packets_forwarded += 1
-        self.stats.per_backend_packets[backend] = (
-            self.stats.per_backend_packets.get(backend, 0) + 1
-        )
-        self._send_via(self.name, backend, packet)
+        stats.packets_forwarded += 1
+        # Each backend's pipe is looked up on its first forward: the
+        # fleet adds backends mid-run.
+        pipes = stats.pipes
+        pipe = pipes.get(backend)
+        if pipe is None:
+            pipe = pipes[backend] = self.network.pipe(self.name, backend)
+        pipe.send(packet)
 
     def backend_share(self) -> Dict[str, float]:
         """Fraction of forwarded packets per backend (for reports)."""
-        total = sum(self.stats.per_backend_packets.values())
+        counts = self.stats.per_backend_packets
+        total = sum(counts.values())
         if total == 0:
             return {}
-        return {
-            name: count / total
-            for name, count in sorted(self.stats.per_backend_packets.items())
-        }
+        return {name: count / total for name, count in sorted(counts.items())}

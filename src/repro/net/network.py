@@ -31,6 +31,11 @@ class Network:
     (a fresh one unless ``slab`` is given); hosts and the LB address them
     by handle, and network taps receive materialized :class:`Packet`
     snapshots (taps are the cold observation path).
+
+    Routes are fixed once bound: after the first :meth:`route`
+    resolution, ``add_route``, ``set_default_route`` and ``add_alias``
+    raise, because connections hold the pipe they resolved.  New pipes
+    may still be connected; none can change a hop already resolved.
     """
 
     def __init__(self, sim: Simulator, slab: Optional[PacketSlab] = None):
@@ -42,12 +47,13 @@ class Network:
         self._routes: Dict[str, Dict[str, str]] = {}
         self._default_routes: Dict[str, str] = {}
         self._aliases: Dict[str, str] = {}
+        # Shared with every pipe, which runs the taps on each send, so a
+        # tap added after a pipe was built (or bound) still sees it.
         self._taps: List[Callable[[str, Packet], None]] = []
-        # Memoized (src node, dst host) → outgoing pipe.  Route
-        # resolution walks three dicts per packet otherwise; the cache
-        # collapses that to one lookup and is invalidated wholesale on
-        # any topology mutation (routes, aliases, pipes).
-        self._hop_cache: Dict[Tuple[str, str], Pipe] = {}
+        # Memoized (src node, dst host) → outgoing pipe: what route()
+        # resolved.  Never invalidated: the route tables freeze with the
+        # first entry.
+        self._hops: Dict[Tuple[str, str], Pipe] = {}
 
     @property
     def sim(self) -> Simulator:
@@ -81,8 +87,8 @@ class Network:
         """
         if node_name not in self._nodes:
             raise NetworkError("alias target %r not a node" % node_name)
+        self._check_unbound("add_alias")
         self._aliases[alias] = node_name
-        self._hop_cache.clear()
 
     def connect(
         self,
@@ -110,12 +116,12 @@ class Network:
             queue_capacity,
             jitter,
             slab=self.slab,
+            taps=self._taps,
         )
         # Bind the receiver's method directly: delivery is the hottest
         # callback in the simulation, so skip wrapper indirection.
         pipe.connect(self._nodes[dst].on_packet)
         self._pipes[key] = pipe
-        self._hop_cache.clear()
         return pipe
 
     def connect_bidirectional(
@@ -150,32 +156,37 @@ class Network:
         """Route traffic from ``node`` toward ``dst_host`` via ``next_hop``."""
         if node not in self._nodes:
             raise NetworkError("unknown node %r" % node)
+        self._check_unbound("add_route")
         self._routes[node][dst_host] = next_hop
-        self._hop_cache.clear()
 
     def set_default_route(self, node: str, next_hop: str) -> None:
         """Fallback next hop for destinations with no explicit route."""
         if node not in self._nodes:
             raise NetworkError("unknown node %r" % node)
+        self._check_unbound("set_default_route")
         self._default_routes[node] = next_hop
-        self._hop_cache.clear()
+
+    def _check_unbound(self, what: str) -> None:
+        if self._hops:
+            raise NetworkError(
+                "%s after a route was resolved: routes are fixed once bound"
+                % what
+            )
 
     # ------------------------------------------------------------------
     # Data plane
     # ------------------------------------------------------------------
 
-    def send_from(self, node_name: str, packet: int) -> bool:
-        """Route slab handle ``packet`` out of ``node_name`` toward its
-        destination.
+    def route(self, node_name: str, dst_host: str) -> Pipe:
+        """The pipe out of ``node_name`` toward ``dst_host``.
 
         Resolves the next hop (explicit route, then default route, then —
         if the destination resolves to a directly-pipe-connected node —
-        that node).  Returns False if the pipe tail-dropped the packet.
+        that node) once and memoises it; the first resolution fixes the
+        route tables.  Connections bind the result at construction.
         """
-        slab = self.slab
-        dst_host = slab.ep_host[slab.dst_i[packet]]
         key = (node_name, dst_host)
-        pipe = self._hop_cache.get(key)
+        pipe = self._hops.get(key)
         if pipe is None:
             next_hop = self._resolve_next_hop(node_name, dst_host)
             pipe = self._pipes.get((node_name, next_hop))
@@ -184,31 +195,18 @@ class Network:
                     "no pipe from %s to next hop %s (for dst %s)"
                     % (node_name, next_hop, dst_host)
                 )
-            self._hop_cache[key] = pipe
-        if self._taps:
-            self._run_taps(pipe.name, packet)
-        return pipe.send(packet)
+            self._hops[key] = pipe
+        return pipe
+
+    def send_from(self, node_name: str, packet: int) -> bool:
+        """Route slab handle ``packet`` out of ``node_name`` toward its
+        destination host; False if the pipe dropped it."""
+        slab = self.slab
+        return self.route(node_name, slab.ep_host[slab.dst_i[packet]]).send(packet)
 
     def send_via(self, src_node: str, next_hop: str, packet: int) -> bool:
-        """Send over an explicit hop, ignoring route tables.
-
-        The load balancer uses this to forward a VIP-addressed packet to
-        the backend it selected — the DSR forwarding step.
-        """
-        pipe = self._pipes.get((src_node, next_hop))
-        if pipe is None:
-            raise NetworkError("no pipe %s->%s" % (src_node, next_hop))
-        if self._taps:
-            self._run_taps(pipe.name, packet)
-        return pipe.send(packet)
-
-    def _run_taps(self, pipe_name: str, handle: int) -> None:
-        # Taps are the cold observation path: the handle is materialized
-        # once into an independent snapshot so trace records survive
-        # handle recycling.
-        packet = self.slab.materialize(handle)
-        for tap in self._taps:
-            tap(pipe_name, packet)
+        """Send over an explicit hop, ignoring route tables."""
+        return self.pipe(src_node, next_hop).send(packet)
 
     def _resolve_next_hop(self, node_name: str, dst_host: str) -> str:
         routes = self._routes.get(node_name, {})

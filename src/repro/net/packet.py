@@ -31,7 +31,7 @@ int ``&`` directly, skipping enum ``__and__`` machinery.
 from __future__ import annotations
 
 import enum
-from typing import Any, List, NamedTuple, Optional
+from typing import Any, Callable, List, NamedTuple, Optional
 
 from repro.net.addr import Endpoint, FlowKey
 
@@ -225,7 +225,7 @@ class PacketSlab:
     Endpoints and flow keys are *interned*: connections resolve their
     ``Endpoint``/:class:`FlowKey` objects to small ints once, and every
     packet carries ``src_i``/``dst_i``/``fid`` ints instead of object
-    references.  ``flow(h)`` returns the real interned :class:`FlowKey`
+    references.  ``flows[fid]`` is the real interned :class:`FlowKey`
     (a list index, no allocation), which is what routing policies hash.
 
     Ownership discipline: whoever holds a handle owns it.  ``Pipe.send``
@@ -250,11 +250,12 @@ class PacketSlab:
         "packet_id",
         "retransmit",
         "_free",
+        "free",
         "_last_id",
         "_endpoints",
         "_ep_index",
         "ep_host",
-        "_flows",
+        "flows",
         "_flow_index",
     )
 
@@ -271,13 +272,18 @@ class PacketSlab:
         self.packet_id: List[int] = []
         self.retransmit: List[bool] = []
         self._free: List[int] = []
+        #: ``free(handle)`` recycles ``handle``; the owner calls it exactly
+        #: once.  The free list's own append, bound once: a terminal host
+        #: frees a handle per delivery.
+        self.free: Callable[[int], None] = self._free.append
         #: Id of the most recent allocation (ids start at 1 per slab).
         self._last_id = 0
         self._endpoints: List[Endpoint] = []
         self._ep_index: dict = {}
         #: Host name per endpoint index (routing reads this per packet).
         self.ep_host: List[str] = []
-        self._flows: List[FlowKey] = []
+        #: FlowKey per interned flow id: ``flows[slab.fid[h]]``.
+        self.flows: List[FlowKey] = []
         self._flow_index: dict = {}
 
     # -- interning ------------------------------------------------------
@@ -301,9 +307,9 @@ class PacketSlab:
         key = (src_i, dst_i)
         fid = self._flow_index.get(key)
         if fid is None:
-            fid = len(self._flows)
+            fid = len(self.flows)
             self._flow_index[key] = fid
-            self._flows.append(
+            self.flows.append(
                 FlowKey.for_packet(self._endpoints[src_i], self._endpoints[dst_i])
             )
         return fid
@@ -355,15 +361,7 @@ class PacketSlab:
             self.retransmit.append(retransmit)
         return h
 
-    def free(self, handle: int) -> None:
-        """Recycle ``handle``.  The owner calls this exactly once."""
-        self._free.append(handle)
-
     # -- views ----------------------------------------------------------
-
-    def flow(self, handle: int) -> FlowKey:
-        """The packet's interned :class:`FlowKey` (no allocation)."""
-        return self._flows[self.fid[handle]]
 
     def materialize(self, handle: int) -> Packet:
         """Independent :class:`Packet` snapshot of ``handle``.

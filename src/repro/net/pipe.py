@@ -29,10 +29,10 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Optional
+from typing import Callable, Deque, List, Optional
 
 from repro.errors import NetworkError
-from repro.net.packet import HEADER_BYTES, PacketSlab
+from repro.net.packet import HEADER_BYTES, Packet, PacketSlab
 from repro.sim.engine import Simulator
 from repro.units import serialization_delay
 
@@ -81,6 +81,11 @@ class Pipe:
         each packet's propagation (e.g. ``lambda: rng.randrange(5_000)``).
     slab:
         The :class:`PacketSlab` whose handles this pipe carries.
+    taps:
+        Observers called as ``tap(pipe name, packet snapshot)`` on every
+        send, before the loss and partition decision.  The list object is
+        held, not copied: a :class:`~repro.net.network.Network` passes its
+        own, so taps added later are seen too.
     """
 
     def __init__(
@@ -93,6 +98,7 @@ class Pipe:
         jitter: Optional[Callable[[], int]] = None,
         *,
         slab: PacketSlab,
+        taps: Optional[List[Callable[[str, Packet], None]]] = None,
     ):
         if prop_delay < 0:
             raise NetworkError("negative propagation delay on pipe %s" % name)
@@ -129,6 +135,10 @@ class Pipe:
         # Packets are integer handles into this slab's columns.  The
         # pipe owns a handle from send() until delivery or drop.
         self._slab = slab
+        self._taps = [] if taps is None else taps
+        # Bound once: send() and _arrive() run per packet.
+        self._payload_len = slab.payload_len
+        self._schedule_call_at = sim.schedule_call_at
 
     @property
     def prop_delay(self) -> int:
@@ -253,9 +263,16 @@ class Pipe:
         rejected (:class:`NetworkError`) leaves the pipe untouched — no
         counter, no wire state — and the caller still owns the handle.
         """
+        taps = self._taps
+        if taps:
+            # The cold observation path: one independent snapshot, so
+            # trace records survive handle recycling.
+            snapshot = self._slab.materialize(packet)
+            for tap in taps:
+                tap(self.name, snapshot)
         if self._deliver is None:
             raise NetworkError("pipe %s has no receiver connected" % self.name)
-        size = HEADER_BYTES + self._slab.payload_len[packet]
+        size = HEADER_BYTES + self._payload_len[packet]
         stats = self.stats
         cold = self._cold
 
@@ -269,21 +286,25 @@ class Pipe:
                     stats.packets_dropped_loss += 1
                     return self._drop(packet, size)
 
-        sim = self._sim
-        now = sim._now
+        now = self._sim._now
         bandwidth = self._eff_bw
         if bandwidth is None:
             departure = now
         else:
             departures = self._departures
-            while departures and departures[0] <= now:
-                departures.popleft()
-            if len(departures) >= self._queue_capacity:
-                stats.packets_dropped_queue += 1
-                return self._drop(packet, size)
             departure = self._wire_free_at
-            if departure < now:
+            if departure <= now:
+                # Idle wire: every queued departure is in the past.
+                departures.clear()
                 departure = now
+            else:
+                # The last departure is still ahead, so the deque never
+                # empties here.
+                while departures[0] <= now:
+                    departures.popleft()
+                if len(departures) >= self._queue_capacity:
+                    stats.packets_dropped_queue += 1
+                    return self._drop(packet, size)
             # Inlined serialization_delay(): ceil(bits·ns-per-s / bps).
             departure += -(-size * 8_000_000_000 // bandwidth)
 
@@ -307,7 +328,7 @@ class Pipe:
         if arrival < self._last_arrival:
             arrival = self._last_arrival
         self._last_arrival = arrival
-        sim.schedule_call_at(arrival, self._on_arrival, packet)
+        self._schedule_call_at(arrival, self._on_arrival, packet)
         return True
 
     def _drop(self, packet: int, size: int) -> bool:
@@ -322,7 +343,7 @@ class Pipe:
         """Engine event: ``packet`` reached the far end of the pipe."""
         stats = self.stats
         stats.packets_delivered += 1
-        stats.bytes_delivered += HEADER_BYTES + self._slab.payload_len[packet]
+        stats.bytes_delivered += HEADER_BYTES + self._payload_len[packet]
         self._deliver(packet)
 
     @property

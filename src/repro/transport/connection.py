@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import TransportError
@@ -165,8 +164,9 @@ class Connection:
     ):
         config.validate()
         self._host = host
-        # Bound once: _transmit runs per segment.
-        self._send = partial(host.network.send_from, host.name)
+        # Bound once: every segment goes out through the pipe the route
+        # tables give toward the peer (they are fixed once bound).
+        self._send = host.network.route(host.name, remote.host).send
         self._sim: Simulator = host.sim
         self.local = local
         self.remote = remote
@@ -200,13 +200,15 @@ class Connection:
         self._ooo: Dict[int, Tuple] = {}
 
         # --- packet slab -------------------------------------------------
-        # Intern this connection's endpoints/flow once; _transmit then
-        # allocates slab records addressed by the interned ints.
+        # Intern this connection's endpoints/flow once; segments are then
+        # slab records addressed by the interned ints.
         slab = host.slab
         self._slab = slab
         self._src_i = slab.intern_endpoint(local)
         self._dst_i = slab.intern_endpoint(remote)
         self._fid = slab.intern_flow(self._src_i, self._dst_i)
+        #: Flow id the peer's segments carry: the host demuxes on it.
+        self.inbound_fid = slab.intern_flow(self._dst_i, self._src_i)
 
         # --- machinery ---------------------------------------------------
         self._rtt = RttEstimator(
@@ -215,6 +217,13 @@ class Connection:
         self._rto_timer = Timer(self._sim, self._on_rto)
         self._ack_policy = config.ack_policy_factory()
         self._ack_policy.attach(self._sim, self._send_pure_ack)
+        # None when the policy keeps the base no-op: the send loop then
+        # skips one call per segment.
+        self._on_piggyback = (
+            None
+            if type(self._ack_policy).on_piggyback is AckPolicy.on_piggyback
+            else self._ack_policy.on_piggyback
+        )
         self._pacer = (
             Pacer(config.pacing_rate_bps)
             if config.pacing_rate_bps is not None
@@ -290,10 +299,12 @@ class Connection:
         )
         self.stats.messages_sent += 1
         state = self.state
+        # A full window (a backlogged sender's usual state) sends nothing
+        # until the next ACK: skip the call.
         if (
             state is ConnectionState.ESTABLISHED
             or state is ConnectionState.CLOSE_WAIT
-        ):
+        ) and self._snd_nxt - self._snd_una < self.config.window:
             self._try_send()
 
     def close(self) -> None:
@@ -334,7 +345,8 @@ class Connection:
         payload_len = slab.payload_len[packet]
         boundaries = slab.boundaries[packet]
         slab.free(packet)
-        self.stats.segments_received += 1
+        stats = self.stats
+        stats.segments_received += 1
 
         if flags & FLAG_RST:
             self._teardown()
@@ -344,7 +356,9 @@ class Connection:
             self._handle_syn(flags, seq, ack)
             return
 
-        if flags & FLAG_ACK:
+        # A duplicate ACK (the peer's data segments carry one each)
+        # changes nothing; no fast retransmit is modelled.
+        if flags & FLAG_ACK and ack > self._snd_una:
             self._handle_ack(ack)
 
         if self.state is ConnectionState.CLOSED:
@@ -355,7 +369,18 @@ class Connection:
                 return  # data before SYN: drop
             rcv_nxt = self._rcv_nxt
             if seq == rcv_nxt:
-                self._accept(flags, payload_len, boundaries)
+                if flags & FLAG_FIN or self._ooo:
+                    self._accept(flags, payload_len, boundaries)
+                else:
+                    # _accept's common case, inline: nothing buffered to
+                    # make contiguous, no FIN to handle.
+                    self._rcv_nxt = rcv_nxt + payload_len
+                    stats.bytes_delivered += payload_len
+                    if boundaries:
+                        for boundary in boundaries:
+                            stats.messages_delivered += 1
+                            if self.on_message is not None:
+                                self.on_message(self, boundary.message)
                 self._ack_policy.on_data(in_order=True)
             else:
                 if seq > rcv_nxt:
@@ -479,9 +504,6 @@ class Connection:
             self._try_send()
             return
 
-        if ack <= self._snd_una:
-            return  # duplicate ACK; no fast retransmit modelled
-
         self._snd_una = ack
         self._rtt.reset_backoff()
 
@@ -505,7 +527,7 @@ class Connection:
         del inflight[:retired]
 
         if inflight:
-            self._arm_rto()
+            self._rto_timer.start(rtt_estimator.rto)
         else:
             self._rto_timer.stop()
 
@@ -548,6 +570,18 @@ class Connection:
         mss = self.config.mss
         iss1 = self._iss + 1
         pending = self._pending_boundaries
+        pacer = self._pacer
+        # Unpaced segments are built and sent right here (the loop of
+        # the classic sender: while data is available and the window
+        # has room), so one costs this frame, the slab's alloc and the
+        # pipe's send.
+        now = self._sim._now
+        inflight = self._inflight
+        on_piggyback = self._on_piggyback
+        alloc = self._slab.alloc
+        send = self._send
+        stats = self.stats
+        armed = False
         while self._unsent_offset < self._stream_len:
             window_left = window - (self._snd_nxt - self._snd_una)
             if window_left <= 0:
@@ -571,7 +605,38 @@ class Connection:
                 boundaries = None
             self._unsent_offset = end
             self._snd_nxt = iss1 + end
-            self._send_data_segment(iss1 + start, chunk, boundaries, _ACK_PSH)
+            seq = iss1 + start
+            if pacer is not None:
+                self._send_data_segment(seq, chunk, boundaries, _ACK_PSH)
+                continue
+            inflight.append(
+                _SentSegment(seq, seq + chunk, chunk, _ACK_PSH, boundaries, now)
+            )
+            if on_piggyback is not None:
+                on_piggyback()  # this segment carries our ACK
+            stats.segments_sent += 1
+            # ``boundaries`` is shared with the in-flight record: both
+            # sides only read it.
+            send(
+                alloc(
+                    self._src_i,
+                    self._dst_i,
+                    self._fid,
+                    _ACK_PSH,
+                    seq,
+                    self._rcv_nxt,
+                    chunk,
+                    boundaries,
+                    now,
+                )
+            )
+            stats.bytes_sent += chunk
+            if not armed:
+                # Nothing in this loop stops the RTO timer: one check
+                # per call is enough.
+                if not self._rto_timer.running:
+                    self._arm_rto()
+                armed = True
 
         if (
             self._fin_queued
@@ -592,6 +657,7 @@ class Connection:
         boundaries: Optional[List[MessageBoundary]],
         flags: int,
     ) -> None:
+        """Send a paced data segment, or the FIN."""
         now = self._sim._now
         segment = _SentSegment(
             seq=seq,
@@ -632,9 +698,21 @@ class Connection:
     def _send_pure_ack(self) -> None:
         if self._irs is None:
             return
-        self.stats.pure_acks_sent += 1
-        self._transmit(
-            flags=FLAG_ACK, seq=self._snd_nxt, payload_len=0, boundaries=None
+        stats = self.stats
+        stats.pure_acks_sent += 1
+        stats.segments_sent += 1
+        self._send(
+            self._slab.alloc(
+                self._src_i,
+                self._dst_i,
+                self._fid,
+                FLAG_ACK,
+                self._snd_nxt,
+                self._rcv_nxt,
+                0,
+                None,
+                self._sim._now,
+            )
         )
 
     def _transmit(

@@ -1,9 +1,9 @@
 """Hosts: network nodes that own connections and listeners.
 
 A :class:`Host` is the meeting point of the network and transport
-layers.  It demultiplexes inbound packets to connections by the full
-(local endpoint, remote endpoint) pair — interned endpoint indices of
-the network's packet slab — which naturally supports DSR,
+layers.  It demultiplexes inbound packets to connections by their flow
+— the (remote endpoint → local endpoint) pair, interned by the network's
+packet slab — which naturally supports DSR,
 where a server host accepts packets addressed to the VIP alias and
 sources responses from it — and hands SYNs for listening ports to the
 registered :class:`Listener`.
@@ -64,12 +64,10 @@ class Host:
         self.slab = network.slab
         self.default_config = default_config or TransportConfig()
         self._connections: Dict[_ConnKey, Connection] = {}
-        # Packet demux: the (local endpoint index, remote endpoint index)
-        # pair packed into one int (local << 32 | remote) -> Connection.
-        # A packed-int key skips both a 4-string tuple hash and a 2-tuple
-        # allocation on every delivery.  ``_connections`` keys the same
-        # connections by endpoint names for port allocation.
-        self._conns_by_pair: Dict[int, Connection] = {}
+        # Packet demux: inbound flow id -> Connection, so a delivery costs
+        # one slab column read and one int-keyed probe.  ``_connections``
+        # keys the same connections by endpoint names for port allocation.
+        self._by_flow: Dict[int, Connection] = {}
         self._listeners: Dict[int, Listener] = {}
         self._next_ephemeral = 49_152
         network.add_node(self)
@@ -120,7 +118,7 @@ class Host:
             is_client=True,
         )
         self._connections[key] = conn
-        self._conns_by_pair[conn._src_i << 32 | conn._dst_i] = conn
+        self._by_flow[conn.inbound_fid] = conn
         conn.open()
         return conn
 
@@ -134,25 +132,23 @@ class Host:
     # ------------------------------------------------------------------
 
     def on_packet(self, packet: int) -> None:
-        """Demux an inbound slab handle on its (dst, src) endpoint pair.
+        """Demux an inbound slab handle on its interned flow id.
 
         A handle that matches nothing — a stale segment after teardown,
         or an RST for an unknown flow — is dropped and freed here: the
         host owns it on delivery.
         """
         slab = self.slab
-        dst_i = slab.dst_i[packet]
-        src_i = slab.src_i[packet]
-        conn = self._conns_by_pair.get(dst_i << 32 | src_i)
+        conn = self._by_flow.get(slab.fid[packet])
         if conn is not None:
             conn.handle_packet(packet)
             return
         flags = slab.flags[packet]
         if flags & FLAG_SYN and not flags & FLAG_ACK:
-            local = slab.endpoint(dst_i)
+            local = slab.endpoint(slab.dst_i[packet])
             listener = self._listeners.get(local.port)
             if listener is not None:
-                remote = slab.endpoint(src_i)
+                remote = slab.endpoint(slab.src_i[packet])
                 conn = Connection(
                     host=self,
                     local=local,
@@ -161,7 +157,7 @@ class Host:
                     is_client=False,
                 )
                 self._connections[self._key(local, remote)] = conn
-                self._conns_by_pair[conn._src_i << 32 | conn._dst_i] = conn
+                self._by_flow[conn.inbound_fid] = conn
                 listener.on_connection(conn)
                 conn.handle_packet(packet)
                 return
@@ -171,7 +167,7 @@ class Host:
         """Remove a closed connection from the demux table."""
         key = self._key(conn.local, conn.remote)
         self._connections.pop(key, None)
-        self._conns_by_pair.pop(conn._src_i << 32 | conn._dst_i, None)
+        self._by_flow.pop(conn.inbound_fid, None)
 
     # ------------------------------------------------------------------
 

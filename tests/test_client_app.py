@@ -154,7 +154,7 @@ class TestBacklogClient:
         sim.run_until(100 * MILLISECONDS)
         assert len(client.rtt_samples) > 50
         rtt = 2 * pair.one_way
-        median = sorted(s for _t, s in client.rtt_samples)[len(client.rtt_samples) // 2]
+        median = sorted(client.rtt_samples.values)[len(client.rtt_samples) // 2]
         assert median == pytest.approx(rtt, rel=0.3)
 
     def test_on_rtt_callback(self, sim, pair):
@@ -163,7 +163,8 @@ class TestBacklogClient:
         seen = []
         client.on_rtt = lambda now, rtt: seen.append((now, rtt))
         sim.run_until(50 * MILLISECONDS)
-        assert seen == client.rtt_samples[len(client.rtt_samples) - len(seen):]
+        samples = list(client.rtt_samples.items())
+        assert seen == samples[len(samples) - len(seen):]
 
     def test_stop_closes_flow(self, sim, pair):
         SinkApp(pair.server, 7000)

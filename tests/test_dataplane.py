@@ -2,12 +2,17 @@
 
 import pytest
 
+from repro.harness.config import PolicyName, ScenarioConfig
+from repro.harness.runner import run_scenario
+from repro.harness.scenario import build_scenario
 from repro.lb.backend import Backend, BackendPool
 from repro.lb.dataplane import LoadBalancer
 from repro.lb.policies import MaglevPolicy, RoundRobin
 from repro.net.addr import Endpoint
 from repro.net.network import Network
 from repro.net.packet import TcpFlags
+from repro.resilience import ResilienceConfig
+from repro.units import MILLISECONDS
 
 from tests.conftest import make_packet
 
@@ -152,3 +157,40 @@ class TestStats:
     def test_share_empty_before_traffic(self, sim):
         _net, _client, _servers, _pool, lb = build_lb(sim)
         assert lb.backend_share() == {}
+
+    def test_per_backend_packets_is_the_forward_pipes_count(self):
+        """With health checks armed (probes ride their own prober→server
+        pipes), the view over the lb→backend pipes equals an independent
+        per-forward tally, in first-forward order, and so does the share."""
+        config = ScenarioConfig(
+            seed=1,
+            duration=300 * MILLISECONDS,
+            n_clients=2,
+            n_servers=3,
+            policy=PolicyName.FEEDBACK,
+            resilience=ResilienceConfig(enabled=True, health_checks=True),
+        )
+        scenario = build_scenario(config)
+        lb = scenario.lb
+        tally = {}
+
+        def count(now, flow, backend, packet):
+            tally[backend] = tally.get(backend, 0) + 1
+
+        lb.add_tap(count)
+        run_scenario(config, scenario=scenario)
+
+        network = scenario.network
+        counts = lb.stats.per_backend_packets
+        assert counts == tally
+        assert list(counts) == list(tally)  # first-forward order
+        for name, count in counts.items():
+            assert network.pipe("lb", name).stats.packets_sent == count
+        assert all(
+            network.pipe("prober", name).stats.packets_sent > 0 for name in counts
+        )
+        total = sum(tally.values())
+        assert lb.stats.packets_forwarded == total
+        assert lb.backend_share() == {
+            name: tally[name] / total for name in sorted(tally)
+        }

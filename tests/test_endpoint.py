@@ -95,6 +95,37 @@ class TestDemux:
         assert pair.client.connection_count == 0
         assert slab.live == live  # the host freed the handle it owned
 
+    def test_stale_segment_and_unknown_rst_are_freed(self, sim, pair):
+        """Delivered through the network after the run drained: a data
+        segment for a torn-down connection and an RST for a flow nobody
+        had. The host frees both; nothing stays live."""
+        from repro.net.packet import TcpFlags
+
+        make_echo_server(pair)
+        conn = pair.client.connect(pair.server_endpoint())
+        conn.send_message("ping", 100)
+        sim.run_until(5 * MILLISECONDS)
+        conn.close()
+        sim.run_until(50 * MILLISECONDS)
+        slab = pair.network.slab
+        assert pair.client.connection_count == 0
+        assert slab.live == 0
+
+        stale = make_packet(
+            slab, conn.remote, conn.local, flags=TcpFlags.ACK | TcpFlags.PSH,
+            seq=5, ack=1, payload_len=10,
+        )
+        unknown_rst = make_packet(
+            slab, Endpoint("server", 9999), Endpoint("client", 1234),
+            flags=TcpFlags.RST,
+        )
+        pair.network.send_from("server", stale)
+        pair.network.send_from("server", unknown_rst)
+        sim.run_until(60 * MILLISECONDS)
+        assert pair.network.pipe("server", "client").stats.packets_delivered >= 2
+        assert pair.client.connection_count == 0
+        assert slab.live == 0
+
 
 class TestVipAlias:
     def test_server_accepts_vip_addressed_connection(self, sim):

@@ -55,13 +55,18 @@ class PartitionOracle:
 def instrument(conn, oracle):
     """Check ``conn``'s segments against ``oracle`` and its in-flight
     queue after every ACK."""
-    send_segment = conn._send_data_segment
+    send = conn._send
     handle_ack = conn._handle_ack
+    slab = conn._slab
 
-    def checked_send(seq, payload_len, boundaries, flags):
-        start = seq - (conn._iss + 1)
-        assert list(boundaries or ()) == oracle.carry(start, start + payload_len)
-        send_segment(seq, payload_len, boundaries, flags)
+    def checked_send(packet):
+        # Each data segment's first transmission, read off the wire.
+        payload_len = slab.payload_len[packet]
+        if payload_len and not slab.retransmit[packet]:
+            start = slab.seq[packet] - (conn._iss + 1)
+            carried = oracle.carry(start, start + payload_len)
+            assert list(slab.boundaries[packet] or ()) == carried
+        return send(packet)
 
     def checked_ack(ack):
         handle_ack(ack)
@@ -69,7 +74,7 @@ def instrument(conn, oracle):
         assert ends == sorted(set(ends))
         assert all(end > conn._snd_una for end in ends)
 
-    conn._send_data_segment = checked_send
+    conn._send = checked_send
     conn._handle_ack = checked_ack
 
 
