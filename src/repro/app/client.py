@@ -351,6 +351,11 @@ class _ConnLoop:
                 self.conn.close()
 
     def _on_closed(self, conn: Connection) -> None:
+        # The closed connection lets go of this loop, so the two are no
+        # reference cycle: the connection is freed once the host and this
+        # loop drop it.  The loop keeps ``conn`` for the think-time
+        # continuations and deadlines still scheduled on it.
+        conn.on_established = conn.on_message = conn.on_closed = None
         if self.client.retry is not None:
             self._fail_outstanding()
         self.client._reopen_later(self.index)

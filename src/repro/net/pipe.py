@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Deque, List, Optional
 
 from repro.errors import NetworkError
@@ -37,17 +36,42 @@ from repro.sim.engine import Simulator
 from repro.units import serialization_delay
 
 
-@dataclass
 class PipeStats:
-    """Counters a pipe accumulates over its lifetime."""
+    """Counters a pipe accumulates over its lifetime; compared by value."""
 
-    packets_sent: int = 0
-    packets_delivered: int = 0
-    packets_dropped_queue: int = 0
-    packets_dropped_loss: int = 0
-    packets_dropped_partition: int = 0
-    bytes_sent: int = 0
-    bytes_delivered: int = 0
+    __slots__ = (
+        "packets_sent",
+        "packets_delivered",
+        "packets_dropped_queue",
+        "packets_dropped_loss",
+        "packets_dropped_partition",
+        "bytes_sent",
+        "bytes_delivered",
+    )
+
+    def __init__(self) -> None:
+        self.packets_sent = 0
+        self.packets_delivered = 0
+        self.packets_dropped_queue = 0
+        self.packets_dropped_loss = 0
+        self.packets_dropped_partition = 0
+        self.bytes_sent = 0
+        self.bytes_delivered = 0
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None  # mutable and compared by value, as a dataclass
+
+    def __repr__(self) -> str:
+        return "PipeStats(%s)" % ", ".join(
+            "%s=%r" % item for item in zip(self.__slots__, self._values())
+        )
 
     @property
     def packets_dropped(self) -> int:
@@ -88,6 +112,36 @@ class Pipe:
         own, so taps added later are seen too.
     """
 
+    # A fleet has thousands of pipes, most of them idle: no per-instance
+    # dict, and no departure deque until the wire is first found busy.
+    __slots__ = (
+        "_sim",
+        "name",
+        "_prop_delay",
+        "_bandwidth_bps",
+        "_bandwidth_override",
+        "_queue_capacity",
+        "_jitter",
+        "_extra_jitter",
+        "_extra_delay",
+        "_drop_prob",
+        "_partitioned",
+        "_loss_rng",
+        "_wire_free_at",
+        "_last_arrival",
+        "_eff_bw",
+        "_total_delay",
+        "_cold",
+        "_departures",
+        "stats",
+        "_deliver",
+        "_on_arrival",
+        "_slab",
+        "_taps",
+        "_payload_len",
+        "_schedule_call_at",
+    )
+
     def __init__(
         self,
         sim: Simulator,
@@ -126,7 +180,9 @@ class Pipe:
         self._cold = jitter is not None
         # Departure times of packets still occupying the queue/wire;
         # drained lazily in send() instead of with per-packet events.
-        self._departures: Deque[int] = deque()
+        # None until a send finds the wire busy: before that the queue
+        # could only ever hold ``_wire_free_at``.
+        self._departures: Optional[Deque[int]] = None
         self.stats = PipeStats()
         self._deliver: Optional[Callable[[int], None]] = None
         # Each packet in flight is one engine event calling this with
@@ -295,9 +351,12 @@ class Pipe:
             departure = self._wire_free_at
             if departure <= now:
                 # Idle wire: every queued departure is in the past.
-                departures.clear()
+                if departures is not None:
+                    departures.clear()
                 departure = now
             else:
+                if departures is None:
+                    departures = self._departures = deque((departure,))
                 # The last departure is still ahead, so the deque never
                 # empties here.
                 while departures[0] <= now:
@@ -323,7 +382,8 @@ class Pipe:
         stats.bytes_sent += size
         if bandwidth is not None:
             self._wire_free_at = departure
-            departures.append(departure)
+            if departures is not None:
+                departures.append(departure)
         # Never reorder: clamp to the previous arrival instant.
         if arrival < self._last_arrival:
             arrival = self._last_arrival

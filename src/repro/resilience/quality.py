@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.units import MILLISECONDS
 
@@ -92,7 +91,9 @@ class _Signal:
     __slots__ = ("recent", "samples", "last_sample_at")
 
     def __init__(self, born_at: int):
-        self.recent: Deque[Tuple[int, float]] = deque()
+        # (time, value) samples in the window, oldest first.  A list, not
+        # a deque: a deque's first block costs ~700 bytes per backend.
+        self.recent: List[Tuple[int, float]] = []
         self.samples = 0
         # Registration anchors the age clock: a backend that has never
         # produced a sample ages from when it *should* have started,
@@ -195,8 +196,13 @@ class SignalQualityTracker:
     def _prune(self, signal: _Signal, now: int) -> None:
         horizon = now - self.config.window
         recent = signal.recent
-        while recent and recent[0][0] < horizon:
-            recent.popleft()
+        stale = 0
+        for sampled_at, _ in recent:
+            if sampled_at >= horizon:
+                break
+            stale += 1
+        if stale:
+            del recent[:stale]
 
 
 def _coefficient_of_variation(values: List[float]) -> float:

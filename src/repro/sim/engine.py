@@ -357,6 +357,8 @@ class Timer:
     ``stop`` disarms it.
     """
 
+    __slots__ = ("_sim", "_callback", "_entry")
+
     def __init__(self, sim: Simulator, callback: Callable[[], None]):
         self._sim = sim
         self._callback = callback

@@ -12,22 +12,28 @@ data the application is about to send).
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 from repro.sim.engine import Simulator, Timer
 from repro.units import MILLISECONDS
 
 
 class AckPolicy:
-    """Base policy: acknowledge immediately on every data segment."""
+    """Base policy: acknowledge immediately on every data segment.
 
-    def attach(self, sim: Simulator, send_ack: Callable[[], None]) -> None:
-        """Bind to a connection's clock and pure-ACK emitter."""
-        self._send_ack = send_ack
+    A policy is handed the connection's pure-ACK sender with each
+    segment instead of keeping it, so a closed connection is not kept
+    alive by a reference cycle through its policy.  A connection whose
+    policy keeps this base ``on_data`` sends the ACK itself.
+    """
 
-    def on_data(self, in_order: bool) -> None:
-        """Called for every received data segment."""
-        self._send_ack()
+    def attach(self, sim: Simulator) -> None:
+        """Bind to a connection's clock."""
+
+    def on_data(self, in_order: bool, send_ack: Callable[[], None]) -> None:
+        """Called for every received data segment; ``send_ack()`` emits a
+        pure ACK now."""
+        send_ack()
 
     def on_piggyback(self) -> None:
         """Called when an outgoing data segment carried the ACK."""
@@ -57,37 +63,45 @@ class DelayedAck(AckPolicy):
         self._timeout = timeout
         self._every = every
         self._pending = 0
+        # The connection's ACK sender, held only while the timer is armed.
+        self._send_ack: Optional[Callable[[], None]] = None
 
-    def attach(self, sim: Simulator, send_ack: Callable[[], None]) -> None:
-        self._send_ack = send_ack
+    def attach(self, sim: Simulator) -> None:
         self._timer = Timer(sim, self._fire)
 
-    def on_data(self, in_order: bool) -> None:
+    def on_data(self, in_order: bool, send_ack: Callable[[], None]) -> None:
         if not in_order:
             # Duplicate/out-of-order data: ack immediately so the sender
             # can detect loss.
-            self._flush()
+            self._flush(send_ack)
             return
         self._pending += 1
         if self._pending >= self._every:
-            self._flush()
+            self._flush(send_ack)
         elif not self._timer.running:
+            self._send_ack = send_ack
             self._timer.start(self._timeout)
 
     def on_piggyback(self) -> None:
         # The outgoing data segment carried our cumulative ACK.
         self._pending = 0
-        self._timer.stop()
+        self._disarm()
 
     def cancel(self) -> None:
-        self._timer.stop()
+        self._disarm()
         self._pending = 0
 
-    def _flush(self) -> None:
-        self._pending = 0
+    def _disarm(self) -> None:
         self._timer.stop()
-        self._send_ack()
+        self._send_ack = None
+
+    def _flush(self, send_ack: Callable[[], None]) -> None:
+        self._pending = 0
+        self._disarm()
+        send_ack()
 
     def _fire(self) -> None:
         self._pending = 0
-        self._send_ack()
+        send_ack = self._send_ack
+        self._send_ack = None
+        send_ack()

@@ -26,7 +26,7 @@ packets out of its :class:`~repro.transport.endpoint.Host`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import TransportError
@@ -71,7 +71,9 @@ class TransportConfig:
     """Tunable transport parameters.
 
     ``ack_policy_factory`` builds a fresh policy per connection so that
-    per-connection timers are not shared.
+    per-connection timers are not shared.  The config object itself is
+    shared: every connection a host opens or accepts holds the one it
+    was given, so a config must not be changed once connections use it.
     """
 
     mss: int = 1448
@@ -89,10 +91,6 @@ class TransportConfig:
             raise TransportError(
                 "window (%d) must be at least one MSS (%d)" % (self.window, self.mss)
             )
-
-    def copy(self) -> "TransportConfig":
-        """A shallow copy safe to tweak per connection."""
-        return replace(self)
 
 
 class _SentSegment:
@@ -128,18 +126,34 @@ class _SentSegment:
         self.retransmitted = retransmitted
 
 
-@dataclass
 class ConnectionStats:
     """Per-connection counters (tests and reports read these)."""
 
-    segments_sent: int = 0
-    segments_received: int = 0
-    pure_acks_sent: int = 0
-    retransmissions: int = 0
-    bytes_sent: int = 0
-    bytes_delivered: int = 0
-    messages_sent: int = 0
-    messages_delivered: int = 0
+    __slots__ = (
+        "segments_sent",
+        "segments_received",
+        "pure_acks_sent",
+        "retransmissions",
+        "bytes_sent",
+        "bytes_delivered",
+        "messages_sent",
+        "messages_delivered",
+    )
+
+    def __init__(self) -> None:
+        self.segments_sent = 0
+        self.segments_received = 0
+        self.pure_acks_sent = 0
+        self.retransmissions = 0
+        self.bytes_sent = 0
+        self.bytes_delivered = 0
+        self.messages_sent = 0
+        self.messages_delivered = 0
+
+    def __repr__(self) -> str:
+        return "ConnectionStats(%s)" % ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__
+        )
 
 
 class Connection:
@@ -152,7 +166,55 @@ class Connection:
     * :meth:`send_message` — queue an application message.
     * ``on_established`` / ``on_message`` / ``on_closed`` callbacks.
     * :meth:`close` — graceful FIN after queued data drains.
+
+    Nothing the connection holds points back at it once it is torn
+    down: an ACK policy keeps its sender only while a timer is armed,
+    and the retransmission timer is dropped.  So a closed connection the
+    host and the application have let go of is freed by reference
+    counting, not left for the cyclic collector (which the engine pauses
+    while it runs).
     """
+
+    __slots__ = (
+        "_host",
+        "_send",
+        "_sim",
+        "local",
+        "remote",
+        "config",
+        "is_client",
+        "state",
+        "stats",
+        "_iss",
+        "_snd_una",
+        "_snd_nxt",
+        "_stream_len",
+        "_unsent_offset",
+        "_pending_boundaries",
+        "_inflight",
+        "_fin_queued",
+        "_fin_sent",
+        "_irs",
+        "_rcv_nxt",
+        "_ooo",
+        "_slab",
+        "_src_i",
+        "_dst_i",
+        "_fid",
+        "inbound_fid",
+        "_rtt",
+        "_rto_timer",
+        "_ack_policy",
+        "_ack_on_data",
+        "_on_piggyback",
+        "_pacer",
+        "on_established",
+        "on_message",
+        "on_closed",
+        "on_peer_close",
+        "on_rtt_sample",
+        "__weakref__",
+    )
 
     def __init__(
         self,
@@ -214,15 +276,23 @@ class Connection:
         self._rtt = RttEstimator(
             initial_rto=config.initial_rto, rto_min=config.rto_min
         )
-        self._rto_timer = Timer(self._sim, self._on_rto)
-        self._ack_policy = config.ack_policy_factory()
-        self._ack_policy.attach(self._sim, self._send_pure_ack)
-        # None when the policy keeps the base no-op: the send loop then
-        # skips one call per segment.
+        # None once torn down (see _teardown); _arm_rto rebuilds it.  The
+        # send paths read it directly: they run only while the state is
+        # open, and teardown sets CLOSED first.
+        self._rto_timer: Optional[Timer] = Timer(self._sim, self._on_rto)
+        policy = config.ack_policy_factory()
+        policy.attach(self._sim)
+        self._ack_policy = policy
+        # None when the policy keeps the base behaviour: the receive
+        # path then sends the pure ACK itself, and the send loop skips
+        # the no-op piggyback call.
+        self._ack_on_data = (
+            None if type(policy).on_data is AckPolicy.on_data else policy.on_data
+        )
         self._on_piggyback = (
             None
-            if type(self._ack_policy).on_piggyback is AckPolicy.on_piggyback
-            else self._ack_policy.on_piggyback
+            if type(policy).on_piggyback is AckPolicy.on_piggyback
+            else policy.on_piggyback
         )
         self._pacer = (
             Pacer(config.pacing_rate_bps)
@@ -381,13 +451,19 @@ class Connection:
                             stats.messages_delivered += 1
                             if self.on_message is not None:
                                 self.on_message(self, boundary.message)
-                self._ack_policy.on_data(in_order=True)
+                # The FIN's ACK (if this segment carried one) goes out
+                # here, after _accept may have torn the connection down.
+                on_data = self._ack_on_data
+                if on_data is None:
+                    self._send_pure_ack()
+                else:
+                    on_data(True, self._send_pure_ack)
             else:
                 if seq > rcv_nxt:
                     self._ooo[seq] = (flags, payload_len, boundaries)
                 # Out of order, or entirely duplicate: re-ack so the
                 # sender advances.
-                self._ack_policy.on_data(in_order=False)
+                self._ack_data(in_order=False)
 
     # ------------------------------------------------------------------
     # Handshake
@@ -488,7 +564,15 @@ class Connection:
             self._teardown()
             return
         # ACK the FIN promptly.
-        self._ack_policy.on_data(in_order=False)
+        self._ack_data(in_order=False)
+
+    def _ack_data(self, in_order: bool) -> None:
+        """Acknowledge a received segment as the ACK policy decides."""
+        on_data = self._ack_on_data
+        if on_data is None:
+            self._send_pure_ack()
+        else:
+            on_data(in_order, self._send_pure_ack)
 
     # ------------------------------------------------------------------
     # ACK processing (sender side)
@@ -526,10 +610,15 @@ class Connection:
                     rtt_cb(self, rtt)
         del inflight[:retired]
 
+        timer = self._rto_timer
         if inflight:
-            self._rto_timer.start(rtt_estimator.rto)
-        else:
-            self._rto_timer.stop()
+            if timer is None:
+                # An on_rtt_sample callback tore the connection down.
+                self._arm_rto()
+            else:
+                timer.start(rtt_estimator.rto)
+        elif timer is not None:
+            timer.stop()
 
         if self._fin_sent and ack >= self._snd_nxt:
             if self.state is ConnectionState.CLOSE_WAIT:
@@ -692,7 +781,10 @@ class Connection:
             boundaries=segment.boundaries,
         )
         self.stats.bytes_sent += segment.payload_len
-        if not self._rto_timer.running:
+        timer = self._rto_timer
+        # None when the connection was torn down while this paced
+        # segment waited.
+        if timer is None or not timer.running:
             self._arm_rto()
 
     def _send_pure_ack(self) -> None:
@@ -746,7 +838,12 @@ class Connection:
     # ------------------------------------------------------------------
 
     def _arm_rto(self) -> None:
-        self._rto_timer.start(self._rtt.rto)
+        timer = self._rto_timer
+        if timer is None:
+            # Armed again after teardown (say, a paced segment leaving
+            # late): retransmission goes on as it did before the close.
+            timer = self._rto_timer = Timer(self._sim, self._on_rto)
+        timer.start(self._rtt.rto)
 
     def _on_rto(self) -> None:
         self._rtt.on_timeout()
@@ -790,7 +887,14 @@ class Connection:
     def _teardown(self) -> None:
         already_closed = self.state is ConnectionState.CLOSED
         self.state = ConnectionState.CLOSED
-        self._rto_timer.stop()
+        timer = self._rto_timer
+        if timer is not None:
+            timer.stop()
+            # The timer holds the bound _on_rto: drop it so the closed
+            # connection is not part of a reference cycle.
+            self._rto_timer = None
+        # The ACK sender and the application callbacks stay: the FIN's
+        # ACK is sent after this returns (see handle_packet).
         self._ack_policy.cancel()
         self._host.forget_connection(self)
         if not already_closed and self.on_closed is not None:

@@ -114,7 +114,7 @@ class Host:
             host=self,
             local=local,
             remote=remote,
-            config=(config or self.default_config).copy(),
+            config=config or self.default_config,
             is_client=True,
         )
         self._connections[key] = conn
@@ -153,7 +153,7 @@ class Host:
                     host=self,
                     local=local,
                     remote=remote,
-                    config=(listener.config or self.default_config).copy(),
+                    config=listener.config or self.default_config,
                     is_client=False,
                 )
                 self._connections[self._key(local, remote)] = conn

@@ -24,6 +24,16 @@ class RttEstimator:
     ALPHA = 0.125
     BETA = 0.25
 
+    __slots__ = (
+        "_srtt",
+        "_rttvar",
+        "_rto",
+        "_rto_min",
+        "_rto_max",
+        "_backoff",
+        "samples",
+    )
+
     def __init__(
         self,
         initial_rto: int = 100 * MILLISECONDS,

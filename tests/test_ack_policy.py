@@ -11,16 +11,16 @@ class TestImmediateAck:
     def test_acks_every_segment(self, sim):
         acks = []
         policy = ImmediateAck()
-        policy.attach(sim, lambda: acks.append(sim.now))
-        policy.on_data(in_order=True)
-        policy.on_data(in_order=True)
+        policy.attach(sim)
+        policy.on_data(True, lambda: acks.append(sim.now))
+        policy.on_data(True, lambda: acks.append(sim.now))
         assert len(acks) == 2
 
     def test_acks_out_of_order_too(self, sim):
         acks = []
         policy = ImmediateAck()
-        policy.attach(sim, lambda: acks.append(sim.now))
-        policy.on_data(in_order=False)
+        policy.attach(sim)
+        policy.on_data(False, lambda: acks.append(sim.now))
         assert len(acks) == 1
 
 
@@ -28,48 +28,67 @@ class TestDelayedAck:
     def make(self, sim, timeout=40 * MILLISECONDS, every=2):
         acks = []
         policy = DelayedAck(timeout=timeout, every=every)
-        policy.attach(sim, lambda: acks.append(sim.now))
-        return policy, acks
+        policy.attach(sim)
+
+        def send_ack():
+            acks.append(sim.now)
+
+        return policy, acks, send_ack
 
     def test_single_segment_waits_for_timer(self, sim):
-        policy, acks = self.make(sim, timeout=10 * MILLISECONDS)
-        policy.on_data(in_order=True)
+        policy, acks, send_ack = self.make(sim, timeout=10 * MILLISECONDS)
+        policy.on_data(True, send_ack)
         assert acks == []
         sim.run()
         assert acks == [10 * MILLISECONDS]
 
     def test_second_segment_flushes_immediately(self, sim):
-        policy, acks = self.make(sim)
-        policy.on_data(in_order=True)
-        policy.on_data(in_order=True)
+        policy, acks, send_ack = self.make(sim)
+        policy.on_data(True, send_ack)
+        policy.on_data(True, send_ack)
         assert len(acks) == 1
         sim.run()
         assert len(acks) == 1  # timer was cancelled
 
     def test_out_of_order_flushes(self, sim):
-        policy, acks = self.make(sim)
-        policy.on_data(in_order=False)
+        policy, acks, send_ack = self.make(sim)
+        policy.on_data(False, send_ack)
         assert len(acks) == 1
 
     def test_piggyback_cancels_pending(self, sim):
-        policy, acks = self.make(sim)
-        policy.on_data(in_order=True)
+        policy, acks, send_ack = self.make(sim)
+        policy.on_data(True, send_ack)
         policy.on_piggyback()
         sim.run()
         assert acks == []
 
     def test_cancel_stops_timer(self, sim):
-        policy, acks = self.make(sim)
-        policy.on_data(in_order=True)
+        policy, acks, send_ack = self.make(sim)
+        policy.on_data(True, send_ack)
         policy.cancel()
         sim.run()
         assert acks == []
 
     def test_counter_resets_after_flush(self, sim):
-        policy, acks = self.make(sim, every=2)
+        policy, acks, send_ack = self.make(sim, every=2)
         for _ in range(4):
-            policy.on_data(in_order=True)
+            policy.on_data(True, send_ack)
         assert len(acks) == 2
+
+    def test_holds_the_sender_only_while_armed(self, sim):
+        policy, acks, send_ack = self.make(sim)
+        assert policy._send_ack is None
+        policy.on_data(True, send_ack)
+        assert policy._send_ack is send_ack
+        sim.run()
+        assert policy._send_ack is None
+        policy.on_data(True, send_ack)
+        policy.cancel()
+        assert policy._send_ack is None
+        policy.on_data(True, send_ack)
+        policy.on_piggyback()
+        assert policy._send_ack is None
+        assert len(acks) == 1
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import TransportError
 from repro.net.addr import Endpoint
 from repro.net.network import Network
+from repro.transport.connection import TransportConfig
 from repro.transport.endpoint import Host
 from repro.units import MICROSECONDS, MILLISECONDS, SECONDS
 
@@ -125,6 +126,26 @@ class TestDemux:
         assert pair.network.pipe("server", "client").stats.packets_delivered >= 2
         assert pair.client.connection_count == 0
         assert slab.live == 0
+
+
+class TestOneConfigPerHost:
+    def test_connections_hold_the_hosts_config(self, sim, pair):
+        accepted = []
+        pair.server.listen(7000, accepted.append)
+        conn = pair.client.connect(pair.server_endpoint())
+        sim.run_until(10 * MILLISECONDS)
+        assert conn.config is pair.client.default_config
+        assert accepted[0].config is pair.server.default_config
+
+    def test_a_given_config_is_held_as_given(self, sim, pair):
+        accepted = []
+        listen_config = TransportConfig(mss=1000)
+        connect_config = TransportConfig(mss=1200)
+        pair.server.listen(7000, accepted.append, config=listen_config)
+        conn = pair.client.connect(pair.server_endpoint(), config=connect_config)
+        sim.run_until(10 * MILLISECONDS)
+        assert conn.config is connect_config
+        assert accepted[0].config is listen_config
 
 
 class TestVipAlias:

@@ -20,7 +20,7 @@ from repro.net.addr import Endpoint
 from repro.net.network import Network
 from repro.net.packet import MessageBoundary
 from repro.sim.engine import Simulator
-from repro.transport.connection import TransportConfig
+from repro.transport.connection import Connection, TransportConfig
 from repro.transport.endpoint import Host
 from repro.units import GIGABITS_PER_SECOND, MICROSECONDS, SECONDS
 
@@ -52,11 +52,23 @@ class PartitionOracle:
         return carried
 
 
+class CheckedConnection(Connection):
+    """Checks the in-flight queue after every ACK: strictly increasing
+    end seqs, all past ``snd_una``."""
+
+    __slots__ = ()
+
+    def _handle_ack(self, ack):
+        super()._handle_ack(ack)
+        ends = [segment.end_seq for segment in self._inflight]
+        assert ends == sorted(set(ends))
+        assert all(end > self._snd_una for end in ends)
+
+
 def instrument(conn, oracle):
     """Check ``conn``'s segments against ``oracle`` and its in-flight
     queue after every ACK."""
     send = conn._send
-    handle_ack = conn._handle_ack
     slab = conn._slab
 
     def checked_send(packet):
@@ -68,14 +80,10 @@ def instrument(conn, oracle):
             assert list(slab.boundaries[packet] or ()) == carried
         return send(packet)
 
-    def checked_ack(ack):
-        handle_ack(ack)
-        ends = [segment.end_seq for segment in conn._inflight]
-        assert ends == sorted(set(ends))
-        assert all(end > conn._snd_una for end in ends)
-
+    # Connection is slotted: the ACK check comes from the subclass, and
+    # the bound pipe send is a slot the wrapper replaces.
+    conn.__class__ = CheckedConnection
     conn._send = checked_send
-    conn._handle_ack = checked_ack
 
 
 def lossy_pair(sim, loss, jitter, seed):
