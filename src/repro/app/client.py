@@ -36,6 +36,7 @@ from repro.resilience.retry import (
     backoff_delay,
 )
 from repro.sim.engine import Timer
+from repro.telemetry.columns import ColumnLog
 from repro.telemetry.timeseries import TimeSeries
 from repro.transport.connection import Connection, ConnectionState, TransportConfig
 from repro.transport.endpoint import Host
@@ -117,7 +118,10 @@ class MemtierClient:
         self.service = service
         self.config = config
         self.rng = rng
-        self.records: List[RequestRecord] = []
+        #: Completed requests in completion order; a column log whose
+        #: reads build :class:`RequestRecord` rows.
+        self.records = ColumnLog(RequestRecord, "qoqqqoq")
+        self._record_appends = tuple(column.append for column in self.records.columns)
         self.on_record: Optional[Callable[[RequestRecord], None]] = None
         #: Observability hooks: fired per issued request
         #: ``(request, local_port, is_retry)`` and per completed request
@@ -321,20 +325,23 @@ class _ConnLoop:
             timer.stop()
         client._attempts.pop(response.request_id, None)
         now = self._sim._now
-        record = RequestRecord(
-            request_id=request.request_id,
-            op=request.op,
-            sent_at=request.sent_at,
-            completed_at=now,
-            latency=now - request.sent_at,
-            server=response.server,
-            local_port=conn.local.port,
+        sent_at = request.sent_at
+        log_id, log_op, log_sent, log_done, log_latency, log_server, log_port = (
+            client._record_appends
         )
-        client.records.append(record)
-        if client.on_record is not None:
-            client.on_record(record)
-        if client.on_response is not None:
-            client.on_response(record, response)
+        log_id(request.request_id)
+        log_op(request.op)
+        log_sent(sent_at)
+        log_done(now)
+        log_latency(now - sent_at)
+        log_server(response.server)
+        log_port(conn.local.port)
+        if client.on_record is not None or client.on_response is not None:
+            record = client.records[-1]
+            if client.on_record is not None:
+                client.on_record(record)
+            if client.on_response is not None:
+                client.on_response(record, response)
 
         think = client.config.think_time
         if think > 0:

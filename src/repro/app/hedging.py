@@ -25,6 +25,7 @@ from repro.app.protocol import Request, Response
 from repro.app.workload import WorkloadModel
 from repro.net.addr import Endpoint
 from repro.sim.engine import Timer
+from repro.telemetry.columns import ColumnLog
 from repro.transport.connection import Connection, TransportConfig
 from repro.transport.endpoint import Host
 from repro.units import MILLISECONDS
@@ -76,7 +77,7 @@ class HedgingClient:
         self.service = service
         self.config = config
         self.rng = rng
-        self.records: List[RequestRecord] = []
+        self.records = ColumnLog(RequestRecord, "qoqqqoq")
         self.stats = HedgingStats()
         self._streams: List[_HedgeStream] = []
         self._running = False
@@ -173,16 +174,15 @@ class _HedgeStream:
             self.client.stats.primary_wins += 1
         else:
             self.client.stats.backup_wins += 1
+        request = entry["request"]
         self.client.records.append(
-            RequestRecord(
-                request_id=entry["request"].request_id,
-                op=entry["request"].op,
-                sent_at=entry["started"],
-                completed_at=now,
-                latency=now - entry["started"],
-                server=message.server,
-                local_port=conn.local.port,
-            )
+            request.request_id,
+            request.op,
+            entry["started"],
+            now,
+            now - entry["started"],
+            message.server,
+            conn.local.port,
         )
         self._active = None
         self._send_next()

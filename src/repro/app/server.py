@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from array import array
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -61,8 +62,9 @@ class ServerStats:
     #: Requests discarded because the process was crashed at arrival.
     dropped_while_crashed: int = 0
     busy_ns: int = 0
-    queue_delays: List[int] = field(default_factory=list)
-    service_times: List[int] = field(default_factory=list)
+    #: Per-request queueing delay and work (ns), as ``array('q')`` columns.
+    queue_delays: array = field(default_factory=lambda: array("q"))
+    service_times: array = field(default_factory=lambda: array("q"))
 
 
 class ServerApp:

@@ -16,8 +16,9 @@ to a :class:`~repro.lb.dataplane.LoadBalancer` it:
    existing flows in place).
 
 Observers read the loop's two append-only logs in place: ``samples``
-(a :class:`SampleRecord` per ``T_LB`` sample) and ``epochs`` (a
-``(time, chosen index)`` per ENSEMBLETIMEOUT epoch end, all flows).
+(a :class:`SampleRecord` per ``T_LB`` sample, kept as a column log) and
+``epochs`` (a ``(time, chosen index)`` per ENSEMBLETIMEOUT epoch end,
+all flows).
 
 Set ``control=False`` for measurement-only operation (Fig 2 runs the
 estimator against a static Maglev table).  A load balancer's conntrack
@@ -44,6 +45,7 @@ from repro.lb.conntrack import ConnTrack
 from repro.lb.dataplane import LoadBalancer
 from repro.net.addr import FlowKey
 from repro.net.packet import FLAG_FIN, FLAG_RST, FLAG_SYN
+from repro.telemetry.columns import ColumnLog
 
 _FIN_OR_RST = FLAG_FIN | FLAG_RST
 _SYN_OR_FIN = FLAG_SYN | FLAG_FIN
@@ -204,7 +206,7 @@ class InbandFeedback:
         #: Per-flow measurement state, kept on the conntrack entries.
         self.flows = _FlowStates(conntrack)
         #: Every T_LB sample folded into the estimator, in time order.
-        self.samples: List[SampleRecord] = []
+        self.samples = ColumnLog(SampleRecord, "qooqq")
         #: (epoch_end_time, chosen index) per epoch end, all flows.
         self.epochs: List[Tuple[int, int]] = []
         self.censored_samples = 0
@@ -215,6 +217,7 @@ class InbandFeedback:
         self._ensemble_config = self.config.ensemble
         self._entry = conntrack.entry
         self._est_observe = self.estimator.observe
+        self._sample_appends = tuple(column.append for column in self.samples.columns)
         self._was_invalid: Dict[str, bool] = {}
         # Sample-driven ladder-evaluation throttle (see
         # DegradationConfig.min_evaluate_gap); the periodic check always
@@ -352,9 +355,12 @@ class InbandFeedback:
             return
 
         self._est_observe(backend, now, t_lb)
-        self.samples.append(
-            SampleRecord(now, flow, backend, t_lb, ensemble.current_timeout)
-        )
+        log_time, log_flow, log_backend, log_t_lb, log_delta = self._sample_appends
+        log_time(now)
+        log_flow(flow)
+        log_backend(backend)
+        log_t_lb(t_lb)
+        log_delta(ensemble.current_timeout)
 
         if self.breakers is not None:
             # A T_LB sample is live-traffic evidence the backend answers.

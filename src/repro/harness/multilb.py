@@ -16,9 +16,9 @@ trajectories so benches can quantify exactly that.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
-from repro.app.client import MemtierClient, MemtierConfig
+from repro.app.client import MemtierClient, MemtierConfig, RequestRecord
 from repro.app.server import ServerApp, ServerConfig
 from repro.app.servicetime import Deterministic
 from repro.app.variability import StepInjector
@@ -34,6 +34,7 @@ from repro.net.addr import Endpoint
 from repro.net.network import Network
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
+from repro.telemetry.columns import merge_logs
 from repro.telemetry.timeseries import TimeSeries
 from repro.transport.endpoint import Host
 from repro.units import MICROSECONDS, MILLISECONDS, SECONDS
@@ -86,13 +87,10 @@ class MultiLbResult:
     #: Per LB: time series of the injected server's weight share.
     weight_series: List[TimeSeries]
 
-    def all_records(self) -> list:
-        """Merged client records, completion-ordered."""
-        records = []
-        for client in self.clients:
-            records.extend(client.records)
-        records.sort(key=lambda r: r.completed_at)
-        return records
+    def all_records(self) -> Sequence[RequestRecord]:
+        """Merged client records, completion-ordered (equal times in
+        client order)."""
+        return merge_logs([client.records for client in self.clients], "completed_at")
 
     def injected_share_after(self, start: int) -> float:
         """Fraction of requests served by the injected server after ``start``."""

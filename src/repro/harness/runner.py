@@ -12,6 +12,7 @@ from repro.harness.config import ScenarioConfig
 from repro.harness.report import format_series
 from repro.harness.scenario import Scenario, build_scenario
 from repro.sim.engine import Simulator
+from repro.telemetry.columns import merge_logs
 from repro.telemetry.summary import DistributionSummary, summarize
 from repro.telemetry.timeseries import BucketedSeries
 from repro.units import MILLISECONDS, to_millis
@@ -26,7 +27,9 @@ class ScenarioResult:
 
     config: ScenarioConfig
     scenario: Scenario
-    records: List[RequestRecord]
+    #: Every client's completed requests, by completion time (equal
+    #: times in client order); a column log of :class:`RequestRecord` rows.
+    records: Sequence[RequestRecord]
     wall_events: int
     #: Wall-clock seconds the run took (drives the events/sec footer).
     wall_seconds: float = 0.0
@@ -409,15 +412,12 @@ def run_scenario(
         insight=scenario.insight,
     )
 
-    records: List[RequestRecord] = []
-    for client in scenario.clients:
-        records.extend(client.records)
-    records.sort(key=lambda r: r.completed_at)
-
     return ScenarioResult(
         config=config,
         scenario=scenario,
-        records=records,
+        records=merge_logs(
+            [client.records for client in scenario.clients], "completed_at"
+        ),
         wall_events=scenario.sim.events_processed,
         wall_seconds=wall_seconds,
     )

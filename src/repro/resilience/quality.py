@@ -28,8 +28,10 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.units import MILLISECONDS
 
@@ -88,12 +90,12 @@ class SignalQuality:
 
 
 class _Signal:
-    __slots__ = ("recent", "samples", "last_sample_at")
+    __slots__ = ("times", "values", "samples", "last_sample_at")
 
     def __init__(self, born_at: int):
-        # (time, value) samples in the window, oldest first.  A list, not
-        # a deque: a deque's first block costs ~700 bytes per backend.
-        self.recent: List[Tuple[int, float]] = []
+        # The samples in the window, oldest first, as two typed columns.
+        self.times = array("q")
+        self.values = array("d")
         self.samples = 0
         # Registration anchors the age clock: a backend that has never
         # produced a sample ages from when it *should* have started,
@@ -120,7 +122,8 @@ class SignalQualityTracker:
         if signal is None:
             signal = _Signal(now)
             self._signals[backend] = signal
-        signal.recent.append((now, float(value)))
+        signal.times.append(now)
+        signal.values.append(value)
         signal.samples += 1
         signal.last_sample_at = now
         self._prune(signal, now)
@@ -174,7 +177,7 @@ class SignalQualityTracker:
                 last_sample_at=0,
             )
         self._prune(signal, now)
-        values = [v for _, v in signal.recent]
+        values = signal.values
         rate = len(values) / (self.config.window / 1e9)
         return SignalQuality(
             backend=backend,
@@ -194,18 +197,14 @@ class SignalQualityTracker:
     # ------------------------------------------------------------------
 
     def _prune(self, signal: _Signal, now: int) -> None:
-        horizon = now - self.config.window
-        recent = signal.recent
-        stale = 0
-        for sampled_at, _ in recent:
-            if sampled_at >= horizon:
-                break
-            stale += 1
+        # Samples arrive in time order, so the expired ones are a prefix.
+        stale = bisect_left(signal.times, now - self.config.window)
         if stale:
-            del recent[:stale]
+            del signal.times[:stale]
+            del signal.values[:stale]
 
 
-def _coefficient_of_variation(values: List[float]) -> float:
+def _coefficient_of_variation(values: Sequence[float]) -> float:
     if len(values) < 2:
         return 0.0
     mean = sum(values) / len(values)

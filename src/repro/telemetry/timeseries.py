@@ -8,18 +8,20 @@ time buckets and reports per-bucket statistics — that's what Fig 3's
 
 from __future__ import annotations
 
+from array import array
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.telemetry.quantiles import exact_quantile
 
 
 class TimeSeries:
-    """Append-only record of ``(time_ns, value)`` samples."""
+    """Append-only record of ``(time_ns, value)`` samples, kept as two
+    typed columns: ``array('q')`` times and ``array('d')`` values."""
 
     def __init__(self, name: str = ""):
         self.name = name
-        self._times: List[int] = []
-        self._values: List[float] = []
+        self._times = array("q")
+        self._values = array("d")
 
     def __len__(self) -> int:
         return len(self._times)
@@ -36,7 +38,7 @@ class TimeSeries:
                 % (time_ns, self._times[-1])
             )
         self._times.append(time_ns)
-        self._values.append(float(value))
+        self._values.append(value)
 
     @property
     def times(self) -> Sequence[int]:

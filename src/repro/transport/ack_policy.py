@@ -63,11 +63,14 @@ class DelayedAck(AckPolicy):
         self._timeout = timeout
         self._every = every
         self._pending = 0
-        # The connection's ACK sender, held only while the timer is armed.
+        # The timer and the connection's ACK sender exist only while
+        # armed: the timer's callback is this policy's bound _fire, so a
+        # timer kept idle would hold the two in a reference cycle.
+        self._timer: Optional[Timer] = None
         self._send_ack: Optional[Callable[[], None]] = None
 
     def attach(self, sim: Simulator) -> None:
-        self._timer = Timer(sim, self._fire)
+        self._sim = sim
 
     def on_data(self, in_order: bool, send_ack: Callable[[], None]) -> None:
         if not in_order:
@@ -78,8 +81,9 @@ class DelayedAck(AckPolicy):
         self._pending += 1
         if self._pending >= self._every:
             self._flush(send_ack)
-        elif not self._timer.running:
+        elif self._timer is None:
             self._send_ack = send_ack
+            self._timer = Timer(self._sim, self._fire)
             self._timer.start(self._timeout)
 
     def on_piggyback(self) -> None:
@@ -92,7 +96,9 @@ class DelayedAck(AckPolicy):
         self._pending = 0
 
     def _disarm(self) -> None:
-        self._timer.stop()
+        if self._timer is not None:
+            self._timer.stop()
+            self._timer = None
         self._send_ack = None
 
     def _flush(self, send_ack: Callable[[], None]) -> None:
@@ -101,6 +107,7 @@ class DelayedAck(AckPolicy):
         send_ack()
 
     def _fire(self) -> None:
+        self._timer = None
         self._pending = 0
         send_ack = self._send_ack
         self._send_ack = None

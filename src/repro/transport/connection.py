@@ -276,9 +276,9 @@ class Connection:
         self._rtt = RttEstimator(
             initial_rto=config.initial_rto, rto_min=config.rto_min
         )
-        # None once torn down (see _teardown); _arm_rto rebuilds it.  The
-        # send paths read it directly: they run only while the state is
-        # open, and teardown sets CLOSED first.
+        # None once torn down (see _teardown).  The send paths read it
+        # directly: they run only while the state is open, and teardown
+        # sets CLOSED first.
         self._rto_timer: Optional[Timer] = Timer(self._sim, self._on_rto)
         policy = config.ack_policy_factory()
         policy.attach(self._sim)
@@ -611,14 +611,12 @@ class Connection:
         del inflight[:retired]
 
         timer = self._rto_timer
-        if inflight:
-            if timer is None:
-                # An on_rtt_sample callback tore the connection down.
-                self._arm_rto()
-            else:
+        # None when an on_rtt_sample callback tore the connection down.
+        if timer is not None:
+            if inflight:
                 timer.start(rtt_estimator.rto)
-        elif timer is not None:
-            timer.stop()
+            else:
+                timer.stop()
 
         if self._fin_sent and ack >= self._snd_nxt:
             if self.state is ConnectionState.CLOSE_WAIT:
@@ -773,6 +771,8 @@ class Connection:
             self._arm_rto()
 
     def _emit_segment(self, segment: _SentSegment) -> None:
+        if self.state is ConnectionState.CLOSED:
+            return  # torn down while this paced segment waited
         segment.sent_at = self._sim.now
         self._transmit(
             flags=segment.flags,
@@ -781,10 +781,7 @@ class Connection:
             boundaries=segment.boundaries,
         )
         self.stats.bytes_sent += segment.payload_len
-        timer = self._rto_timer
-        # None when the connection was torn down while this paced
-        # segment waited.
-        if timer is None or not timer.running:
+        if not self._rto_timer.running:
             self._arm_rto()
 
     def _send_pure_ack(self) -> None:
@@ -838,14 +835,11 @@ class Connection:
     # ------------------------------------------------------------------
 
     def _arm_rto(self) -> None:
-        timer = self._rto_timer
-        if timer is None:
-            # Armed again after teardown (say, a paced segment leaving
-            # late): retransmission goes on as it did before the close.
-            timer = self._rto_timer = Timer(self._sim, self._on_rto)
-        timer.start(self._rtt.rto)
+        self._rto_timer.start(self._rtt.rto)
 
     def _on_rto(self) -> None:
+        if self.state is ConnectionState.CLOSED:
+            return
         self._rtt.on_timeout()
 
         if self.state is ConnectionState.SYN_SENT:

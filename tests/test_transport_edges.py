@@ -70,6 +70,21 @@ class TestAbortPaths:
         sim.run_until(1 * SECONDS)
         assert conn.stats.segments_sent == sent_after
 
+    def test_paced_segments_waiting_at_abort_are_never_sent(self, sim, pair):
+        make_echo_server(pair)
+        paced = TransportConfig(pacing_rate_bps=8_000_000)
+        conn = pair.client.connect(pair.server_endpoint(), config=paced)
+        conn.send_message("doomed", 20_000)
+        sim.run_until(1 * MILLISECONDS)
+        conn.abort()
+        sent_at_abort = conn.stats.segments_sent
+        pipe = pair.network.pipe("client", "server")
+        packets_at_abort = pipe.stats.packets_sent
+        sim.run_until(120 * SECONDS)
+        assert conn.stats.segments_sent == sent_at_abort
+        assert conn.stats.retransmissions == 0
+        assert pipe.stats.packets_sent == packets_at_abort
+
     def test_server_abort_notifies_client(self, sim, pair):
         server_conns = []
         pair.server.listen(7000, lambda c: server_conns.append(c))
