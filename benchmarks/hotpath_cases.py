@@ -118,7 +118,7 @@ def run_lb_control_path(
     """The LB's control path, sized like the ledger's ``lb_replay``.
 
     Two timed arms over 16 backends: ``samples`` ``T_LB`` samples, each
-    folded into the estimator and followed by ``maybe_shift`` (latencies
+    folded into the estimator and followed by ``maybe_update`` (latencies
     stay inside the hysteresis band, so every call ranks all backends
     and none shifts); then ``rebuilds`` full builds of a 4099-slot
     Maglev table, each for other weights.  Returns ``(samples,
@@ -135,13 +135,13 @@ def run_lb_control_path(
         for i in range(samples)
     ]
     observe = estimator.observe
-    maybe_shift = controller.maybe_shift
+    maybe_update = controller.maybe_update
     start = time.perf_counter()
     for backend, now, t_lb in stream:
         observe(backend, now, t_lb)
-        maybe_shift(now)
+        maybe_update(now)
     sample_seconds = time.perf_counter() - start
-    assert controller.shift_count == 0
+    assert controller.updates == []
 
     table = MaglevTable(4099)
     weight_sets = [

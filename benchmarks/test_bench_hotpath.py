@@ -67,7 +67,7 @@ def test_hotpath_report():
         "  engine peak queue depth:      %12d (one event per packet in flight)"
         % pipe["peak_queue_depth"],
         "",
-        "LB control path, 16 backends (estimator observe + maybe_shift;",
+        "LB control path, 16 backends (estimator observe + maybe_update;",
         "full Maglev build at 4099 slots):",
         "  per T_LB sample:              %12.0f ns" % (sample_s / sample_n * 1e9),
         "  per weighted rebuild:         %12.3f ms" % (rebuild_s / rebuild_n * 1e3),

@@ -333,7 +333,7 @@ def _hold_freeze(ctx: CampaignContext) -> List[str]:
     updates = ctx.controller_updates()
     out: List[str] = []
     for update in updates:
-        if getattr(update, "reason", "") == "mode-change":
+        if update.reason == "mode-change":
             continue  # the ladder's own relax-to-uniform
         t = update.time
         mode = ControllerMode.HOLD
@@ -348,7 +348,7 @@ def _hold_freeze(ctx: CampaignContext) -> List[str]:
                 "t=%.3fms controller update (%s) while ladder in %s"
                 % (
                     to_millis(t),
-                    getattr(update, "reason", "recompute"),
+                    update.reason,
                     mode.name,
                 )
             )

@@ -23,7 +23,7 @@ and the leaderboard pick it up with no further wiring.
 from repro.controllers.base import (
     BaseController,
     Controller,
-    WeightUpdate,
+    ShiftEvent,
     renormalize_with_floor,
     total_weight_movement,
 )
@@ -61,7 +61,7 @@ __all__ = [
     "MorpheusController",
     "ProportionalConfig",
     "ProportionalController",
-    "WeightUpdate",
+    "ShiftEvent",
     "available",
     "create",
     "get_spec",

@@ -2,16 +2,15 @@
 
 The controller itself lives in :mod:`repro.core.controller` — it is the
 paper's contribution and predates the zoo — so this module only adapts
-it into the registry.  It already satisfies the
-:class:`~repro.controllers.base.Controller` protocol (``maybe_update``,
-``updates``, ``stale_holds``); its ``ShiftEvent`` records carry a
-``reason`` just as the zoo's ``WeightUpdate`` records do.
+it into the registry.  It satisfies the
+:class:`~repro.controllers.base.Controller` protocol like every other
+law, and its :class:`~repro.controllers.base.ShiftEvent` records also
+fill in the worst-versus-best fields a zoo recompute leaves None.
 """
 
 from __future__ import annotations
 
 from repro.controllers.registry import register
-from repro.core.controller import AlphaShiftController
 
 
 @register(
@@ -20,4 +19,8 @@ from repro.core.controller import AlphaShiftController
     provenance="the source paper's §3 rule (HotNets '22)",
 )
 def _make_alpha(pool, estimator, config):
+    # Imported here: repro.core.controller imports this package (for
+    # ShiftEvent), so a module-level import would be circular.
+    from repro.core.controller import AlphaShiftController
+
     return AlphaShiftController(pool, estimator, config.controller)

@@ -6,11 +6,11 @@ from in-band ``T_LB`` samples — and emits the same actuation: new pool
 weights via ``pool.set_weights`` (which rebuilds the weighted Maglev
 table).  The contract, formalized by :class:`Controller`:
 
-* ``maybe_update(now) -> Optional[event]`` — evaluate once; return the
-  executed update event or None (rate-limited, no data, held).
-* ``updates`` — the list of executed update events, each carrying
-  ``time``, ``weights_after`` and ``reason`` (obs + tracing + churn
-  accounting).
+* ``maybe_update(now) -> Optional[ShiftEvent]`` — evaluate once; return
+  the executed update or None (rate-limited, no data, held).
+* ``updates`` — the list of executed :class:`ShiftEvent` records, each
+  carrying ``time``, ``weights_after`` and ``reason`` (obs + tracing +
+  churn accounting).
 * ``stale_holds`` — updates refused because a consulted estimate was
   graded stale (resilience plane attached).
 
@@ -20,42 +20,55 @@ a controller carries no instrument of its own.
 :class:`BaseController` implements the boilerplate half of that
 contract (rate limit, snapshot, stale gating, floor renormalization,
 update recording); concrete laws supply only ``_compute``.  The
-paper's own α-shift rule predates this module and keeps its richer
-:class:`~repro.core.controller.ShiftEvent` records, but satisfies the
-same protocol.
+paper's own α-shift rule (:mod:`repro.core.controller`) fills in the
+worst-versus-best fields of the same record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
-
-try:  # pragma: no cover - typing fallback exercised only on old pythons
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    runtime_checkable,
+)
 
 from repro.errors import ConfigError
 
-# Type-only: importing repro.core at runtime would cycle back into this
-# module (repro.core re-exports the zoo for compatibility).
+# Type-only: repro.core.controller imports ShiftEvent from this module,
+# so importing repro.core here at runtime would be circular.
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.core.estimator import BackendEstimate, BackendLatencyEstimator
     from repro.lb.backend import BackendPool
 
 
 @dataclass
-class WeightUpdate:
-    """Record of one executed weight recomputation."""
+class ShiftEvent:
+    """Record of one executed weight update, whichever law made it."""
 
     time: int
+    #: The demoted backend: the α rule's worst, ``"*"`` for the
+    #: resilience ladder's uniform relax, None for a zoo recompute
+    #: (which moves the whole pool).
+    from_backend: Optional[str] = None
+    #: The α rule's worst and best latency estimates (None for a zoo
+    #: recompute, which ranks nothing).
+    worst_estimate: Optional[float] = None
+    best_estimate: Optional[float] = None
     weights_after: Dict[str, float] = field(default_factory=dict)
-    #: Why the update fired, as ``ShiftEvent.reason`` says for the α
-    #: rule; a zoo law has the one reason.
-    reason: str = "recompute"
+    #: Why the update fired: ``"hysteresis-pass"`` (the α rule),
+    #: ``"post-fallback-rebalance"`` (first α shift after the resilience
+    #: ladder left FALLBACK), ``"mode-change"`` (the ladder's own
+    #: uniform relax on FALLBACK entry) or ``"recompute"`` (a zoo law).
+    reason: str = "hysteresis-pass"
+    #: The best-ranked backend the α rule compared against (None when
+    #: nothing was ranked).  Lets causal tracing recover both sides of
+    #: the worst-vs-best comparison.
+    best_backend: Optional[str] = None
 
 
 @runtime_checkable
@@ -66,12 +79,9 @@ class Controller(Protocol):
     estimator: BackendLatencyEstimator
     stale_holds: int
 
-    @property
-    def updates(self) -> List:
-        """Executed update events (``time``, ``weights_after``, ``reason``)."""
-        ...  # pragma: no cover - protocol body
+    updates: List[ShiftEvent]
 
-    def maybe_update(self, now: int) -> Optional[object]:
+    def maybe_update(self, now: int) -> Optional[ShiftEvent]:
         """Evaluate once at ``now``; return the executed event or None."""
         ...  # pragma: no cover - protocol body
 
@@ -163,16 +173,11 @@ class BaseController:
         self.estimator = estimator
         self.weight_floor = weight_floor
         self.min_interval = min_interval
-        self.updates: List[WeightUpdate] = []
+        self.updates: List[ShiftEvent] = []
         self.stale_holds = 0
         self._last_update: Optional[int] = None
 
-    @property
-    def update_count(self) -> int:
-        """Total weight recomputations executed."""
-        return len(self.updates)
-
-    def maybe_update(self, now: int) -> Optional[WeightUpdate]:
+    def maybe_update(self, now: int) -> Optional[ShiftEvent]:
         """Evaluate one control step if the rate limit allows."""
         if (
             self._last_update is not None
@@ -194,7 +199,9 @@ class BaseController:
             new_weights, total, self.weight_floor * total
         )
         self.pool.set_weights(new_weights)
-        update = WeightUpdate(time=now, weights_after=dict(new_weights))
+        update = ShiftEvent(
+            time=now, weights_after=dict(new_weights), reason="recompute"
+        )
         self.updates.append(update)
         self._last_update = now
         return update

@@ -30,8 +30,8 @@ from typing import TYPE_CHECKING, Callable, Dict, List
 
 from repro.errors import ConfigError
 
-# Type-only: importing repro.core at runtime would cycle back into the
-# zoo (repro.core re-exports it for compatibility).
+# Type-only: repro.core imports this package (the feedback plane builds
+# its law here), so importing repro.core at runtime would be circular.
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.core.estimator import BackendLatencyEstimator
     from repro.core.feedback import FeedbackConfig

@@ -21,23 +21,9 @@ from repro.core.fixed_timeout import FixedTimeout
 from repro.core.ensemble import EnsembleConfig, EnsembleTimeout, default_timeouts
 from repro.core.estimator import BackendEstimate, BackendLatencyEstimator, EstimatorConfig
 from repro.core.controller import AlphaShiftController, ControllerConfig
-
-# Historical re-exports: the alternative laws moved to the controller
-# zoo (repro.controllers) but stay importable from repro.core.
-from repro.controllers.aimd import AimdConfig, AimdController
-from repro.controllers.base import WeightUpdate
-from repro.controllers.proportional import (
-    ProportionalConfig,
-    ProportionalController,
-)
 from repro.core.feedback import InbandFeedback, FeedbackConfig
 
 __all__ = [
-    "AimdController",
-    "AimdConfig",
-    "ProportionalController",
-    "ProportionalConfig",
-    "WeightUpdate",
     "FixedTimeout",
     "EnsembleTimeout",
     "EnsembleConfig",

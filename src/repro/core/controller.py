@@ -31,9 +31,10 @@ paper-faithful or near-inert values:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.controllers.base import ShiftEvent
 from repro.core.estimator import BackendLatencyEstimator
 from repro.errors import ConfigError
 from repro.lb.backend import BackendPool
@@ -60,30 +61,10 @@ class ControllerConfig:
             raise ConfigError("hysteresis_ratio must be >= 1.0")
 
 
-@dataclass
-class ShiftEvent:
-    """Record of one executed traffic shift (for reaction-time benches)."""
-
-    time: int
-    from_backend: str
-    worst_estimate: float
-    best_estimate: float
-    weights_after: Dict[str, float] = field(default_factory=dict)
-    #: Why the shift fired: ``"hysteresis-pass"`` (the normal rule),
-    #: ``"post-fallback-rebalance"`` (first shift after the resilience
-    #: ladder left FALLBACK), or ``"mode-change"`` (the ladder's own
-    #: uniform relax on FALLBACK entry).
-    reason: str = "hysteresis-pass"
-    #: The best-ranked backend the decision compared against (None for
-    #: mode-change shifts, which do not rank).  Lets causal tracing
-    #: recover both sides of the worst-vs-best comparison.
-    best_backend: Optional[str] = None
-
-
 class AlphaShiftController:
     """Moves weight away from the highest-latency backend.
 
-    ``maybe_shift(now)`` is called by the feedback loop whenever a new
+    ``maybe_update(now)`` is called by the feedback loop whenever a new
     ``T_LB`` sample lands; it consults the estimator and, if a shift is
     warranted, updates the pool's weights (which triggers the Maglev
     rebuild via the pool's change listener).
@@ -99,32 +80,14 @@ class AlphaShiftController:
         self.estimator = estimator
         self.config = config or ControllerConfig()
         self.config.validate()
-        self.shifts: List[ShiftEvent] = []
+        self.updates: List[ShiftEvent] = []
         self._last_shift_at: Optional[int] = None
         #: Set by the resilience ladder: tags the next executed shift.
         self.pending_reason: Optional[str] = None
         #: Shifts refused because a consulted estimate was stale.
         self.stale_holds = 0
 
-    @property
-    def shift_count(self) -> int:
-        """Total shifts executed."""
-        return len(self.shifts)
-
-    @property
-    def updates(self) -> List[ShiftEvent]:
-        """Uniform accessor shared with the alternative strategies."""
-        return self.shifts
-
     def maybe_update(self, now: int) -> Optional[ShiftEvent]:
-        """Uniform entry point shared with the alternative strategies."""
-        return self.maybe_shift(now)
-
-    def record_shift(self, event: ShiftEvent) -> None:
-        """Log a shift executed outside the α rule (the ladder's relax)."""
-        self.shifts.append(event)
-
-    def maybe_shift(self, now: int) -> Optional[ShiftEvent]:
         """Evaluate and possibly execute one α-shift; returns the event."""
         config = self.config
         if (
@@ -167,7 +130,7 @@ class AlphaShiftController:
             reason=reason,
             best_backend=best.backend,
         )
-        self.shifts.append(event)
+        self.updates.append(event)
         self._last_shift_at = now
         return event
 

@@ -21,16 +21,8 @@ class NetworkError(ReproError):
     """Bad network configuration: unknown nodes, missing pipes, etc."""
 
 
-class AddressError(NetworkError):
-    """Malformed or unresolvable address."""
-
-
 class TransportError(ReproError):
     """Violation of transport-protocol state (e.g. send on closed socket)."""
-
-
-class ConnectionResetError_(TransportError):
-    """Peer aborted the connection (named to avoid shadowing the builtin)."""
 
 
 class ProtocolError(ReproError):

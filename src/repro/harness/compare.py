@@ -125,7 +125,7 @@ def compare_point(config: ScenarioConfig) -> Dict[str, object]:
         "recovery_ms": None if recovery is None else _ms(recovery),
         "shifts": len(updates),
         "churn": round(total_weight_movement(updates, initial), 6),
-        "stale_holds": getattr(controller, "stale_holds", 0),
+        "stale_holds": controller.stale_holds if controller is not None else 0,
         "violations": len(watch.violations),
     }
     if scenario.insight is not None:

@@ -256,7 +256,7 @@ class ElasticResult:
             "controller: shifts=%d stale_holds=%d"
             % (
                 len(controller.updates) if controller is not None else 0,
-                getattr(controller, "stale_holds", 0),
+                controller.stale_holds if controller is not None else 0,
             )
         )
         summary = self.result.summary(start=self.result.config.warmup)
@@ -305,9 +305,7 @@ def elastic_point(config: ElasticConfig) -> Dict[str, object]:
         "time_to_stable_ms": round(elastic.time_to_stable_ms(), 3),
         "grades": {k: grades[k] for k in sorted(grades)},
         "requests": len(elastic.result.records),
-        "stale_holds": getattr(
-            elastic.scenario.feedback.controller, "stale_holds", 0
-        ),
+        "stale_holds": elastic.scenario.feedback.controller.stale_holds,
     }
 
 

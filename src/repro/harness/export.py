@@ -46,18 +46,25 @@ def export_latency_series(
 
 
 def export_shift_events(path: PathLike, events) -> int:
-    """Write controller :class:`~repro.core.controller.ShiftEvent` rows.
+    """Write controller :class:`~repro.controllers.base.ShiftEvent` rows.
 
     Includes each shift's ``reason`` (hysteresis-pass vs the resilience
-    ladder's mode-change / post-fallback-rebalance) so exported traces
-    distinguish normal control activity from recovery choreography.
+    ladder's mode-change / post-fallback-rebalance vs a zoo law's
+    recompute) so exported traces distinguish normal control activity
+    from recovery choreography.  A recompute moves the whole pool, so
+    its ``from_backend`` is written as ``*`` like the ladder's relax,
+    and its estimates (it ranks nothing) as empty cells.
     """
+
+    def estimate(value) -> str:
+        return "" if value is None else "%.6g" % value
+
     rows = (
         (
             e.time,
-            e.from_backend,
-            "%.6g" % e.worst_estimate,
-            "%.6g" % e.best_estimate,
+            e.from_backend or "*",
+            estimate(e.worst_estimate),
+            estimate(e.best_estimate),
             e.reason,
             ";".join(
                 "%s=%.6g" % (name, weight)

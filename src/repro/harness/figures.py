@@ -472,7 +472,7 @@ def run_reaction(config: Optional[Fig3Config] = None) -> ReactionResult:
     # When did the injected server's weight reach the floor?
     floor_time: Optional[int] = None
     floor = feedback.controller.config.weight_floor
-    for event in feedback.controller.shifts:
+    for event in feedback.controller.updates:
         weights = event.weights_after
         total = sum(weights.values())
         injected = weights.get(config.injected_server, 0.0)
@@ -484,7 +484,7 @@ def run_reaction(config: Optional[Fig3Config] = None) -> ReactionResult:
         injection_at=injection,
         first_shift_after=first_shift,
         injected_weight_floor_at=floor_time,
-        shifts_total=len(feedback.controller.shifts),
+        shifts_total=len(feedback.controller.updates),
     )
 
 

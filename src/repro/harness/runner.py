@@ -105,7 +105,7 @@ class ScenarioResult:
         if self.scenario.feedback is not None:
             return [e.time for e in self.scenario.feedback.shift_events()]
         if self.scenario.oracle is not None and self.scenario.oracle.controller:
-            return [e.time for e in self.scenario.oracle.controller.shifts]
+            return [e.time for e in self.scenario.oracle.controller.updates]
         return []
 
     def first_shift_after(self, time: int) -> Optional[int]:

@@ -261,12 +261,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
             lb, config.feedback, resilience=resilience, breakers=board
         )
     elif config.policy is PolicyName.ORACLE:
-        oracle = OracleFeedback(
-            pool,
-            estimator_config=config.feedback.estimator,
-            controller_config=config.feedback.controller,
-            control=config.feedback.control,
-        )
+        oracle = OracleFeedback(pool, config.feedback)
         for client in clients:
             client.on_record = oracle.on_record
         scenario.oracle = oracle

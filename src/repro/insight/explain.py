@@ -177,8 +177,7 @@ def explain_shift(
             "shift %d out of range (have %d)" % (index, len(shifts))
         )
     shift = shifts[index]
-    from_backend = getattr(shift, "from_backend", None)
-    best_backend = getattr(shift, "best_backend", None)
+    from_backend = shift.from_backend
     lookback_start = max(0, shift.time - lookback)
 
     lines = [
@@ -190,8 +189,8 @@ def explain_shift(
             "decision: demote %s toward %s (%s)"
             % (
                 from_backend,
-                best_backend or "rest of pool",
-                getattr(shift, "reason", "update"),
+                shift.best_backend or "rest of pool",
+                shift.reason,
             )
         )
     else:
@@ -228,8 +227,8 @@ def explain_shift(
         lines.append("estimator snapshot: no frame recorded before the shift")
 
     # 3. Controller inputs straight off the shift event.
-    worst = getattr(shift, "worst_estimate", None)
-    best = getattr(shift, "best_estimate", None)
+    worst = shift.worst_estimate
+    best = shift.best_estimate
     if worst is not None and best is not None:
         lines.append(
             "controller inputs: worst=%.1fus best=%.1fus ratio=%.2f (%s)"
@@ -237,7 +236,7 @@ def explain_shift(
                 to_micros(worst),
                 to_micros(best),
                 (worst / best) if best else float("inf"),
-                getattr(shift, "reason", "update"),
+                shift.reason,
             )
         )
 
@@ -296,13 +295,14 @@ def explain_overview(result: "ScenarioResult") -> str:
     if shifts:
         lines.append("shifts (use --shift N):")
         for i, shift in enumerate(shifts):
-            from_backend = getattr(shift, "from_backend", None)
             lines.append(
                 "  #%d at %.3fms%s"
                 % (
                     i,
                     to_millis(shift.time),
-                    "" if from_backend is None else " (demotes %s)" % from_backend,
+                    ""
+                    if shift.from_backend is None
+                    else " (demotes %s)" % shift.from_backend,
                 )
             )
     else:

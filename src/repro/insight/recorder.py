@@ -166,13 +166,11 @@ class FlightRecorder:
         if feedback is not None:
             shifts = feedback.shift_events()
             for shift in shifts[self._seen_shifts:]:
-                from_backend = getattr(shift, "from_backend", None)
-                best = getattr(shift, "best_backend", None)
-                if from_backend is not None:
+                if shift.from_backend is not None:
                     label = "weight shift %s -> %s (%s)" % (
-                        from_backend,
-                        best or "pool",
-                        getattr(shift, "reason", "update"),
+                        shift.from_backend,
+                        shift.best_backend or "pool",
+                        shift.reason,
                     )
                 else:
                     label = "weight update"
@@ -182,9 +180,9 @@ class FlightRecorder:
                         kind="shift",
                         label=label,
                         data={
-                            "from": from_backend,
-                            "to": best,
-                            "reason": getattr(shift, "reason", None),
+                            "from": shift.from_backend,
+                            "to": shift.best_backend,
+                            "reason": shift.reason,
                         },
                     )
                 )

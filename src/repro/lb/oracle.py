@@ -6,7 +6,8 @@ out at the layer this paper targets.  :class:`OracleFeedback` models
 that upper bound without changing the topology: it receives each
 completed request's ground-truth latency (from the client's record
 stream, attributed by the responding server) and drives the same
-estimator + α-shift controller as the in-band design.
+estimator and control law as the in-band design: the law is built by
+name from ``FeedbackConfig.strategy``, through the controller registry.
 
 Comparing the in-band loop against this oracle isolates the cost of the
 paper's *measurement* substitution (T_LB vs T_client) from the cost of
@@ -18,8 +19,10 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.app.client import RequestRecord
-from repro.core.controller import AlphaShiftController, ControllerConfig
-from repro.core.estimator import BackendLatencyEstimator, EstimatorConfig
+from repro.controllers.base import Controller
+from repro.controllers.registry import create as create_controller
+from repro.core.estimator import BackendLatencyEstimator
+from repro.core.feedback import FeedbackConfig
 from repro.lb.backend import BackendPool
 
 
@@ -27,20 +30,18 @@ class OracleFeedback:
     """Controller driven by exact per-request latencies.
 
     Wire it to a client with ``client.on_record = oracle.on_record``.
+    Reads ``estimator``, ``strategy`` (with its tunables) and
+    ``control`` from ``config``; the in-band measurement settings do
+    not apply.
     """
 
-    def __init__(
-        self,
-        pool: BackendPool,
-        estimator_config: Optional[EstimatorConfig] = None,
-        controller_config: Optional[ControllerConfig] = None,
-        control: bool = True,
-    ):
-        self.estimator = BackendLatencyEstimator(estimator_config)
-        self.controller: Optional[AlphaShiftController] = None
-        if control:
-            self.controller = AlphaShiftController(
-                pool, self.estimator, controller_config
+    def __init__(self, pool: BackendPool, config: Optional[FeedbackConfig] = None):
+        config = config or FeedbackConfig()
+        self.estimator = BackendLatencyEstimator(config.estimator)
+        self.controller: Optional[Controller] = None
+        if config.control:
+            self.controller = create_controller(
+                config.strategy, pool, self.estimator, config
             )
 
     def on_record(self, record: RequestRecord) -> None:
@@ -49,4 +50,4 @@ class OracleFeedback:
             return
         self.estimator.observe(record.server, record.completed_at, record.latency)
         if self.controller is not None:
-            self.controller.maybe_shift(record.completed_at)
+            self.controller.maybe_update(record.completed_at)

@@ -176,14 +176,13 @@ class CausalTracer:
         before the shift for each backend the decision compared — the
         shifted-from (worst) backend and, when recorded, the best one.
         A ``from_backend`` of ``"*"`` (the resilience ladder's uniform
-        relax) involves the whole pool.
+        relax) or None (a zoo law's recompute) involves the whole pool.
         """
         backends: Optional[Set[str]] = None
-        if shift.from_backend != "*":
+        if shift.from_backend not in (None, "*"):
             backends = {shift.from_backend}
-            best = getattr(shift, "best_backend", None)
-            if best:
-                backends.add(best)
+            if shift.best_backend:
+                backends.add(shift.best_backend)
         per_backend: Dict[str, List[SampleRecord]] = {}
         for sample in self.samples:
             if sample.time > shift.time:
@@ -215,19 +214,19 @@ class CausalTracer:
 
 
 def _describe_shift(index: int, shift) -> str:
-    best = getattr(shift, "best_backend", None)
-    towards = best if best else "pool"
-    return (
-        "shift #%d at %.3fms: %s -> %s  (worst=%.1fus best=%.1fus, %s)"
-        % (
-            index,
-            to_millis(shift.time),
-            shift.from_backend,
-            towards,
-            to_micros(shift.worst_estimate),
-            to_micros(shift.best_estimate),
-            shift.reason,
-        )
+    head = "shift #%d at %.3fms: %s -> %s" % (
+        index,
+        to_millis(shift.time),
+        shift.from_backend or "*",
+        shift.best_backend or "pool",
+    )
+    if shift.worst_estimate is None:
+        return "%s  (%s)" % (head, shift.reason)
+    return "%s  (worst=%.1fus best=%.1fus, %s)" % (
+        head,
+        to_micros(shift.worst_estimate),
+        to_micros(shift.best_estimate),
+        shift.reason,
     )
 
 

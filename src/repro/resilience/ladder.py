@@ -26,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.controller import AlphaShiftController, ShiftEvent
+from repro.controllers.base import ShiftEvent
+from repro.core.controller import AlphaShiftController
 from repro.lb.backend import BackendPool
 from repro.resilience.quality import SignalGrade, SignalQualityTracker
 from repro.telemetry.timeseries import TimeSeries
@@ -221,7 +222,7 @@ class DegradationLadder:
         uniform = {name: total / len(weights) for name in weights}
         self.pool.set_weights(uniform)
         if self.controller is not None:
-            self.controller.record_shift(
+            self.controller.updates.append(
                 ShiftEvent(
                     time=now,
                     from_backend="*",

@@ -452,9 +452,11 @@ class Connection:
                             if self.on_message is not None:
                                 self.on_message(self, boundary.message)
                 # The FIN's ACK (if this segment carried one) goes out
-                # here, after _accept may have torn the connection down.
+                # here, after _accept may have torn the connection down;
+                # a closed connection sends it at once, never arming the
+                # policy's timer.
                 on_data = self._ack_on_data
-                if on_data is None:
+                if on_data is None or self.state is ConnectionState.CLOSED:
                     self._send_pure_ack()
                 else:
                     on_data(True, self._send_pure_ack)

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.net.packet import FLAG_ACK
+from repro.net.trace import PacketTrace
 from repro.sim.engine import Simulator
 from repro.transport.ack_policy import DelayedAck, ImmediateAck
+from repro.transport.connection import TransportConfig
 from repro.units import MILLISECONDS
 
 
@@ -95,6 +98,36 @@ class TestDelayedAck:
             DelayedAck(timeout=0)
         with pytest.raises(ValueError):
             DelayedAck(every=1)
+
+
+@pytest.mark.parametrize("policy", [ImmediateAck, DelayedAck])
+def test_no_pure_ack_after_the_connection_closes(sim, pair, policy):
+    """The FIN that closes a FIN_WAIT connection is ACKed at once; no
+    policy timer outlives the connection to ACK from CLOSED later."""
+    config = TransportConfig(ack_policy_factory=policy)
+    trace = PacketTrace()
+    pair.network.attach_trace(trace)
+
+    def echo_then_close(conn):
+        conn.on_message = lambda c, message: c.send_message(message, 100)
+        conn.on_peer_close = lambda c: c.close()
+
+    pair.server.listen(7002, echo_then_close, config=config)
+    closing = pair.client.connect(pair.server_endpoint(7002), config=config)
+    closed_at = []
+    closing.on_closed = lambda c: closed_at.append(sim.now)
+    closing.on_message = lambda c, message: c.close()
+    closing.send_message("ping", 100)
+    sim.run()
+
+    assert len(closed_at) == 1
+    pure_acks = [
+        record.time
+        for record in trace.on_pipe("client->server")
+        if record.packet.flags == FLAG_ACK and record.packet.payload_len == 0
+    ]
+    assert pure_acks
+    assert max(pure_acks) <= closed_at[0]
 
 
 class TestRetransmitEstimator:

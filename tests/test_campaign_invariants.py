@@ -22,7 +22,7 @@ from repro.campaign import (
 )
 from repro.campaign.audit import CampaignAudit
 from repro.campaign.registry import _REGISTRY
-from repro.core.controller import ShiftEvent
+from repro.controllers.base import ShiftEvent
 from repro.errors import ConfigError
 from repro.faults import DelayFault, ServerSlowdownFault
 from repro.harness.config import PolicyName, ScenarioConfig

@@ -38,7 +38,7 @@ class TestShiftMechanics:
     def test_alpha_of_total_moves_from_worst(self):
         pool, estimator, controller = make(n=2, alpha=0.10)
         feed(estimator, now=0)
-        event = controller.maybe_shift(now=0)
+        event = controller.maybe_update(now=0)
         assert event is not None
         # Total weight 2.0; alpha=0.1 -> shift 0.2.
         assert pool.weights() == {"s0": pytest.approx(0.8),
@@ -50,7 +50,7 @@ class TestShiftMechanics:
         estimator.observe("s0", 0, 1000)
         for name in ("s1", "s2", "s3"):
             estimator.observe(name, 0, 100)
-        controller.maybe_shift(0)
+        controller.maybe_update(0)
         weights = pool.weights()
         # 0.12 * 4 = 0.48 off s0; 0.16 onto each other.
         assert weights["s0"] == pytest.approx(4 - 0.48 - 3)
@@ -64,19 +64,19 @@ class TestShiftMechanics:
         estimator.observe("s2", 0, 200)
         for now in range(5):
             feed(estimator, now)
-            controller.maybe_shift(now)
+            controller.maybe_update(now)
         assert sum(pool.weights().values()) == pytest.approx(3.0)
 
     def test_no_shift_with_single_estimate(self):
         pool, estimator, controller = make()
         estimator.observe("s0", 0, 1000)
-        assert controller.maybe_shift(0) is None
+        assert controller.maybe_update(0) is None
 
     def test_no_shift_when_equal(self):
         pool, estimator, controller = make()
         estimator.observe("s0", 0, 500)
         estimator.observe("s1", 0, 500)
-        assert controller.maybe_shift(0) is None
+        assert controller.maybe_update(0) is None
 
 
 class TestGuardRails:
@@ -84,7 +84,7 @@ class TestGuardRails:
         pool, estimator, controller = make(alpha=0.25, floor=0.05)
         for now in range(50):
             feed(estimator, now)
-            controller.maybe_shift(now)
+            controller.maybe_update(now)
         weights = pool.weights()
         # Floor = 0.05 * total (2.0) = 0.1.
         assert weights["s0"] >= 0.1 - 1e-9
@@ -93,29 +93,29 @@ class TestGuardRails:
     def test_min_interval_throttles(self):
         pool, estimator, controller = make(min_interval=10 * MILLISECONDS)
         feed(estimator, 0)
-        assert controller.maybe_shift(0) is not None
+        assert controller.maybe_update(0) is not None
         feed(estimator, 1 * MILLISECONDS)
-        assert controller.maybe_shift(1 * MILLISECONDS) is None
+        assert controller.maybe_update(1 * MILLISECONDS) is None
         feed(estimator, 11 * MILLISECONDS)
-        assert controller.maybe_shift(11 * MILLISECONDS) is not None
+        assert controller.maybe_update(11 * MILLISECONDS) is not None
 
     def test_hysteresis_blocks_small_differences(self):
         pool, estimator, controller = make(hysteresis=1.5)
         estimator.observe("s0", 0, 120)
         estimator.observe("s1", 0, 100)
-        assert controller.maybe_shift(0) is None  # 1.2x < 1.5x
+        assert controller.maybe_update(0) is None  # 1.2x < 1.5x
         # Much later (>> tau), fresh samples dominate the time-decay EWMA.
         later = 200 * MILLISECONDS
         estimator.observe("s0", later, 200)
         estimator.observe("s1", later, 100)
-        assert controller.maybe_shift(later) is not None
+        assert controller.maybe_update(later) is not None
 
     def test_shift_events_recorded(self):
         pool, estimator, controller = make()
         feed(estimator, 0)
-        controller.maybe_shift(0)
-        assert controller.shift_count == 1
-        event = controller.shifts[0]
+        controller.maybe_update(0)
+        assert len(controller.updates) == 1
+        event = controller.updates[0]
         assert event.worst_estimate > event.best_estimate
         assert event.weights_after == pool.weights()
 
@@ -167,7 +167,7 @@ class TestStaleGuard:
         pool, estimator, controller = self.make_graded()
         feed(estimator, now=0)
         stale_now = 60 * MILLISECONDS  # past stale_after, both stale
-        assert controller.maybe_shift(stale_now) is None
+        assert controller.maybe_update(stale_now) is None
         assert controller.stale_holds == 1
         assert pool.weights() == {"s0": 1.0, "s1": 1.0}  # frozen
 
@@ -177,15 +177,15 @@ class TestStaleGuard:
         feed(estimator, now=0)
         now = 60 * MILLISECONDS
         estimator.observe("s1", now, 100 * MICROSECONDS)  # s0 still stale
-        assert controller.maybe_shift(now) is None
+        assert controller.maybe_update(now) is None
         assert controller.stale_holds == 1
 
     def test_shifts_again_once_signal_refreshes(self):
         pool, estimator, controller = self.make_graded()
         feed(estimator, now=0)
-        assert controller.maybe_shift(60 * MILLISECONDS) is None
+        assert controller.maybe_update(60 * MILLISECONDS) is None
         feed(estimator, now=61 * MILLISECONDS)
-        event = controller.maybe_shift(61 * MILLISECONDS)
+        event = controller.maybe_update(61 * MILLISECONDS)
         assert event is not None
         assert event.reason == "hysteresis-pass"
 
@@ -193,10 +193,10 @@ class TestStaleGuard:
         pool, estimator, controller = make()
         feed(estimator, 0)
         controller.pending_reason = "post-fallback-rebalance"
-        event = controller.maybe_shift(0)
+        event = controller.maybe_update(0)
         assert event.reason == "post-fallback-rebalance"
         assert controller.pending_reason is None
         # Consumed: the next shift is a plain hysteresis pass again.
         feed(estimator, 1 * MILLISECONDS)
-        event = controller.maybe_shift(1 * MILLISECONDS)
+        event = controller.maybe_update(1 * MILLISECONDS)
         assert event is not None and event.reason == "hysteresis-pass"

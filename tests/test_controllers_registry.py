@@ -9,6 +9,7 @@ from repro.controllers import (
     KnapsackController,
     MorpheusController,
 )
+from repro.controllers.base import ShiftEvent
 from repro.controllers.registry import ControllerSpec, get_spec, register
 from repro.core.controller import AlphaShiftController
 from repro.core.estimator import BackendLatencyEstimator, EstimatorConfig
@@ -76,6 +77,16 @@ class TestRegistry:
             assert controller.updates == []
             assert controller.stale_holds == 0
             assert controller.maybe_update(0) is None  # no estimates yet
+            estimator = controller.estimator
+            for step in range(1, 21):
+                now = step * 1_000_000
+                estimator.observe("s0", now, 2_000_000)
+                estimator.observe("s1", now, 100_000)
+                estimator.observe("s2", now, 150_000)
+                controller.maybe_update(now)
+            assert controller.updates, name
+            for update in controller.updates:
+                assert isinstance(update, ShiftEvent), name
 
 
 class TestFeedbackDispatch:

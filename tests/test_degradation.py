@@ -24,11 +24,8 @@ class ControllerStub:
     """Just enough of AlphaShiftController for the ladder to talk to."""
 
     def __init__(self):
-        self.shifts = []
+        self.updates = []
         self.pending_reason = None
-
-    def record_shift(self, event):
-        self.shifts.append(event)
 
 
 def build(n=2, controller=None, **ladder_kwargs):
@@ -159,8 +156,8 @@ class TestFallbackPosture:
         pool, tracker, ladder = build(n=2, controller=controller)
         tracker.observe("s1", 0, 1.0)
         ladder.evaluate(10 * MILLISECONDS)
-        assert len(controller.shifts) == 1
-        event = controller.shifts[0]
+        assert len(controller.updates) == 1
+        event = controller.updates[0]
         assert event.reason == "mode-change"
         assert event.from_backend == "*"
 

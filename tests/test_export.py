@@ -4,7 +4,7 @@ import csv
 
 from repro.app.client import RequestRecord
 from repro.app.protocol import Op
-from repro.core.controller import ShiftEvent
+from repro.controllers.base import ShiftEvent
 from repro.harness.export import (
     export_latency_series,
     export_records,

@@ -1,6 +1,6 @@
 """Causal tracer: span recording, shift attribution, rendering."""
 
-from repro.core.controller import ShiftEvent
+from repro.controllers.base import ShiftEvent
 from repro.core.feedback import SampleRecord
 from repro.net.addr import Endpoint, FlowKey
 from repro.obs.trace import (

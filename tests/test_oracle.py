@@ -2,8 +2,10 @@
 
 from repro.app.client import RequestRecord
 from repro.app.protocol import Op
+from repro.controllers import ProportionalController
 from repro.core.controller import ControllerConfig
 from repro.core.estimator import EstimatorConfig
+from repro.core.feedback import FeedbackConfig
 from repro.lb.backend import Backend, BackendPool
 from repro.lb.oracle import OracleFeedback
 from repro.units import MILLISECONDS
@@ -24,7 +26,7 @@ def record(server, latency, t):
 class TestOracleFeedback:
     def test_estimates_from_records(self):
         pool = BackendPool([Backend("s0"), Backend("s1")])
-        oracle = OracleFeedback(pool, control=False)
+        oracle = OracleFeedback(pool, FeedbackConfig(control=False))
         oracle.on_record(record("s0", 100_000, 1_000_000))
         oracle.on_record(record("s1", 900_000, 1_000_000))
         assert oracle.estimator.estimate("s0") == 100_000
@@ -32,7 +34,7 @@ class TestOracleFeedback:
 
     def test_records_without_server_ignored(self):
         pool = BackendPool([Backend("s0")])
-        oracle = OracleFeedback(pool, control=False)
+        oracle = OracleFeedback(pool, FeedbackConfig(control=False))
         rec = record(None, 100, 1000)
         oracle.on_record(rec)
         assert oracle.estimator.total_samples == 0
@@ -41,8 +43,10 @@ class TestOracleFeedback:
         pool = BackendPool([Backend("s0"), Backend("s1")])
         oracle = OracleFeedback(
             pool,
-            estimator_config=EstimatorConfig(min_samples=1),
-            controller_config=ControllerConfig(hysteresis_ratio=1.1),
+            FeedbackConfig(
+                estimator=EstimatorConfig(min_samples=1),
+                controller=ControllerConfig(hysteresis_ratio=1.1),
+            ),
         )
         t = 0
         for _ in range(10):
@@ -53,8 +57,13 @@ class TestOracleFeedback:
         assert weights["s0"] < 1.0
         assert weights["s1"] > 1.0
         assert oracle.controller is not None
-        assert oracle.controller.shift_count > 0
+        assert len(oracle.controller.updates) > 0
 
     def test_no_controller_in_measure_mode(self):
         pool = BackendPool([Backend("s0")])
-        assert OracleFeedback(pool, control=False).controller is None
+        assert OracleFeedback(pool, FeedbackConfig(control=False)).controller is None
+
+    def test_strategy_selects_the_law(self):
+        pool = BackendPool([Backend("s0"), Backend("s1")])
+        oracle = OracleFeedback(pool, FeedbackConfig(strategy="proportional"))
+        assert isinstance(oracle.controller, ProportionalController)

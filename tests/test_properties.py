@@ -301,7 +301,7 @@ def test_controller_conserves_total_weight_and_respects_floor(latencies, alpha):
         estimator.observe("a", now, lat_a)
         estimator.observe("b", now, lat_b)
         estimator.observe("c", now, (lat_a + lat_b) // 2)
-        controller.maybe_shift(now)
+        controller.maybe_update(now)
         weights = pool.weights()
         assert abs(sum(weights.values()) - 3.0) < 1e-9
         assert all(w >= 0.05 * 3.0 - 1e-9 for w in weights.values())
