@@ -7,47 +7,23 @@ so the identity predicts the measured error to the nanosecond scale.
 
 from conftest import write_report
 
-from repro.harness.figures import run_error_decomposition
-from repro.harness.report import format_table
-from repro.units import MICROSECONDS, MILLISECONDS, SECONDS, to_micros
-
-
-THINK_TIMES = (0, 100 * MICROSECONDS, 500 * MICROSECONDS, 2 * MILLISECONDS)
+from repro.harness.figures import (
+    ERROR_THINK_TIMES,
+    error_table,
+    run_error_decomposition,
+)
+from repro.units import MICROSECONDS, SECONDS
 
 
 def test_error_identity(benchmark):
     def run_all():
         return [
             run_error_decomposition(think, duration=SECONDS // 2)
-            for think in THINK_TIMES
+            for think in ERROR_THINK_TIMES
         ]
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)
-
-    rows = []
-    for result in results:
-        rows.append(
-            (
-                "%.0f" % to_micros(result.think_time),
-                "%.1f" % to_micros(result.median_t_client),
-                "%.1f" % to_micros(result.median_t_lb),
-                "%.1f" % to_micros(result.measured_error),
-                "%.1f" % to_micros(result.predicted_error),
-                "%.1f" % to_micros(result.identity_gap),
-            )
-        )
-    table = format_table(
-        (
-            "T_trigger=think (us)",
-            "median T_client (us)",
-            "median T_LB (us)",
-            "measured err (us)",
-            "predicted err (us)",
-            "identity gap (us)",
-        ),
-        rows,
-    )
-    write_report("error_model", table)
+    write_report("error_model", error_table(results))
 
     for result in results:
         # The identity holds to within a few tens of microseconds

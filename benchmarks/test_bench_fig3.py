@@ -10,50 +10,17 @@ LB recovers to its pre-fault tail.
 from conftest import write_report
 
 from repro.harness.figures import Fig3Config, run_fig3
-from repro.harness.report import format_table
-from repro.units import MICROSECONDS, MILLISECONDS, SECONDS, to_millis
+from repro.units import MICROSECONDS, SECONDS
 
 
 CONFIG = Fig3Config(duration=3 * SECONDS)
 
 
-def _fmt(value):
-    return "-" if value is None else "%.3f" % to_millis(value)
-
-
 def test_fig3_p95_timeline(benchmark):
     result = benchmark.pedantic(lambda: run_fig3(CONFIG), rounds=1, iterations=1)
-
-    maglev = dict(result.p95_series("maglev"))
-    feedback = dict(result.p95_series("feedback"))
-    rows = []
-    for bucket in sorted(set(maglev) | set(feedback)):
-        rows.append(
-            (
-                "%.0f" % to_millis(bucket),
-                _fmt(maglev.get(bucket)),
-                _fmt(feedback.get(bucket)),
-                "<- 1ms injected" if bucket == CONFIG.injection_at else "",
-            )
-        )
-    table = format_table(
-        ("t (ms)", "maglev p95 (ms)", "feedback p95 (ms)", ""), rows
-    )
+    write_report("fig3", result.report())
 
     settle = CONFIG.duration // 8
-    summary = format_table(
-        ("arm", "pre-fault p95 (ms)", "post-fault p95 (ms)"),
-        [
-            (
-                policy,
-                _fmt(result.steady_state_p95(policy)),
-                _fmt(result.post_injection_p95(policy, settle)),
-            )
-            for policy in ("maglev", "feedback")
-        ],
-    )
-    write_report("fig3", table + "\n\n" + summary)
-
     # Paper reading 1: the fault inflates Maglev's p95 by ~the injection.
     maglev_pre = result.steady_state_p95("maglev")
     maglev_post = result.post_injection_p95("maglev", settle)

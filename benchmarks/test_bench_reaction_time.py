@@ -11,32 +11,13 @@ constant + epoch granularity dominate).
 from conftest import write_report
 
 from repro.harness.figures import Fig3Config, run_reaction
-from repro.harness.report import format_table
-from repro.units import MILLISECONDS, SECONDS, to_millis
+from repro.units import MILLISECONDS, SECONDS
 
 
 def test_reaction_time(benchmark):
     config = Fig3Config(duration=2 * SECONDS)
     result = benchmark.pedantic(lambda: run_reaction(config), rounds=1, iterations=1)
-
-    rows = [
-        ("injection at", "%.1f ms" % to_millis(result.injection_at)),
-        (
-            "first shift after injection",
-            "-"
-            if result.reaction_ns is None
-            else "+%.2f ms" % to_millis(result.reaction_ns),
-        ),
-        (
-            "injected server at weight floor",
-            "-"
-            if result.injected_weight_floor_at is None
-            else "+%.2f ms"
-            % to_millis(result.injected_weight_floor_at - result.injection_at),
-        ),
-        ("total shifts in run", result.shifts_total),
-    ]
-    write_report("reaction_time", format_table(("metric", "value"), rows))
+    write_report("reaction_time", result.report())
 
     assert result.reaction_ns is not None
     assert result.reaction_ns < 100 * MILLISECONDS

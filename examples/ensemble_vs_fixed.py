@@ -3,76 +3,24 @@
 
 One backlogged TCP flow crosses the LB; its true RTT steps up mid-run.
 FIXEDTIMEOUT with a too-small δ floods erroneously low estimates; with a
-too-large δ it returns a trickle of inflated ones.  ENSEMBLETIMEOUT
-finds the sample cliff each epoch and tracks the truth through the step.
+too-large δ it returns a trickle of inflated ones.  ENSEMBLETIMEOUT,
+run by the in-band feedback loop itself, finds the sample cliff each
+epoch and tracks the truth through the step.
 
 Run:  python examples/ensemble_vs_fixed.py
 """
 
-from repro.harness import BacklogConfig, run_fig2a, run_fig2b
-from repro.harness.report import format_table
-from repro.units import MICROSECONDS, SECONDS, to_micros
+from repro.harness import BacklogConfig, run_fig2
+from repro.units import SECONDS
 
 
 def main() -> None:
-    config = BacklogConfig(duration=3 * SECONDS, step_at=3 * SECONDS // 2)
+    fig2 = run_fig2(BacklogConfig(duration=3 * SECONDS, step_at=3 * SECONDS // 2))
     print("Fig 2(a): FIXEDTIMEOUT with fixed timeouts")
-    fig2a = run_fig2a(config)
-    truth_pre = fig2a.median_ground_truth(False)
-    truth_post = fig2a.median_ground_truth(True)
-    rows = []
-    for delta, (pre_count, post_count) in sorted(fig2a.sample_counts.items()):
-        rows.append(
-            (
-                "%d us" % (delta // MICROSECONDS),
-                pre_count,
-                _us(fig2a.median_estimate(delta, False)),
-                post_count,
-                _us(fig2a.median_estimate(delta, True)),
-            )
-        )
-    rows.append(
-        ("ground truth", len(fig2a.ground_truth), _us(truth_pre), "", _us(truth_post))
-    )
-    print(
-        format_table(
-            ("timeout", "#pre", "median pre", "#post", "median post"), rows
-        )
-    )
-
+    print(fig2.panel_a())
     print()
     print("Fig 2(b): ENSEMBLETIMEOUT finds the cliff")
-    fig2b = run_fig2b(config)
-    print(
-        format_table(
-            ("", "median T_LB", "median T_client", "rel. error"),
-            [
-                (
-                    "before step",
-                    _us(fig2b.median_estimate(False)),
-                    _us(fig2b.median_ground_truth(False)),
-                    "%.1f%%" % (100 * fig2b.tracking_error(False)),
-                ),
-                (
-                    "after step",
-                    _us(fig2b.median_estimate(True)),
-                    _us(fig2b.median_ground_truth(True)),
-                    "%.1f%%" % (100 * fig2b.tracking_error(True)),
-                ),
-            ],
-        )
-    )
-    print()
-    print("chosen timeout per epoch (last 12 epochs):")
-    for time_ns, delta in list(fig2b.chosen_timeouts.items())[-12:]:
-        print(
-            "  t=%5.0f ms  delta_m = %4.0f us"
-            % (time_ns / 1e6, to_micros(delta))
-        )
-
-
-def _us(value) -> str:
-    return "-" if value is None else "%.0f us" % to_micros(value)
+    print(fig2.panel_b())
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ Run:  python examples/latency_inflation.py
 
 from repro import units
 from repro.harness import Fig3Config, run_fig3
-from repro.harness.report import format_table
 from repro.units import to_millis
 
 
@@ -23,31 +22,8 @@ def main() -> None:
         % (config.injected_server, to_millis(config.injection_at) / 1000)
     )
     result = run_fig3(config)
-
-    maglev = dict(result.p95_series("maglev"))
-    feedback = dict(result.p95_series("feedback"))
-    rows = []
-    for bucket in sorted(set(maglev) | set(feedback)):
-        marker = "<-- injection" if bucket == config.injection_at else ""
-        rows.append(
-            (
-                "%.1f" % to_millis(bucket),
-                _fmt(maglev.get(bucket)),
-                _fmt(feedback.get(bucket)),
-                marker,
-            )
-        )
     print()
-    print(format_table(("t (ms)", "maglev p95 (ms)", "feedback p95 (ms)", ""), rows))
-
-    print()
-    for policy in ("maglev", "feedback"):
-        pre = result.steady_state_p95(policy)
-        post = result.post_injection_p95(policy, settle=config.duration // 8)
-        print(
-            "%-9s p95: %.3f ms before fault -> %.3f ms after"
-            % (policy, to_millis(round(pre)), to_millis(round(post)))
-        )
+    print(result.report())
 
     shifts = result.results["feedback"].shift_times()
     after = [t for t in shifts if t >= config.injection_at]
@@ -56,10 +32,6 @@ def main() -> None:
             "feedback LB reacted %.1f ms after the injection (%d total shifts)"
             % (to_millis(after[0] - config.injection_at), len(shifts))
         )
-
-
-def _fmt(value) -> str:
-    return "-" if value is None else "%.3f" % to_millis(value)
 
 
 if __name__ == "__main__":

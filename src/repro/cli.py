@@ -19,11 +19,12 @@ from repro.harness.ablations import ABLATIONS, run_ablation
 from repro.harness.compare import RACE_PRESETS, run_compare
 from repro.harness.config import PolicyName, ScenarioConfig
 from repro.harness.figures import (
+    ERROR_THINK_TIMES,
     BacklogConfig,
     Fig3Config,
+    error_table,
     run_error_decomposition,
-    run_fig2a,
-    run_fig2b,
+    run_fig2,
     run_fig3,
     run_reaction,
 )
@@ -53,7 +54,7 @@ from repro.sweep import (
     print_progress,
     run_sweep,
 )
-from repro.units import MICROSECONDS, to_micros, to_millis
+from repro.units import to_millis
 
 
 #: Options several verbs share, each declared once.  A verb opts in with
@@ -671,115 +672,32 @@ def _run_command(args: argparse.Namespace, duration: int) -> int:
             )
         return 0
 
-    if args.command == "fig2a":
-        config = BacklogConfig(
-            seed=args.seed, duration=duration, step_at=duration // 2
+    if args.command in ("fig2a", "fig2b"):
+        fig2 = run_fig2(
+            BacklogConfig(seed=args.seed, duration=duration, step_at=duration // 2)
         )
-        result = run_fig2a(config)
-        rows = []
-        for delta, (pre, post) in sorted(result.sample_counts.items()):
-            rows.append(
-                (
-                    "%dus" % (delta // MICROSECONDS),
-                    pre,
-                    _us(result.median_estimate(delta, False)),
-                    post,
-                    _us(result.median_estimate(delta, True)),
-                )
-            )
-        rows.append(
-            (
-                "truth",
-                "",
-                _us(result.median_ground_truth(False)),
-                "",
-                _us(result.median_ground_truth(True)),
-            )
-        )
-        print(
-            format_table(
-                ("delta", "#pre", "median pre", "#post", "median post"), rows
-            )
-        )
-        return 0
-
-    if args.command == "fig2b":
-        config = BacklogConfig(
-            seed=args.seed, duration=duration, step_at=duration // 2
-        )
-        result = run_fig2b(config)
-        print(
-            format_table(
-                ("window", "median T_LB", "median T_client", "rel.err"),
-                [
-                    (
-                        "pre-step",
-                        _us(result.median_estimate(False)),
-                        _us(result.median_ground_truth(False)),
-                        "%.3f" % result.tracking_error(False),
-                    ),
-                    (
-                        "post-step",
-                        _us(result.median_estimate(True)),
-                        _us(result.median_ground_truth(True)),
-                        "%.3f" % result.tracking_error(True),
-                    ),
-                ],
-            )
-        )
+        print(fig2.panel_a() if args.command == "fig2a" else fig2.panel_b())
         return 0
 
     if args.command == "fig3":
-        config = Fig3Config(seed=args.seed, duration=duration)
-        result = run_fig3(config)
-        rows = []
-        for policy in ("maglev", "feedback"):
-            rows.append(
-                (
-                    policy,
-                    _ms(result.steady_state_p95(policy)),
-                    _ms(result.post_injection_p95(policy, config.duration // 8)),
-                )
-            )
-        print(
-            format_table(
-                ("arm", "pre-fault p95 (ms)", "post-fault p95 (ms)"), rows
-            )
-        )
+        print(run_fig3(Fig3Config(seed=args.seed, duration=duration)).report())
         return 0
 
     if args.command == "reaction":
         result = run_reaction(Fig3Config(seed=args.seed, duration=duration))
+        print(result.report())
         if result.reaction_ns is None:
             print("no shift observed after the injection")
             return 1
-        print("first shift: +%.2f ms after injection" % to_millis(result.reaction_ns))
-        if result.injected_weight_floor_at is not None:
-            print(
-                "weight floor reached: +%.2f ms"
-                % to_millis(result.injected_weight_floor_at - result.injection_at)
-            )
         return 0
 
     if args.command == "error":
-        rows = []
-        for think_us in (0, 100, 500):
-            result = run_error_decomposition(
-                think_us * MICROSECONDS, duration=duration, seed=args.seed
-            )
-            rows.append(
-                (
-                    think_us,
-                    "%.1f" % to_micros(result.median_t_client),
-                    "%.1f" % to_micros(result.median_t_lb),
-                    "%.1f" % to_micros(result.measured_error),
-                    "%.1f" % to_micros(result.identity_gap),
-                )
-            )
         print(
-            format_table(
-                ("think (us)", "T_client (us)", "T_LB (us)", "err (us)", "gap (us)"),
-                rows,
+            error_table(
+                [
+                    run_error_decomposition(think, duration=duration, seed=args.seed)
+                    for think in ERROR_THINK_TIMES
+                ]
             )
         )
         return 0
@@ -1040,14 +958,6 @@ def _parse_fault_args(specs: List[str], duration: int) -> list:
     for spec in specs:
         faults.extend(parse_faults(spec, duration))
     return faults
-
-
-def _us(value) -> str:
-    return "-" if value is None else "%.0fus" % to_micros(value)
-
-
-def _ms(value) -> str:
-    return "-" if value is None else "%.3f" % to_millis(value)
 
 
 if __name__ == "__main__":  # pragma: no cover

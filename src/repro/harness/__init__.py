@@ -5,8 +5,8 @@
   LB → servers, direct return paths) from a config.
 * :mod:`~repro.harness.runner` — runs scenarios and collects results.
 * :mod:`~repro.harness.report` — ASCII tables/series for the terminal.
-* :mod:`~repro.harness.figures` — the paper's experiments (Fig 2a, 2b,
-  Fig 3, reaction time, error decomposition).
+* :mod:`~repro.harness.figures` — the paper's experiments (Fig 2,
+  Fig 3, reaction time, error decomposition) and their reports.
 * :mod:`~repro.harness.ablations` — parameter sweeps around the design,
   each a :class:`~repro.sweep.spec.SweepSpec` (whose base may be any
   config with ``validate()``) plus a row function.
@@ -23,8 +23,7 @@ from repro.harness.figures import (
     BacklogConfig,
     Fig3Config,
     run_error_decomposition,
-    run_fig2a,
-    run_fig2b,
+    run_fig2,
     run_fig3,
     run_reaction,
 )
@@ -33,8 +32,7 @@ from repro.harness.tiered import TieredResult, TieredScenarioConfig, run_tiered
 __all__ = [
     "BacklogConfig",
     "Fig3Config",
-    "run_fig2a",
-    "run_fig2b",
+    "run_fig2",
     "run_fig3",
     "run_reaction",
     "run_error_decomposition",

@@ -18,7 +18,7 @@ from repro.core.feedback import FeedbackConfig
 from repro.faults.model import DelayFault
 from repro.harness.churn import ChurnConfig, churn_point
 from repro.harness.config import NetworkParams, PolicyName, ScenarioConfig
-from repro.harness.figures import BacklogConfig, run_fig2b
+from repro.harness.figures import BacklogConfig, run_fig2
 from repro.harness.multilb import MultiLbConfig, multilb_point
 from repro.harness.runner import ScenarioResult, run_scenario
 from repro.sweep.points import run_sweep
@@ -48,27 +48,27 @@ TRANSPORTS: Dict[str, TransportConfig] = {
 
 def epoch_row(config: BacklogConfig) -> Row:
     """ABL-EPOCH: short epochs adapt fast on few samples, long ones go stale."""
-    result = run_fig2b(config)
+    result = run_fig2(config)
     return {
         "epoch_ms": config.ensemble.epoch // MILLISECONDS,
         "epochs": result.epochs,
         "err_pre": _fmt_ratio(result.tracking_error(False)),
         "err_post": _fmt_ratio(result.tracking_error(True)),
-        "est_post_us": _fmt_us(result.median_estimate(True)),
-        "truth_post_us": _fmt_us(result.median_ground_truth(True)),
+        "est_post_us": _fmt_us(result.median(result.estimates, True)),
+        "truth_post_us": _fmt_us(result.median(result.ground_truth, True)),
     }
 
 
 def ensemble_row(config: BacklogConfig) -> Row:
     """ABL-ENSEMBLE: a too-narrow ensemble cannot bracket the stepped RTT."""
-    result = run_fig2b(config)
+    result = run_fig2(config)
     timeouts = config.ensemble.timeouts
     return {
         "ensemble": _name_of(ENSEMBLES, timeouts),
         "k": len(timeouts),
         "err_pre": _fmt_ratio(result.tracking_error(False)),
         "err_post": _fmt_ratio(result.tracking_error(True)),
-        "est_post_us": _fmt_us(result.median_estimate(True)),
+        "est_post_us": _fmt_us(result.median(result.estimates, True)),
     }
 
 

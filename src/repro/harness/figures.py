@@ -1,21 +1,24 @@
-"""The paper's experiments, as runnable definitions.
+"""The paper's experiments, as runnable definitions and their reports.
 
 Each function builds, runs, and distills one of the paper's figures (or
 quantified claims) into a result object whose fields are the same series
-the paper plots.  Benchmarks and examples call these; EXPERIMENTS.md
-records the outcomes.
+the paper plots, and each result renders its one report: the CLI verb,
+the bench and the example all print it.  EXPERIMENTS.md records the
+outcomes.
 
-* :func:`run_fig2a` — FIXEDTIMEOUT with fixed δ = 64 µs / 1024 µs vs
-  ground truth, across an RTT step (paper Fig 2a).
-* :func:`run_fig2b` — ENSEMBLETIMEOUT tracking the same step (Fig 2b).
+* :func:`run_fig2` — one backlogged flow across an RTT step: panel (a)
+  is FIXEDTIMEOUT at fixed δ = 64 µs / 1024 µs, panel (b) the shipped
+  :class:`~repro.core.feedback.InbandFeedback` loop running
+  ENSEMBLETIMEOUT, both against ground truth (Fig 2).
 * :func:`run_fig3`  — p95 GET latency over time, plain Maglev vs the
   latency-aware LB, 1 ms injection mid-run (Fig 3).
 * :func:`run_reaction` — reaction-time decomposition of the §1/§4 claim
   ("adapts to a 1 ms inflation ... in milliseconds").
 * :func:`run_error_decomposition` — the §3 error identity
-  ``T_LB − T_client = O3 − O1 + T_trigger``.
+  ``T_LB − T_client = O3 − O1 + T_trigger``; :func:`error_table`
+  renders one row per think time.
 
-The Fig 2 scenarios ride on a *backlogged* flow through the LB toward a
+The Fig 2 scenario rides on a *backlogged* flow through the LB toward a
 sink server.  Client-side jitter (scheduling noise before the LB) is
 what makes too-small timeouts produce false batch splits, reproducing
 the figure's "too many low estimates" band; it defaults to a 0–96 µs
@@ -30,7 +33,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.app.client import BacklogClient, MemtierConfig
 from repro.app.protocol import Op
 from repro.app.server import SinkApp
-from repro.core.ensemble import EnsembleConfig, EnsembleTimeout
+from repro.core.ensemble import EnsembleConfig
+from repro.core.feedback import FeedbackConfig, InbandFeedback
 from repro.core.fixed_timeout import FixedTimeout
 from repro.errors import ConfigError
 from repro.faults.injector import Injector
@@ -43,6 +47,7 @@ from repro.harness.config import (
 )
 from repro.insight.config import InsightConfig
 from repro.obs.config import ObsConfig
+from repro.harness.report import format_table
 from repro.harness.runner import ScenarioResult, run_scenario
 from repro.harness.scenario import VIP_HOST, wire_dsr
 from repro.lb.backend import Backend, BackendPool
@@ -57,7 +62,7 @@ from repro.telemetry.timeseries import TimeSeries
 from repro.transport.ack_policy import DelayedAck
 from repro.transport.connection import TransportConfig
 from repro.transport.endpoint import Host
-from repro.units import MICROSECONDS, MILLISECONDS, SECONDS
+from repro.units import MICROSECONDS, MILLISECONDS, SECONDS, to_micros, to_millis
 
 VIP_PORT = 9000
 
@@ -90,7 +95,7 @@ class BacklogConfig:
     #: Flow-control window: small enough to stay window-limited (bursty).
     window: int = 16 * 1024
     mss: int = 1448
-    #: The ENSEMBLETIMEOUT parameters :func:`run_fig2b` tracks with.
+    #: The ENSEMBLETIMEOUT parameters Fig 2(b)'s loop tracks with.
     ensemble: EnsembleConfig = field(default_factory=EnsembleConfig)
 
     def validate(self) -> None:
@@ -159,161 +164,133 @@ def build_backlog(config: BacklogConfig) -> BacklogRun:
 
 
 # ======================================================================
-# Fig 2(a): fixed timeouts
+# Fig 2: one backlog run, both panels
 # ======================================================================
+
+#: Panel (a)'s fixed timeouts: one below the batch pause, one above it.
+FIG2A_DELTAS = (64 * MICROSECONDS, 1024 * MICROSECONDS)
 
 
 @dataclass
-class Fig2aResult:
-    """Per-δ estimate series vs ground truth, split at the RTT step."""
+class Fig2Result:
+    """Both panels of Fig 2 from one backlog run, split at the RTT step.
+
+    Panel (a) is FIXEDTIMEOUT at each δ of :data:`FIG2A_DELTAS`; panel
+    (b) is the shipped loop, :class:`~repro.core.feedback.InbandFeedback`
+    in measurement-only mode, running ENSEMBLETIMEOUT.
+    """
 
     config: BacklogConfig
-    ground_truth: TimeSeries
-    estimates: Dict[int, TimeSeries]           # δ → (t, T_LB)
-    #: δ → (pre-step count, post-step count)
-    sample_counts: Dict[int, Tuple[int, int]]
+    ground_truth: TimeSeries                   # (t, true RTT)
+    fixed: Dict[int, TimeSeries]               # panel (a): δ → (t, T_LB)
+    estimates: TimeSeries                      # panel (b): (t, T_LB)
+    chosen_timeouts: TimeSeries                # panel (b): (t, δₘ) per epoch
 
-    def median_estimate(self, delta: int, after_step: bool) -> Optional[float]:
-        """Median ``T_LB`` for one δ, before or after the step."""
-        series = self.estimates[delta]
+    @property
+    def epochs(self) -> int:
+        """Epochs the loop completed."""
+        return len(self.chosen_timeouts)
+
+    def window(self, series: TimeSeries, after_step: bool) -> List[float]:
+        """The series' values before or after the RTT step."""
         cut = self.config.step_at
-        values = [
-            v
-            for t, v in series.items()
-            if (t >= cut) == after_step
-        ]
-        if not values:
-            return None
-        return exact_quantile(values, 0.5)
+        return [v for t, v in series.items() if (t >= cut) == after_step]
 
-    def median_ground_truth(self, after_step: bool) -> Optional[float]:
-        """Median true RTT before or after the step."""
-        cut = self.config.step_at
-        values = [
-            v for t, v in self.ground_truth.items() if (t >= cut) == after_step
-        ]
-        if not values:
-            return None
-        return exact_quantile(values, 0.5)
-
-
-def run_fig2a(
-    config: Optional[BacklogConfig] = None,
-    deltas: Sequence[int] = (64 * MICROSECONDS, 1024 * MICROSECONDS),
-) -> Fig2aResult:
-    """FIXEDTIMEOUT at fixed timeouts vs ground truth across an RTT step."""
-    config = config or BacklogConfig()
-    run = build_backlog(config)
-
-    trackers: Dict[int, Dict[FlowKey, FixedTimeout]] = {d: {} for d in deltas}
-    estimates: Dict[int, TimeSeries] = {
-        d: TimeSeries(name="T_LB@%dus" % (d // MICROSECONDS)) for d in deltas
-    }
-
-    def probe(now: int, flow: FlowKey, backend: str, packet: int) -> None:
-        for delta in deltas:
-            per_flow = trackers[delta]
-            tracker = per_flow.get(flow)
-            if tracker is None:
-                tracker = FixedTimeout(delta)
-                per_flow[flow] = tracker
-            t_lb = tracker.observe(now)
-            if t_lb is not None:
-                estimates[delta].append(now, float(t_lb))
-
-    run.lb.add_tap(probe)
-    run.sim.run_until(config.duration)
-
-    counts = {}
-    for delta in deltas:
-        series = estimates[delta]
-        pre = sum(1 for t, _v in series.items() if t < config.step_at)
-        counts[delta] = (pre, len(series) - pre)
-
-    return Fig2aResult(
-        config=config,
-        ground_truth=run.ground_truth,
-        estimates=estimates,
-        sample_counts=counts,
-    )
-
-
-# ======================================================================
-# Fig 2(b): the ensemble
-# ======================================================================
-
-
-@dataclass
-class Fig2bResult:
-    """Ensemble estimates, chosen timeouts, and tracking error."""
-
-    config: BacklogConfig
-    ground_truth: TimeSeries
-    estimates: TimeSeries                      # (t, T_LB) from δₑ
-    chosen_timeouts: TimeSeries                # (t, δₘ) per epoch
-    epochs: int
-
-    def median_estimate(self, after_step: bool) -> Optional[float]:
-        """Median ensemble ``T_LB`` before or after the step."""
-        cut = self.config.step_at
-        values = [
-            v for t, v in self.estimates.items() if (t >= cut) == after_step
-        ]
-        if not values:
-            return None
-        return exact_quantile(values, 0.5)
-
-    def median_ground_truth(self, after_step: bool) -> Optional[float]:
-        """Median true RTT before or after the step."""
-        cut = self.config.step_at
-        values = [
-            v for t, v in self.ground_truth.items() if (t >= cut) == after_step
-        ]
-        if not values:
-            return None
-        return exact_quantile(values, 0.5)
+    def median(self, series: TimeSeries, after_step: bool) -> Optional[float]:
+        """Median of the series before or after the step (None if empty)."""
+        values = self.window(series, after_step)
+        return exact_quantile(values, 0.5) if values else None
 
     def tracking_error(self, after_step: bool) -> Optional[float]:
-        """|median(T_LB) − median(T_client)| / median(T_client)."""
-        est = self.median_estimate(after_step)
-        truth = self.median_ground_truth(after_step)
+        """|median(T_LB) − median(T_client)| / median(T_client), panel (b)."""
+        est = self.median(self.estimates, after_step)
+        truth = self.median(self.ground_truth, after_step)
         if est is None or truth is None or truth == 0:
             return None
         return abs(est - truth) / truth
 
+    def panel_a(self) -> str:
+        """Sample counts and medians per fixed δ and for the truth."""
+        series = [
+            ("T_LB @ delta=%dus" % (delta // MICROSECONDS), estimates)
+            for delta, estimates in self.fixed.items()
+        ]
+        series.append(("T_client (ground truth)", self.ground_truth))
+        rows = [
+            (
+                label,
+                len(self.window(values, False)),
+                _cell("%.0f", self.median(values, False), MICROSECONDS),
+                len(self.window(values, True)),
+                _cell("%.0f", self.median(values, True), MICROSECONDS),
+            )
+            for label, values in series
+        ]
+        headers = ("#pre-step", "median pre (us)", "#post-step", "median post (us)")
+        return format_table(("series",) + headers, rows)
 
-def run_fig2b(config: Optional[BacklogConfig] = None) -> Fig2bResult:
-    """ENSEMBLETIMEOUT tracking the RTT step (paper Fig 2b)."""
-    config = config or BacklogConfig()
-    ensemble_config = config.ensemble
+    def panel_b(self) -> str:
+        """Median T_LB against the truth per window, then δₘ per epoch."""
+        summary = format_table(
+            ("window", "median T_LB (us)", "median T_client (us)", "rel.err"),
+            [
+                (
+                    label,
+                    _cell("%.0f", self.median(self.estimates, after), MICROSECONDS),
+                    _cell("%.0f", self.median(self.ground_truth, after), MICROSECONDS),
+                    _cell("%.3f", self.tracking_error(after)),
+                )
+                for label, after in (("before step", False), ("after step", True))
+            ],
+        )
+        timeline = format_table(
+            ("t (ms)", "chosen delta_m (us)"),
+            [
+                ("%.0f" % to_millis(t), "%.0f" % to_micros(v))
+                for t, v in self.chosen_timeouts.items()
+            ],
+        )
+        return summary + "\n\nchosen timeout per epoch:\n" + timeline
+
+
+def run_fig2(config: BacklogConfig) -> Fig2Result:
+    """Fig 2(a) and 2(b) on one backlog run across an RTT step."""
     run = build_backlog(config)
+    feedback = InbandFeedback(
+        run.lb, FeedbackConfig(ensemble=config.ensemble, control=False)
+    )
 
-    ensembles: Dict[FlowKey, EnsembleTimeout] = {}
-    estimates = TimeSeries(name="T_LB_ensemble")
-    chosen = TimeSeries(name="delta_m")
+    # Panel (a): FIXEDTIMEOUT per flow at each fixed δ.
+    trackers: Dict[Tuple[int, FlowKey], FixedTimeout] = {}
+    fixed: Dict[int, TimeSeries] = {
+        d: TimeSeries(name="T_LB@%dus" % (d // MICROSECONDS)) for d in FIG2A_DELTAS
+    }
 
     def probe(now: int, flow: FlowKey, backend: str, packet: int) -> None:
-        tracker = ensembles.get(flow)
-        if tracker is None:
-            tracker = EnsembleTimeout(ensemble_config)
-            ensembles[flow] = tracker
-        before = tracker.epochs_completed
-        t_lb = tracker.observe(now)
-        if tracker.epochs_completed != before:
-            chosen.append(now, float(tracker.current_timeout))
-        if t_lb is not None:
-            estimates.append(now, float(t_lb))
+        for delta, series in fixed.items():
+            tracker = trackers.get((delta, flow))
+            if tracker is None:
+                tracker = trackers[delta, flow] = FixedTimeout(delta)
+            t_lb = tracker.observe(now)
+            if t_lb is not None:
+                series.append(now, float(t_lb))
 
     run.lb.add_tap(probe)
     run.sim.run_until(config.duration)
 
-    epochs = max((e.epochs_completed for e in ensembles.values()), default=0)
-    return Fig2bResult(
+    estimates = TimeSeries(name="T_LB_ensemble")
+    for sample in feedback.samples:
+        estimates.append(sample.time, float(sample.t_lb))
+    timeouts = config.ensemble.timeouts
+    chosen = TimeSeries(name="delta_m")
+    for time, index in feedback.epochs:
+        chosen.append(time, float(timeouts[index]))
+    return Fig2Result(
         config=config,
         ground_truth=run.ground_truth,
+        fixed=fixed,
         estimates=estimates,
         chosen_timeouts=chosen,
-        epochs=epochs,
     )
 
 
@@ -388,6 +365,39 @@ class Fig3Result:
             policy, self.config.injection_at + settle, self.config.duration
         )
 
+    def report(self) -> str:
+        """Both arms' p95 per bucket, then their p95 before and after
+        the fault (the latter from ``duration // 8`` after it)."""
+        maglev = dict(self.p95_series("maglev"))
+        feedback = dict(self.p95_series("feedback"))
+        rows = [
+            (
+                "%.0f" % to_millis(bucket),
+                _cell("%.3f", maglev.get(bucket), MILLISECONDS),
+                _cell("%.3f", feedback.get(bucket), MILLISECONDS),
+                "<- 1ms injected" if bucket == self.config.injection_at else "",
+            )
+            for bucket in sorted(set(maglev) | set(feedback))
+        ]
+        table = format_table(
+            ("t (ms)", "maglev p95 (ms)", "feedback p95 (ms)", ""), rows
+        )
+        settle = self.config.duration // 8
+        summary = format_table(
+            ("arm", "pre-fault p95 (ms)", "post-fault p95 (ms)"),
+            [
+                (
+                    policy,
+                    _cell("%.3f", self.steady_state_p95(policy), MILLISECONDS),
+                    _cell(
+                        "%.3f", self.post_injection_p95(policy, settle), MILLISECONDS
+                    ),
+                )
+                for policy in ("maglev", "feedback")
+            ],
+        )
+        return table + "\n\n" + summary
+
 
 def run_fig3(
     config: Optional[Fig3Config] = None,
@@ -457,6 +467,20 @@ class ReactionResult:
             return None
         return self.first_shift_after - self.injection_at
 
+    def report(self) -> str:
+        """The injection time and the lags to the first shift and the floor."""
+        floor_lag = None
+        if self.injected_weight_floor_at is not None:
+            floor_lag = self.injected_weight_floor_at - self.injection_at
+        lag = "+%.2f ms"
+        rows = [
+            ("injection at", "%.1f ms" % to_millis(self.injection_at)),
+            ("first shift after injection", _cell(lag, self.reaction_ns, MILLISECONDS)),
+            ("injected server at weight floor", _cell(lag, floor_lag, MILLISECONDS)),
+            ("total shifts in run", self.shifts_total),
+        ]
+        return format_table(("metric", "value"), rows)
+
 
 def run_reaction(config: Optional[Fig3Config] = None) -> ReactionResult:
     """Measure the §4 claim: traffic shifts within milliseconds."""
@@ -493,21 +517,64 @@ def run_reaction(config: Optional[Fig3Config] = None) -> ReactionResult:
 # ======================================================================
 
 
+#: CLAIM-ERR's think times, i.e. the T_trigger values it checks.
+ERROR_THINK_TIMES = (0, 100 * MICROSECONDS, 500 * MICROSECONDS, 2 * MILLISECONDS)
+
+
 @dataclass
 class ErrorDecompositionResult:
-    """Measured error of the proxy latency vs the paper's identity."""
+    """Measured error of the proxy latency vs the paper's identity.
+
+    The medians are None when the run produced no sample of their kind
+    (a run too short for one request or one ``T_LB`` sample).
+    """
 
     think_time: int
-    median_t_lb: float
-    median_t_client: float
+    median_t_lb: Optional[float]
+    median_t_client: Optional[float]
     #: O3 − O1 is 0 by construction (symmetric client↔LB path, no jitter).
     predicted_error: float
-    measured_error: float
 
     @property
-    def identity_gap(self) -> float:
+    def measured_error(self) -> Optional[float]:
+        """median(T_LB) − median(T_client) (ns)."""
+        if self.median_t_lb is None or self.median_t_client is None:
+            return None
+        return self.median_t_lb - self.median_t_client
+
+    @property
+    def identity_gap(self) -> Optional[float]:
         """|measured − predicted| (ns); small gap validates the model."""
-        return abs(self.measured_error - self.predicted_error)
+        measured = self.measured_error
+        if measured is None:
+            return None
+        return abs(measured - self.predicted_error)
+
+
+def error_table(results: Sequence[ErrorDecompositionResult]) -> str:
+    """One row per think time: both medians, the error and the identity."""
+    rows = [
+        (
+            "%.0f" % to_micros(result.think_time),
+            _cell("%.1f", result.median_t_client, MICROSECONDS),
+            _cell("%.1f", result.median_t_lb, MICROSECONDS),
+            _cell("%.1f", result.measured_error, MICROSECONDS),
+            _cell("%.1f", result.predicted_error, MICROSECONDS),
+            _cell("%.1f", result.identity_gap, MICROSECONDS),
+        )
+        for result in results
+    ]
+    return format_table(
+        (
+            "T_trigger=think (us)",
+            "median T_client (us)",
+            "median T_LB (us)",
+            "measured err (us)",
+            "predicted err (us)",
+            "identity gap (us)",
+        ),
+        rows,
+    )
 
 
 def run_error_decomposition(
@@ -555,14 +622,16 @@ def run_error_decomposition(
         for r in result.records
         if r.completed_at >= config.warmup
     ]
-    median_t_lb = exact_quantile(t_lb_values, 0.5) if t_lb_values else 0.0
-    median_t_client = (
-        exact_quantile(t_client_values, 0.5) if t_client_values else 0.0
-    )
     return ErrorDecompositionResult(
         think_time=think_time,
-        median_t_lb=median_t_lb,
-        median_t_client=median_t_client,
+        median_t_lb=exact_quantile(t_lb_values, 0.5) if t_lb_values else None,
+        median_t_client=(
+            exact_quantile(t_client_values, 0.5) if t_client_values else None
+        ),
         predicted_error=float(think_time),
-        measured_error=median_t_lb - median_t_client,
     )
+
+
+def _cell(fmt: str, value: Optional[float], unit: int = 1) -> str:
+    """``fmt % (value / unit)``, or ``-`` for a missing value."""
+    return "-" if value is None else fmt % (value / unit)

@@ -593,19 +593,26 @@ class Connection:
         self._snd_una = ack
         self._rtt.reset_backoff()
 
-        # Retire the acked prefix; sample RTT per Karn's rule.  An
+        # Retire the acked prefix and sample RTT per Karn's rule (RFC
+        # 6298 §3): an ACK that covers a retransmitted segment yields no
+        # sample at all.  The segments it retires behind that one were
+        # sent before the hole was filled, so their send-to-ACK times
+        # hold the whole recovery and would drive the RTO to its cap.
+        # Only the head of ``inflight`` is ever retransmitted, and an ACK
+        # that retires anything retires the head, so the head decides.  An
         # on_rtt_sample callback may send: new segments join the tail,
         # past ``ack``, so the scan stops before them.
         now = self._sim._now
         rtt_estimator = self._rtt
         rtt_cb = self.on_rtt_sample
         inflight = self._inflight
+        karn = bool(inflight) and inflight[0].retransmitted
         retired = 0
         for segment in inflight:
             if segment.end_seq > ack:
                 break
             retired += 1
-            if not segment.retransmitted:
+            if not karn:
                 rtt = now - segment.sent_at
                 rtt_estimator.sample(rtt)
                 if rtt_cb is not None:

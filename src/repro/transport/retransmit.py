@@ -1,8 +1,9 @@
 """Round-trip estimation and retransmission timeout computation.
 
-A trimmed RFC 6298: SRTT/RTTVAR smoothing with Karn's rule (no samples
-from retransmitted segments) and exponential back-off on timeout.  The
-connection owns the actual timer; this module owns the arithmetic.
+A trimmed RFC 6298: SRTT/RTTVAR smoothing and exponential back-off on
+timeout.  The connection owns the actual timer and applies Karn's rule
+(no sample from an ACK that covers a retransmitted segment); this module
+owns the arithmetic.
 """
 
 from __future__ import annotations

@@ -138,7 +138,23 @@ class TestCommands:
         code = main(["--duration", "0.5", "fig2b"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "pre-step" in out and "post-step" in out
+        assert "before step" in out and "after step" in out
+
+    def test_fig2b_short_run_prints_dashes(self, capsys):
+        # Shorter than the first RTT sample: every median is missing.
+        assert main(["--duration", "0.0005", "fig2b"]) == 0
+        before, after = capsys.readouterr().out.splitlines()[2:4]
+        assert before.split()[2:] == ["-", "-", "-"]
+        assert after.split()[3:] == ["-", "-"]  # no truth yet: no rel.err
+
+    def test_error_on_a_sample_less_run_invents_no_gap(self, capsys):
+        assert main(["--duration", "0.000001", "error"]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert len(rows) == 4
+        for row in rows:
+            # think, T_client, T_LB, measured, predicted, gap
+            cells = row.split()
+            assert cells[1:4] == ["-", "-", "-"] and cells[5] == "-", row
 
     def test_error_identity_table(self, capsys):
         code = main(["--duration", "0.3", "error"])

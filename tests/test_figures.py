@@ -2,18 +2,19 @@
 
 import pytest
 
+from repro.core.feedback import FeedbackConfig, InbandFeedback
 from repro.harness.config import PolicyName
 from repro.harness.figures import (
     BacklogConfig,
     Fig3Config,
     build_backlog,
     run_error_decomposition,
-    run_fig2a,
-    run_fig2b,
+    run_fig2,
     run_fig3,
     run_reaction,
 )
 from repro.units import MICROSECONDS, MILLISECONDS, SECONDS
+from tests.test_ensemble import NaiveEnsemble
 
 
 SMALL_BACKLOG = BacklogConfig(
@@ -22,19 +23,14 @@ SMALL_BACKLOG = BacklogConfig(
 
 
 @pytest.fixture(scope="module")
-def fig2a():
-    return run_fig2a(SMALL_BACKLOG)
-
-
-@pytest.fixture(scope="module")
-def fig2b():
-    return run_fig2b(SMALL_BACKLOG)
+def fig2():
+    return run_fig2(SMALL_BACKLOG)
 
 
 class TestBacklogScenario:
-    def test_ground_truth_tracks_step(self, fig2a):
-        truth_pre = fig2a.median_ground_truth(False)
-        truth_post = fig2a.median_ground_truth(True)
+    def test_ground_truth_tracks_step(self, fig2):
+        truth_pre = fig2.median(fig2.ground_truth, False)
+        truth_post = fig2.median(fig2.ground_truth, True)
         assert truth_post > truth_pre + 500 * MICROSECONDS
 
     def test_build_backlog_wiring(self):
@@ -47,28 +43,25 @@ class TestBacklogScenario:
 class TestFig2a:
     """Fig 2(a) shape: low δ floods low samples; high δ gives few, high."""
 
-    def test_low_delta_many_samples(self, fig2a):
+    def test_low_delta_many_samples(self, fig2):
         low = 64 * MICROSECONDS
-        pre, post = fig2a.sample_counts[low]
-        assert pre + post > 500
+        assert len(fig2.fixed[low]) > 500
 
-    def test_low_delta_underestimates_after_step(self, fig2a):
+    def test_low_delta_underestimates_after_step(self, fig2):
         low = 64 * MICROSECONDS
-        est = fig2a.median_estimate(low, after_step=True)
-        truth = fig2a.median_ground_truth(after_step=True)
+        est = fig2.median(fig2.fixed[low], after_step=True)
+        truth = fig2.median(fig2.ground_truth, after_step=True)
         assert est < truth / 2
 
-    def test_high_delta_few_samples(self, fig2a):
+    def test_high_delta_few_samples(self, fig2):
         low = 64 * MICROSECONDS
         high = 1024 * MICROSECONDS
-        low_total = sum(fig2a.sample_counts[low])
-        high_total = sum(fig2a.sample_counts[high])
-        assert high_total < low_total / 10
+        assert len(fig2.fixed[high]) < len(fig2.fixed[low]) / 10
 
-    def test_high_delta_overestimates(self, fig2a):
+    def test_high_delta_overestimates(self, fig2):
         high = 1024 * MICROSECONDS
-        est_pre = fig2a.median_estimate(high, after_step=False)
-        truth_pre = fig2a.median_ground_truth(after_step=False)
+        est_pre = fig2.median(fig2.fixed[high], after_step=False)
+        truth_pre = fig2.median(fig2.ground_truth, after_step=False)
         if est_pre is not None:  # rare spikes may not occur pre-step
             assert est_pre > 2 * truth_pre
 
@@ -84,30 +77,56 @@ class TestFig2b:
             return None
         return sorted(values)[len(values) // 2]
 
-    def test_tracks_before_step(self, fig2b):
-        assert fig2b.tracking_error(False) < 0.25
+    def test_tracks_before_step(self, fig2):
+        assert fig2.tracking_error(False) < 0.25
 
-    def test_tracks_after_step_once_settled(self, fig2b):
+    def test_tracks_after_step_once_settled(self, fig2):
         lo = SMALL_BACKLOG.step_at + self.SETTLE
         hi = SMALL_BACKLOG.duration
-        est = self._median(fig2b.estimates, lo, hi)
-        truth = self._median(fig2b.ground_truth, lo, hi)
+        est = self._median(fig2.estimates, lo, hi)
+        truth = self._median(fig2.ground_truth, lo, hi)
         assert est is not None and truth is not None
         assert est == pytest.approx(truth, rel=0.3)
 
-    def test_chosen_timeout_grows_after_step(self, fig2b):
-        pre = [v for t, v in fig2b.chosen_timeouts.items()
+    def test_chosen_timeout_grows_after_step(self, fig2):
+        pre = [v for t, v in fig2.chosen_timeouts.items()
                if t < SMALL_BACKLOG.step_at]
-        post = [v for t, v in fig2b.chosen_timeouts.items()
+        post = [v for t, v in fig2.chosen_timeouts.items()
                 if t > SMALL_BACKLOG.step_at + self.SETTLE]
         assert pre and post
         median_pre = sorted(pre)[len(pre) // 2]
         median_post = sorted(post)[len(post) // 2]
         assert median_post > median_pre
 
-    def test_epochs_completed(self, fig2b):
+    def test_epochs_completed(self, fig2):
         # 800 ms at E=64 ms: at least 10 epochs.
-        assert fig2b.epochs >= 10
+        assert fig2.epochs >= 10
+
+    def test_shipped_loop_matches_the_literal_algorithm(self):
+        """Panel (b)'s loop keeps its state on conntrack entries and one
+        epoch log for all flows; on Fig 2's flow it must emit exactly
+        what the literal k-instance Algorithm 2 emits."""
+        run = build_backlog(SMALL_BACKLOG)
+        feedback = InbandFeedback(
+            run.lb, FeedbackConfig(ensemble=SMALL_BACKLOG.ensemble, control=False)
+        )
+        arrivals = []
+        run.lb.add_tap(
+            lambda now, flow, backend, packet: arrivals.append((now, flow))
+        )
+        run.sim.run_until(SMALL_BACKLOG.duration)
+
+        assert len({flow for _now, flow in arrivals}) == 1
+        naive = NaiveEnsemble(SMALL_BACKLOG.ensemble)
+        expected = []
+        for now, _flow in arrivals:
+            t_lb = naive.observe(now)
+            if t_lb is not None:
+                expected.append((now, t_lb))
+        assert len(expected) > 100
+        assert [(s.time, s.t_lb) for s in feedback.samples] == expected
+        assert len(naive.cliff_history) >= 10
+        assert feedback.epochs == naive.cliff_history
 
 
 class TestFig3:

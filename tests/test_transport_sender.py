@@ -13,7 +13,7 @@ and the test checks:
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.net.addr import Endpoint
@@ -107,6 +107,27 @@ def echo_size(size):
     return size % 700 + 1
 
 
+# Counterexamples from before Karn's rule was applied per ACK: a
+# retransmission filled a hole and the cumulative ACK that followed took
+# RTT samples from the later, never-retransmitted segments it retired.
+# Those samples drove the RTO to its cap and the last messages did not
+# arrive.
+@example(
+    sizes=[1, 1, 1, 1, 1, 1041, 1, 1936],
+    mss=64, window_segments=3, loss=0.1, jitter=1, late=0, seed=1,
+)
+@example(
+    sizes=[1, 1, 1, 1, 1, 1037, 1603, 1703],
+    mss=64, window_segments=2, loss=0.1, jitter=1, late=0, seed=1,
+)
+@example(
+    sizes=[1696, 1941, 110, 3954],
+    mss=72, window_segments=8, loss=0.1, jitter=121, late=29, seed=1,
+)
+@example(
+    sizes=[325, 288, 568, 784, 1024, 300, 727, 25, 1, 1, 1927, 2753, 1],
+    mss=64, window_segments=5, loss=0.1, jitter=1, late=0, seed=45961,
+)
 @settings(max_examples=40, deadline=None)
 @given(
     sizes=st.lists(st.integers(1, 4000), min_size=1, max_size=30),
