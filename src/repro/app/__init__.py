@@ -17,32 +17,7 @@ reopen periodically).  This package reproduces that workload:
 * :mod:`~repro.app.workload` — key popularity, op mix, value sizes.
 """
 
-from repro.app.protocol import Op, Request, Response
-from repro.app.kvstore import KeyValueStore
-from repro.app.servicetime import (
-    Bimodal,
-    Deterministic,
-    Exponential,
-    LogNormal,
-    PerOp,
-    ServiceTimeModel,
-)
-from repro.app.variability import (
-    CompositeInjector,
-    GcPauseInjector,
-    LatencyInjector,
-    NullInjector,
-    PreemptionInjector,
-    StepInjector,
-)
-from repro.app.server import ServerApp, ServerConfig, SinkApp
-from repro.app.client import (
-    BacklogClient,
-    MemtierClient,
-    MemtierConfig,
-    RequestRecord,
-)
-from repro.app.workload import KeyGenerator, OpMixer, ValueSizer, WorkloadModel
+from repro._exports import lazy_exports
 
 __all__ = [
     "Op",
@@ -73,3 +48,35 @@ __all__ = [
     "ValueSizer",
     "WorkloadModel",
 ]
+
+_EXPORTS = {
+    "Op": ".protocol",
+    "Request": ".protocol",
+    "Response": ".protocol",
+    "KeyValueStore": ".kvstore",
+    "Bimodal": ".servicetime",
+    "Deterministic": ".servicetime",
+    "Exponential": ".servicetime",
+    "LogNormal": ".servicetime",
+    "PerOp": ".servicetime",
+    "ServiceTimeModel": ".servicetime",
+    "CompositeInjector": ".variability",
+    "GcPauseInjector": ".variability",
+    "LatencyInjector": ".variability",
+    "NullInjector": ".variability",
+    "PreemptionInjector": ".variability",
+    "StepInjector": ".variability",
+    "ServerApp": ".server",
+    "ServerConfig": ".server",
+    "SinkApp": ".server",
+    "BacklogClient": ".client",
+    "MemtierClient": ".client",
+    "MemtierConfig": ".client",
+    "RequestRecord": ".client",
+    "KeyGenerator": ".workload",
+    "OpMixer": ".workload",
+    "ValueSizer": ".workload",
+    "WorkloadModel": ".workload",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

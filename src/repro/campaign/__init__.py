@@ -17,40 +17,11 @@ byte-identical schedules, verdicts, and shrunk reproducers at any
 ``--jobs`` level.
 """
 
-from repro.campaign.artifact import (
-    ARTIFACT_FORMAT,
-    load_artifact,
-    load_violations,
-    write_artifact,
-)
-from repro.campaign.config import ALL_KINDS, CampaignConfig, GeneratorConfig
-from repro.campaign.generator import (
-    fault_intensity,
-    generate_schedule,
-    schedule_intensity,
-)
-from repro.campaign.invariants import (
-    CampaignContext,
-    InvariantVerdict,
-    evaluate,
-)
-from repro.campaign.registry import (
-    InvariantSpec,
-    available,
-    get_spec,
-    register,
-    specs,
-)
-from repro.campaign.runner import (
-    CampaignPoint,
-    CampaignReport,
-    build_point_config,
-    campaign_point,
-    campaign_points,
-    replay_artifact,
-    run_campaign,
-)
-from repro.campaign.shrink import ShrinkStats, shrink_point
+from repro._exports import lazy_exports
+
+# Importing the invariant module populates the registry, so it stays
+# eager: whoever imports any part of the package finds every invariant.
+from repro.campaign import invariants  # noqa: F401
 
 __all__ = [
     "ALL_KINDS",
@@ -81,3 +52,35 @@ __all__ = [
     "specs",
     "write_artifact",
 ]
+
+_EXPORTS = {
+    "ARTIFACT_FORMAT": ".artifact",
+    "load_artifact": ".artifact",
+    "load_violations": ".artifact",
+    "write_artifact": ".artifact",
+    "ALL_KINDS": ".config",
+    "CampaignConfig": ".config",
+    "GeneratorConfig": ".config",
+    "fault_intensity": ".generator",
+    "generate_schedule": ".generator",
+    "schedule_intensity": ".generator",
+    "CampaignContext": ".invariants",
+    "InvariantVerdict": ".invariants",
+    "evaluate": ".invariants",
+    "InvariantSpec": ".registry",
+    "available": ".registry",
+    "get_spec": ".registry",
+    "register": ".registry",
+    "specs": ".registry",
+    "CampaignPoint": ".runner",
+    "CampaignReport": ".runner",
+    "build_point_config": ".runner",
+    "campaign_point": ".runner",
+    "campaign_points": ".runner",
+    "replay_artifact": ".runner",
+    "run_campaign": ".runner",
+    "ShrinkStats": ".shrink",
+    "shrink_point": ".shrink",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

@@ -11,49 +11,16 @@ import argparse
 import sys
 from typing import List, Optional
 
+# The parser needs only these names.  Each verb's handler imports what it
+# runs, so ``repro --help`` loads no add-on plane and a verb loads only
+# the planes it arms.
 from repro import units
 from repro.controllers import available as available_controllers
 from repro.errors import ConfigError
-from repro.faults import PRESETS, parse_faults
-from repro.harness.ablations import ABLATIONS, run_ablation
-from repro.harness.compare import RACE_PRESETS, run_compare
+from repro.faults.presets import PRESETS
+from repro.harness.ablations import ABLATIONS
+from repro.harness.compare import RACE_PRESETS
 from repro.harness.config import PolicyName, ScenarioConfig
-from repro.harness.figures import (
-    ERROR_THINK_TIMES,
-    BacklogConfig,
-    Fig3Config,
-    error_table,
-    run_error_decomposition,
-    run_fig2,
-    run_fig3,
-    run_reaction,
-)
-from repro.harness.recovery import fault_window, time_to_recovery
-from repro.harness.report import format_cell, format_rows, format_table
-from repro.harness.runner import run_scenario
-from repro.insight import (
-    InsightConfig,
-    explain_alert,
-    explain_overview,
-    explain_shift,
-    load_timeline,
-    render_diff,
-)
-from repro.obs import (
-    ObsConfig,
-    render_request_tree,
-    render_shift_attribution,
-    render_shift_list,
-)
-from repro.resilience import ResilienceConfig
-from repro.sweep import (
-    ResultStore,
-    SweepSpec,
-    load_spec,
-    parse_axis,
-    print_progress,
-    run_sweep,
-)
 from repro.units import to_millis
 
 
@@ -495,224 +462,277 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code (2 on a ``ConfigError``)."""
     args = build_parser().parse_args(argv)
     try:
-        return _run_command(args, units.seconds(args.duration))
+        # argparse enforces the command set.
+        return _COMMANDS[args.command](args, units.seconds(args.duration))
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 
 
 def _run_command(args: argparse.Namespace, duration: int) -> int:
-    """Run the verb ``args.command`` names."""
-    if args.command == "run":
-        faults = _parse_fault_args(args.fault, duration)
-        config = ScenarioConfig(
+    """The ``repro run`` verb: one scenario and its report."""
+    from repro.harness.runner import run_scenario
+    from repro.insight.config import InsightConfig
+
+    faults = _parse_fault_args(args.fault, duration)
+    config = ScenarioConfig(
+        seed=args.seed,
+        duration=duration,
+        n_clients=args.clients,
+        n_servers=args.servers,
+        policy=PolicyName(args.policy),
+        faults=faults,
+        insight=InsightConfig(enabled=args.timeline is not None),
+        warmup=duration // 10,
+    )
+    config.feedback.strategy = args.strategy
+    result = run_scenario(config)
+    print(result.report())
+    if args.timeline is not None:
+        result.scenario.insight.export(args.timeline)
+        print("timeline written: %s" % args.timeline)
+    return 0
+
+
+def _metrics_command(args: argparse.Namespace, duration: int) -> int:
+    """The ``repro metrics`` verb: one run's metric registry."""
+    from repro.harness.runner import run_scenario
+    from repro.obs.config import ObsConfig
+
+    faults = _parse_fault_args(args.fault, duration)
+    config = ScenarioConfig(
+        seed=args.seed,
+        duration=duration,
+        n_clients=args.clients,
+        n_servers=args.servers,
+        policy=PolicyName(args.policy),
+        faults=faults,
+        obs=ObsConfig(enabled=True, tracing=False, profiling=False),
+        warmup=duration // 10,
+    )
+    result = run_scenario(config)
+    registry = result.scenario.obs.registry
+    assert registry is not None
+    if args.format == "json":
+        import json
+
+        print(json.dumps(registry.to_json(), indent=2, sort_keys=True))
+    else:
+        print(registry.to_prometheus(), end="")
+    return 0
+
+
+def _trace_command(args: argparse.Namespace, duration: int) -> int:
+    """The ``repro trace`` verb: causal spans on the Fig 3 feedback arm."""
+    from repro.harness.figures import Fig3Config, run_fig3
+    from repro.obs.config import ObsConfig
+    from repro.obs.trace import (
+        render_request_tree,
+        render_shift_attribution,
+        render_shift_list,
+    )
+
+    fig3 = run_fig3(
+        Fig3Config(
             seed=args.seed,
             duration=duration,
-            n_clients=args.clients,
-            n_servers=args.servers,
-            policy=PolicyName(args.policy),
-            faults=faults,
-            insight=InsightConfig(enabled=args.timeline is not None),
-            warmup=duration // 10,
-        )
-        config.feedback.strategy = args.strategy
-        result = run_scenario(config)
-        print(result.report())
-        if args.timeline is not None:
-            result.scenario.insight.export(args.timeline)
-            print("timeline written: %s" % args.timeline)
-        return 0
-
-    if args.command == "metrics":
-        faults = _parse_fault_args(args.fault, duration)
-        config = ScenarioConfig(
-            seed=args.seed,
-            duration=duration,
-            n_clients=args.clients,
-            n_servers=args.servers,
-            policy=PolicyName(args.policy),
-            faults=faults,
-            obs=ObsConfig(enabled=True, tracing=False, profiling=False),
-            warmup=duration // 10,
-        )
-        result = run_scenario(config)
-        registry = result.scenario.obs.registry
-        assert registry is not None
-        if args.format == "json":
-            import json
-
-            print(json.dumps(registry.to_json(), indent=2, sort_keys=True))
-        else:
-            print(registry.to_prometheus(), end="")
-        return 0
-
-    if args.command == "trace":
-        fig3 = run_fig3(
-            Fig3Config(
-                seed=args.seed,
-                duration=duration,
-                obs=ObsConfig(enabled=True, profiling=False),
-            ),
-            policies=(PolicyName.FEEDBACK,),
-        )
-        result = fig3.results[PolicyName.FEEDBACK.value]
-        scenario = result.scenario
-        assert scenario.obs is not None and scenario.obs.tracer is not None
-        assert scenario.feedback is not None
-        tracer = scenario.obs.tracer
-        shifts = scenario.feedback.shift_events()
-        window = scenario.feedback.estimator.config.window
-        if args.request is not None:
-            print(
-                render_request_tree(
-                    tracer,
-                    args.request,
-                    shifts,
-                    window,
-                    fault_windows=result.fault_windows(),
-                    vip=scenario.vip,
-                )
-            )
-            return 0
-        if not shifts:
-            print("no weight shifts executed in this run")
-            return 1
-        if args.shift is None:
-            print(render_shift_list(tracer, shifts, window))
-            return 0
-        if not 0 <= args.shift < len(shifts):
-            print(
-                "shift index %d out of range (%d shifts recorded)"
-                % (args.shift, len(shifts)),
-                file=sys.stderr,
-            )
-            return 2
-        # The Fig 3 arm runs no fleet, so there are no scalings to show.
-        print(render_shift_attribution(tracer, shifts, args.shift, window))
-        return 0
-
-    if args.command == "explain":
-        fig3 = run_fig3(
-            Fig3Config(
-                seed=args.seed,
-                duration=duration,
-                insight=InsightConfig(enabled=True),
-            ),
-            policies=(PolicyName.FEEDBACK,),
-        )
-        result = fig3.results[PolicyName.FEEDBACK.value]
-        assert result.scenario.insight is not None
-        if args.export is not None:
-            result.scenario.insight.export(args.export)
-            print("timeline written: %s" % args.export)
-        lookback = units.seconds(args.lookback)
-        if args.shift is not None and args.alert is not None:
-            print("give --shift or --alert, not both", file=sys.stderr)
-            return 2
-        try:
-            if args.shift is not None:
-                print(explain_shift(result, args.shift, lookback))
-            elif args.alert is not None:
-                print(explain_alert(result, args.alert, lookback))
-            else:
-                print(explain_overview(result))
-        except IndexError as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
-        return 0
-
-    if args.command == "diff":
-        try:
-            timeline_a = load_timeline(args.run_a)
-            timeline_b = load_timeline(args.run_b)
-        except (OSError, ValueError) as exc:
-            print("cannot load timeline: %s" % exc, file=sys.stderr)
-            return 2
-        print(render_diff(timeline_a, timeline_b, weight_eps=args.eps))
-        return 0
-
-    if args.command == "resilience":
-        faults = parse_faults(args.fault, duration)
-        config = ScenarioConfig(
-            seed=args.seed,
-            duration=duration,
-            n_clients=args.clients,
-            n_servers=args.servers,
-            policy=PolicyName.FEEDBACK,
-            faults=faults,
-            resilience=ResilienceConfig(enabled=True, health_checks=True),
-            warmup=duration // 10,
-        )
-        result = run_scenario(config)
-        print(result.report())
-        onset = min(f.start for f in faults)
-        fallback_at = result.first_mode_entry("FALLBACK", after=onset)
-        if fallback_at is None:
-            print("ladder never entered FALLBACK (fault=%s)" % args.fault)
-        else:
-            print(
-                "time to FALLBACK after fault onset: %.3f ms"
-                % to_millis(fallback_at - onset)
-            )
-            recovery_at = result.first_mode_entry("FEEDBACK", after=fallback_at)
-            if recovery_at is None:
-                print("no FEEDBACK recovery observed before the run ended")
-            else:
-                print(
-                    "time to FEEDBACK recovery: %.3f ms after FALLBACK entry"
-                    % to_millis(recovery_at - fallback_at)
-                )
-        latency_recovery = time_to_recovery(result, fault_window(config))
-        if latency_recovery is None:
-            print("tail latency never re-entered the pre-fault band")
-        else:
-            print(
-                "time to tail-latency recovery: %.3f ms after fault onset"
-                % to_millis(latency_recovery)
-            )
-        return 0
-
-    if args.command in ("fig2a", "fig2b"):
-        fig2 = run_fig2(
-            BacklogConfig(seed=args.seed, duration=duration, step_at=duration // 2)
-        )
-        print(fig2.panel_a() if args.command == "fig2a" else fig2.panel_b())
-        return 0
-
-    if args.command == "fig3":
-        print(run_fig3(Fig3Config(seed=args.seed, duration=duration)).report())
-        return 0
-
-    if args.command == "reaction":
-        result = run_reaction(Fig3Config(seed=args.seed, duration=duration))
-        print(result.report())
-        if result.reaction_ns is None:
-            print("no shift observed after the injection")
-            return 1
-        return 0
-
-    if args.command == "error":
+            obs=ObsConfig(enabled=True, profiling=False),
+        ),
+        policies=(PolicyName.FEEDBACK,),
+    )
+    result = fig3.results[PolicyName.FEEDBACK.value]
+    scenario = result.scenario
+    assert scenario.obs is not None and scenario.obs.tracer is not None
+    assert scenario.feedback is not None
+    tracer = scenario.obs.tracer
+    shifts = scenario.feedback.shift_events()
+    window = scenario.feedback.estimator.config.window
+    if args.request is not None:
         print(
-            error_table(
-                [
-                    run_error_decomposition(think, duration=duration, seed=args.seed)
-                    for think in ERROR_THINK_TIMES
-                ]
+            render_request_tree(
+                tracer,
+                args.request,
+                shifts,
+                window,
+                fault_windows=result.fault_windows(),
+                vip=scenario.vip,
             )
         )
         return 0
-
-    if args.command == "ablation":
-        print(format_rows(run_ablation(args.sweep, jobs=args.jobs)))
+    if not shifts:
+        print("no weight shifts executed in this run")
+        return 1
+    if args.shift is None:
+        print(render_shift_list(tracer, shifts, window))
         return 0
+    if not 0 <= args.shift < len(shifts):
+        print(
+            "shift index %d out of range (%d shifts recorded)"
+            % (args.shift, len(shifts)),
+            file=sys.stderr,
+        )
+        return 2
+    # The Fig 3 arm runs no fleet, so there are no scalings to show.
+    print(render_shift_attribution(tracer, shifts, args.shift, window))
+    return 0
 
-    # argparse enforces the command set: the rest are these four.
-    return {
-        "fleet": _fleet_command,
-        "compare": _compare_command,
-        "chaos": _chaos_command,
-        "sweep": _sweep_command,
-    }[args.command](args, duration)
+
+def _explain_command(args: argparse.Namespace, duration: int) -> int:
+    """The ``repro explain`` verb: causal chains from the flight recorder."""
+    from repro.harness.figures import Fig3Config, run_fig3
+    from repro.insight.config import InsightConfig
+    from repro.insight.explain import explain_alert, explain_overview, explain_shift
+
+    fig3 = run_fig3(
+        Fig3Config(
+            seed=args.seed,
+            duration=duration,
+            insight=InsightConfig(enabled=True),
+        ),
+        policies=(PolicyName.FEEDBACK,),
+    )
+    result = fig3.results[PolicyName.FEEDBACK.value]
+    assert result.scenario.insight is not None
+    if args.export is not None:
+        result.scenario.insight.export(args.export)
+        print("timeline written: %s" % args.export)
+    lookback = units.seconds(args.lookback)
+    if args.shift is not None and args.alert is not None:
+        print("give --shift or --alert, not both", file=sys.stderr)
+        return 2
+    try:
+        if args.shift is not None:
+            print(explain_shift(result, args.shift, lookback))
+        elif args.alert is not None:
+            print(explain_alert(result, args.alert, lookback))
+        else:
+            print(explain_overview(result))
+    except IndexError as exc:
+        print(str(exc), file=sys.stderr)
+        return 1
+    return 0
+
+
+def _diff_command(args: argparse.Namespace, duration: int) -> int:
+    """The ``repro diff`` verb: divergence between two timelines."""
+    from repro.insight.diff import render_diff
+    from repro.insight.timeline import load_timeline
+
+    try:
+        timeline_a = load_timeline(args.run_a)
+        timeline_b = load_timeline(args.run_b)
+    except (OSError, ValueError) as exc:
+        print("cannot load timeline: %s" % exc, file=sys.stderr)
+        return 2
+    print(render_diff(timeline_a, timeline_b, weight_eps=args.eps))
+    return 0
+
+
+def _resilience_command(args: argparse.Namespace, duration: int) -> int:
+    """The ``repro resilience`` verb: degradation and recovery timing."""
+    from repro.faults.parse import parse_faults
+    from repro.harness.recovery import fault_window, time_to_recovery
+    from repro.harness.runner import run_scenario
+    from repro.resilience.config import ResilienceConfig
+
+    faults = parse_faults(args.fault, duration)
+    config = ScenarioConfig(
+        seed=args.seed,
+        duration=duration,
+        n_clients=args.clients,
+        n_servers=args.servers,
+        policy=PolicyName.FEEDBACK,
+        faults=faults,
+        resilience=ResilienceConfig(enabled=True, health_checks=True),
+        warmup=duration // 10,
+    )
+    result = run_scenario(config)
+    print(result.report())
+    onset = min(f.start for f in faults)
+    fallback_at = result.first_mode_entry("FALLBACK", after=onset)
+    if fallback_at is None:
+        print("ladder never entered FALLBACK (fault=%s)" % args.fault)
+    else:
+        print(
+            "time to FALLBACK after fault onset: %.3f ms"
+            % to_millis(fallback_at - onset)
+        )
+        recovery_at = result.first_mode_entry("FEEDBACK", after=fallback_at)
+        if recovery_at is None:
+            print("no FEEDBACK recovery observed before the run ended")
+        else:
+            print(
+                "time to FEEDBACK recovery: %.3f ms after FALLBACK entry"
+                % to_millis(recovery_at - fallback_at)
+            )
+    latency_recovery = time_to_recovery(result, fault_window(config))
+    if latency_recovery is None:
+        print("tail latency never re-entered the pre-fault band")
+    else:
+        print(
+            "time to tail-latency recovery: %.3f ms after fault onset"
+            % to_millis(latency_recovery)
+        )
+    return 0
+
+
+def _fig2_command(args: argparse.Namespace, duration: int) -> int:
+    """The ``repro fig2a``/``fig2b`` verbs: one backlog run, one panel."""
+    from repro.harness.figures import BacklogConfig, run_fig2
+
+    fig2 = run_fig2(
+        BacklogConfig(seed=args.seed, duration=duration, step_at=duration // 2)
+    )
+    print(fig2.panel_a() if args.command == "fig2a" else fig2.panel_b())
+    return 0
+
+
+def _fig3_command(args: argparse.Namespace, duration: int) -> int:
+    """The ``repro fig3`` verb: Maglev against the feedback loop."""
+    from repro.harness.figures import Fig3Config, run_fig3
+
+    print(run_fig3(Fig3Config(seed=args.seed, duration=duration)).report())
+    return 0
+
+
+def _reaction_command(args: argparse.Namespace, duration: int) -> int:
+    """The ``repro reaction`` verb: time from injection to first shift."""
+    from repro.harness.figures import Fig3Config, run_reaction
+
+    result = run_reaction(Fig3Config(seed=args.seed, duration=duration))
+    print(result.report())
+    if result.reaction_ns is None:
+        print("no shift observed after the injection")
+        return 1
+    return 0
+
+
+def _error_command(args: argparse.Namespace, duration: int) -> int:
+    """The ``repro error`` verb: the error-model identity table."""
+    from repro.harness.figures import (
+        ERROR_THINK_TIMES,
+        error_table,
+        run_error_decomposition,
+    )
+
+    print(
+        error_table(
+            [
+                run_error_decomposition(think, duration=duration, seed=args.seed)
+                for think in ERROR_THINK_TIMES
+            ]
+        )
+    )
+    return 0
+
+
+def _ablation_command(args: argparse.Namespace, duration: int) -> int:
+    """The ``repro ablation`` verb: one parameter sweep's rows."""
+    from repro.harness.ablations import run_ablation
+    from repro.harness.report import format_rows
+
+    print(format_rows(run_ablation(args.sweep, jobs=args.jobs)))
+    return 0
 
 
 def _fleet_command(args: argparse.Namespace, duration: int) -> int:
@@ -723,6 +743,7 @@ def _fleet_command(args: argparse.Namespace, duration: int) -> int:
         run_elastic,
         run_elastic_race,
     )
+    from repro.sweep.store import ResultStore
 
     base = ElasticConfig(
         seed=args.seed,
@@ -761,6 +782,8 @@ def _chaos_command(args: argparse.Namespace, duration: int) -> int:
         replay_artifact,
         run_campaign,
     )
+    from repro.sweep.executor import print_progress
+    from repro.sweep.store import ResultStore
 
     store = ResultStore(args.store)
     use_cache = not args.no_cache
@@ -844,6 +867,10 @@ def _chaos_command(args: argparse.Namespace, duration: int) -> int:
 
 def _compare_command(args: argparse.Namespace, duration: int) -> int:
     """The ``repro compare`` verb: race the zoo, print the leaderboard."""
+    from repro.harness.compare import run_compare
+    from repro.sweep.executor import print_progress
+    from repro.sweep.store import ResultStore
+
     presets = args.preset or list(RACE_PRESETS)
     compare = run_compare(
         presets,
@@ -869,6 +896,12 @@ def _compare_command(args: argparse.Namespace, duration: int) -> int:
 def _sweep_command(args: argparse.Namespace, duration: int) -> int:
     """The ``repro sweep`` verb: build the spec, run it, print rows."""
     import os
+
+    from repro.harness.report import format_cell, format_table
+    from repro.sweep.executor import print_progress
+    from repro.sweep.points import run_sweep
+    from repro.sweep.spec import SweepSpec, load_spec, parse_axis
+    from repro.sweep.store import ResultStore
 
     inline_axes = (
         args.grid or args.zip_axes or args.seeds or args.fault or args.strategy
@@ -954,10 +987,33 @@ def _controller_list(text: Optional[str]) -> List[str]:
 
 def _parse_fault_args(specs: List[str], duration: int) -> list:
     """Every ``--fault`` spec (preset name or inline), parsed in order."""
+    from repro.faults.parse import parse_faults
+
     faults = []
     for spec in specs:
         faults.extend(parse_faults(spec, duration))
     return faults
+
+
+#: Verb name -> handler; each handler imports what its verb runs.
+_COMMANDS = {
+    "run": _run_command,
+    "metrics": _metrics_command,
+    "trace": _trace_command,
+    "explain": _explain_command,
+    "diff": _diff_command,
+    "resilience": _resilience_command,
+    "fig2a": _fig2_command,
+    "fig2b": _fig2_command,
+    "fig3": _fig3_command,
+    "reaction": _reaction_command,
+    "error": _error_command,
+    "ablation": _ablation_command,
+    "fleet": _fleet_command,
+    "compare": _compare_command,
+    "chaos": _chaos_command,
+    "sweep": _sweep_command,
+}
 
 
 if __name__ == "__main__":  # pragma: no cover

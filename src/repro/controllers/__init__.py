@@ -20,31 +20,17 @@ with a ``@register(...)`` factory — the CLI, sweeps, property tests,
 and the leaderboard pick it up with no further wiring.
 """
 
-from repro.controllers.base import (
-    BaseController,
-    Controller,
-    ShiftEvent,
-    renormalize_with_floor,
-    total_weight_movement,
-)
-from repro.controllers.registry import (
-    ControllerSpec,
-    available,
-    create,
-    get_spec,
-    register,
-    specs,
-)
+from repro._exports import lazy_exports
 
-# Importing the law modules populates the registry.
-from repro.controllers import alpha as _alpha  # noqa: F401
-from repro.controllers.aimd import AimdConfig, AimdController
-from repro.controllers.gradient import GradientConfig, GradientDescentController
-from repro.controllers.knapsack import KnapsackConfig, KnapsackController
-from repro.controllers.morpheus import MorpheusConfig, MorpheusController
-from repro.controllers.proportional import (
-    ProportionalConfig,
-    ProportionalController,
+# Importing the law modules populates the registry, so they stay eager:
+# whoever imports any part of the package finds all six laws registered.
+from repro.controllers import (  # noqa: F401
+    aimd,
+    alpha,
+    gradient,
+    knapsack,
+    morpheus,
+    proportional,
 )
 
 __all__ = [
@@ -70,3 +56,29 @@ __all__ = [
     "specs",
     "total_weight_movement",
 ]
+
+_EXPORTS = {
+    "BaseController": ".base",
+    "Controller": ".base",
+    "ShiftEvent": ".base",
+    "renormalize_with_floor": ".base",
+    "total_weight_movement": ".base",
+    "ControllerSpec": ".registry",
+    "available": ".registry",
+    "create": ".registry",
+    "get_spec": ".registry",
+    "register": ".registry",
+    "specs": ".registry",
+    "AimdConfig": ".aimd",
+    "AimdController": ".aimd",
+    "GradientConfig": ".gradient",
+    "GradientDescentController": ".gradient",
+    "KnapsackConfig": ".knapsack",
+    "KnapsackController": ".knapsack",
+    "MorpheusConfig": ".morpheus",
+    "MorpheusController": ".morpheus",
+    "ProportionalConfig": ".proportional",
+    "ProportionalController": ".proportional",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

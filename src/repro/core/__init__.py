@@ -17,11 +17,7 @@
   controller → weighted Maglev, forming the in-band feedback loop.
 """
 
-from repro.core.fixed_timeout import FixedTimeout
-from repro.core.ensemble import EnsembleConfig, EnsembleTimeout, default_timeouts
-from repro.core.estimator import BackendEstimate, BackendLatencyEstimator, EstimatorConfig
-from repro.core.controller import AlphaShiftController, ControllerConfig
-from repro.core.feedback import InbandFeedback, FeedbackConfig
+from repro._exports import lazy_exports
 
 __all__ = [
     "FixedTimeout",
@@ -36,3 +32,19 @@ __all__ = [
     "InbandFeedback",
     "FeedbackConfig",
 ]
+
+_EXPORTS = {
+    "FixedTimeout": ".fixed_timeout",
+    "EnsembleConfig": ".ensemble",
+    "EnsembleTimeout": ".ensemble",
+    "default_timeouts": ".ensemble",
+    "BackendEstimate": ".estimator",
+    "BackendLatencyEstimator": ".estimator",
+    "EstimatorConfig": ".estimator",
+    "AlphaShiftController": ".controller",
+    "ControllerConfig": ".controller",
+    "InbandFeedback": ".feedback",
+    "FeedbackConfig": ".feedback",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

@@ -27,31 +27,7 @@ Quick start::
     print(result.report())        # latency timeline annotated with fault windows
 """
 
-from repro.faults.injector import ArmedWindow, FaultEvent, Injector
-from repro.faults.model import (
-    CLIENT_TO_LB,
-    DIRECTIONS,
-    FAULT_KINDS,
-    LB_TO_SERVER,
-    PIPE_FAULTS,
-    SERVER_FAULTS,
-    SERVER_TO_CLIENT,
-    TOPOLOGY_FAULTS,
-    CrashRestartFault,
-    DelayFault,
-    FaultSpec,
-    JitterFault,
-    LossFault,
-    PartitionFault,
-    ServerPauseFault,
-    ServerSlowdownFault,
-    ThrottleFault,
-    fault_from_dict,
-    fault_to_dict,
-)
-from repro.faults.parse import parse_faults
-from repro.faults.presets import PRESETS, preset
-from repro.faults.schedule import FaultSchedule, FaultWindow
+from repro._exports import lazy_exports
 
 __all__ = [
     "ArmedWindow",
@@ -82,3 +58,35 @@ __all__ = [
     "CLIENT_TO_LB",
     "SERVER_TO_CLIENT",
 ]
+
+_EXPORTS = {
+    "ArmedWindow": ".injector",
+    "FaultEvent": ".injector",
+    "Injector": ".injector",
+    "CLIENT_TO_LB": ".model",
+    "DIRECTIONS": ".model",
+    "FAULT_KINDS": ".model",
+    "LB_TO_SERVER": ".model",
+    "PIPE_FAULTS": ".model",
+    "SERVER_FAULTS": ".model",
+    "SERVER_TO_CLIENT": ".model",
+    "TOPOLOGY_FAULTS": ".model",
+    "CrashRestartFault": ".model",
+    "DelayFault": ".model",
+    "FaultSpec": ".model",
+    "JitterFault": ".model",
+    "LossFault": ".model",
+    "PartitionFault": ".model",
+    "ServerPauseFault": ".model",
+    "ServerSlowdownFault": ".model",
+    "ThrottleFault": ".model",
+    "fault_from_dict": ".model",
+    "fault_to_dict": ".model",
+    "parse_faults": ".parse",
+    "PRESETS": ".presets",
+    "preset": ".presets",
+    "FaultSchedule": ".schedule",
+    "FaultWindow": ".schedule",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

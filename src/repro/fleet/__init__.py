@@ -13,19 +13,7 @@ structurally absent when disabled: ``FleetConfig(enabled=False)``
 builds a byte-identical scenario.
 """
 
-from repro.fleet.autoscaler import AutoscalingGroup, ScalingDecision
-from repro.fleet.config import (
-    BUILTIN_METRICS,
-    FleetConfig,
-    ScheduledAction,
-    StepPolicy,
-    TargetTrackingPolicy,
-)
-from repro.fleet.lifecycle import (
-    BackendState,
-    FleetLifecycle,
-    LifecycleEvent,
-)
+from repro._exports import lazy_exports
 
 __all__ = [
     "AutoscalingGroup",
@@ -39,3 +27,18 @@ __all__ = [
     "StepPolicy",
     "TargetTrackingPolicy",
 ]
+
+_EXPORTS = {
+    "AutoscalingGroup": ".autoscaler",
+    "ScalingDecision": ".autoscaler",
+    "BUILTIN_METRICS": ".config",
+    "FleetConfig": ".config",
+    "ScheduledAction": ".config",
+    "StepPolicy": ".config",
+    "TargetTrackingPolicy": ".config",
+    "BackendState": ".lifecycle",
+    "FleetLifecycle": ".lifecycle",
+    "LifecycleEvent": ".lifecycle",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

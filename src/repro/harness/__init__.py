@@ -15,19 +15,7 @@ Fault injection lives in :mod:`repro.faults` (the chaos plane);
 ``ScenarioConfig.faults`` is the hook that arms it on a built scenario.
 """
 
-from repro.harness.config import NetworkParams, PolicyName, ScenarioConfig
-from repro.harness.scenario import Scenario, build_scenario
-from repro.harness.runner import ScenarioResult, run_scenario
-from repro.harness.report import format_series, format_table
-from repro.harness.figures import (
-    BacklogConfig,
-    Fig3Config,
-    run_error_decomposition,
-    run_fig2,
-    run_fig3,
-    run_reaction,
-)
-from repro.harness.tiered import TieredResult, TieredScenarioConfig, run_tiered
+from repro._exports import lazy_exports
 
 __all__ = [
     "BacklogConfig",
@@ -49,3 +37,26 @@ __all__ = [
     "TieredScenarioConfig",
     "run_tiered",
 ]
+
+_EXPORTS = {
+    "NetworkParams": ".config",
+    "PolicyName": ".config",
+    "ScenarioConfig": ".config",
+    "Scenario": ".scenario",
+    "build_scenario": ".scenario",
+    "ScenarioResult": ".runner",
+    "run_scenario": ".runner",
+    "format_series": ".report",
+    "format_table": ".report",
+    "BacklogConfig": ".figures",
+    "Fig3Config": ".figures",
+    "run_error_decomposition": ".figures",
+    "run_fig2": ".figures",
+    "run_fig3": ".figures",
+    "run_reaction": ".figures",
+    "TieredResult": ".tiered",
+    "TieredScenarioConfig": ".tiered",
+    "run_tiered": ".tiered",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

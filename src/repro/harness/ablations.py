@@ -21,7 +21,6 @@ from repro.harness.config import NetworkParams, PolicyName, ScenarioConfig
 from repro.harness.figures import BacklogConfig, run_fig2
 from repro.harness.multilb import MultiLbConfig, multilb_point
 from repro.harness.runner import ScenarioResult, run_scenario
-from repro.sweep.points import run_sweep
 from repro.sweep.spec import SweepSpec
 from repro.telemetry.quantiles import exact_quantile
 from repro.transport.ack_policy import DelayedAck, ImmediateAck
@@ -239,6 +238,8 @@ ABLATIONS: Dict[str, Tuple[SweepSpec, Callable[[object], Row]]] = dict(
 
 def run_ablation(name: str, jobs: int = 1, store=None) -> List[Row]:
     """Run the ablation ``name`` (a key of :data:`ABLATIONS`); its rows."""
+    from repro.sweep.points import run_sweep
+
     spec, row = ABLATIONS[name]
     return run_sweep(spec, jobs=jobs, store=store, runner=row).rows
 

@@ -15,7 +15,7 @@ cached rows only — wall-clock appears nowhere in it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.app.protocol import Op
 from repro.controllers.base import total_weight_movement
@@ -26,10 +26,12 @@ from repro.harness.recovery import fault_window, time_to_recovery
 from repro.harness.report import format_cell, format_table
 from repro.harness.runner import run_scenario
 from repro.resilience.config import ResilienceConfig
-from repro.sweep.executor import Outcome, SweepReport, run_tasks, task
-from repro.sweep.store import ResultStore
 from repro.telemetry.quantiles import exact_quantile
 from repro.units import SECONDS
+
+if TYPE_CHECKING:  # pragma: no cover - type-only imports
+    from repro.sweep.executor import Outcome, SweepReport
+    from repro.sweep.store import ResultStore
 
 #: The default race card: the paper's stimulus plus the chaos shapes the
 #: newer laws were designed for (flapping for KnapsackLB, correlated
@@ -283,6 +285,7 @@ def run_compare(
 ) -> CompareReport:
     """Race ``controllers`` across ``presets`` through the executor."""
     from repro.controllers import available
+    from repro.sweep.executor import run_tasks, task
 
     registered = available()
     for name in controllers:

@@ -29,9 +29,6 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.app.client import MemtierConfig
-from repro.faults.presets import preset as fault_preset
-from repro.fleet import FleetConfig, ScheduledAction, TargetTrackingPolicy
-from repro.harness.churn import AffinityWatch
 from repro.harness.config import PolicyName, ScenarioConfig
 from repro.harness.report import format_table
 from repro.harness.runner import ScenarioResult, run_scenario
@@ -68,6 +65,13 @@ class ElasticConfig:
 
     def scenario_config(self) -> ScenarioConfig:
         """The underlying ScenarioConfig, fleet plane armed."""
+        from repro.faults.presets import preset as fault_preset
+        from repro.fleet.config import (
+            FleetConfig,
+            ScheduledAction,
+            TargetTrackingPolicy,
+        )
+
         duration = self.duration
         fleet = FleetConfig(
             enabled=True,
@@ -270,6 +274,8 @@ class ElasticResult:
 
 def run_elastic(config: Optional[ElasticConfig] = None) -> ElasticResult:
     """Run the elastic scenario for one controller strategy."""
+    from repro.harness.churn import AffinityWatch
+
     config = config or ElasticConfig()
     scenario_config = config.scenario_config()
     scenario = build_scenario(scenario_config)

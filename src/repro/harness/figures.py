@@ -37,9 +37,7 @@ from repro.core.ensemble import EnsembleConfig
 from repro.core.feedback import FeedbackConfig, InbandFeedback
 from repro.core.fixed_timeout import FixedTimeout
 from repro.errors import ConfigError
-from repro.faults.injector import Injector
 from repro.faults.model import DelayFault
-from repro.faults.schedule import FaultSchedule
 from repro.harness.config import (
     NetworkParams,
     PolicyName,
@@ -144,6 +142,9 @@ def build_backlog(config: BacklogConfig) -> BacklogRun:
     client = BacklogClient(client_host, vip, transport=transport)
 
     # The RTT step, expressed as a chaos-plane fault.
+    from repro.faults.injector import Injector
+    from repro.faults.schedule import FaultSchedule
+
     injector = Injector(
         sim, network, server_names=["server0"], client_names=["client0"]
     )

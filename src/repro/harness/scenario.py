@@ -24,13 +24,10 @@ from repro.app.client import MemtierClient
 from repro.app.server import ServerApp
 from repro.core.feedback import InbandFeedback
 from repro.errors import ConfigError
-from repro.faults.injector import Injector
-from repro.faults.schedule import FaultSchedule
 from repro.harness.config import NetworkParams, PolicyName, ScenarioConfig
 from repro.lb.backend import Backend, BackendPool
 from repro.lb.conntrack import ConnTrack
 from repro.lb.dataplane import LoadBalancer
-from repro.lb.oracle import OracleFeedback
 from repro.lb.policies import (
     BreakerGatedPolicy,
     LeastConnections,
@@ -41,7 +38,6 @@ from repro.lb.policies import (
     RoutingPolicy,
     WeightedRandom,
 )
-from repro.lb.health import HealthChecker
 from repro.net.addr import Endpoint
 from repro.net.network import Network
 from repro.resilience.breaker import BreakerBoard
@@ -50,8 +46,11 @@ from repro.sim.random import RandomStreams
 from repro.transport.endpoint import Host
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
+    from repro.faults.injector import Injector
     from repro.fleet.autoscaler import AutoscalingGroup
     from repro.insight.plane import InsightPlane
+    from repro.lb.health import HealthChecker
+    from repro.lb.oracle import OracleFeedback
     from repro.net.trace import PacketTrace
     from repro.obs.plane import ObsPlane
 
@@ -230,7 +229,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
 
     # --- active health checks (prober host colocated with the LB) --------
     if resilience.enabled and resilience.health_checks:
-        from repro.lb.health import HealthCheckConfig
+        from repro.lb.health import HealthCheckConfig, HealthChecker
 
         prober = Host(network, "prober")
         targets: Dict[str, Endpoint] = {}
@@ -261,6 +260,8 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
             lb, config.feedback, resilience=resilience, breakers=board
         )
     elif config.policy is PolicyName.ORACLE:
+        from repro.lb.oracle import OracleFeedback
+
         oracle = OracleFeedback(pool, config.feedback)
         for client in clients:
             client.on_record = oracle.on_record
@@ -288,6 +289,9 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     # simulator by the injector (deterministic revert-on-expiry).
     faults = config.all_faults()
     if faults:
+        from repro.faults.injector import Injector
+        from repro.faults.schedule import FaultSchedule
+
         injector = Injector.for_scenario(scenario)
         injector.arm(FaultSchedule(faults), config.duration)
         scenario.injector = injector

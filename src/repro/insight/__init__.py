@@ -10,24 +10,7 @@ into a causal chain, and ``repro diff`` aligns two recorded runs and
 reports divergence points.  Off by default; byte-identical on/off.
 """
 
-from repro.insight.config import InsightConfig, SLOConfig
-from repro.insight.diff import Divergence, diff_timelines, render_diff
-from repro.insight.explain import (
-    DEFAULT_LOOKBACK,
-    explain_alert,
-    explain_overview,
-    explain_shift,
-)
-from repro.insight.plane import InsightPlane
-from repro.insight.recorder import FlightRecorder, describe_frame
-from repro.insight.slo import SLOAlert, SLOMonitor
-from repro.insight.timeline import (
-    Annotation,
-    Timeline,
-    TimelineFrame,
-    load_timeline,
-    loads,
-)
+from repro._exports import lazy_exports
 
 __all__ = [
     "Annotation",
@@ -50,3 +33,27 @@ __all__ = [
     "loads",
     "render_diff",
 ]
+
+_EXPORTS = {
+    "InsightConfig": ".config",
+    "SLOConfig": ".config",
+    "Divergence": ".diff",
+    "diff_timelines": ".diff",
+    "render_diff": ".diff",
+    "DEFAULT_LOOKBACK": ".explain",
+    "explain_alert": ".explain",
+    "explain_overview": ".explain",
+    "explain_shift": ".explain",
+    "InsightPlane": ".plane",
+    "FlightRecorder": ".recorder",
+    "describe_frame": ".recorder",
+    "SLOAlert": ".slo",
+    "SLOMonitor": ".slo",
+    "Annotation": ".timeline",
+    "Timeline": ".timeline",
+    "TimelineFrame": ".timeline",
+    "load_timeline": ".timeline",
+    "loads": ".timeline",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

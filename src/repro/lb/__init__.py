@@ -15,24 +15,7 @@ server→client pipes and never traverse it.  Measurement and control
 * :mod:`~repro.lb.dataplane` — the VIP packet processor.
 """
 
-from repro.lb.backend import Backend, BackendPool
-from repro.lb.conntrack import ConnTrack
-from repro.lb.dataplane import LoadBalancer
-from repro.lb.health import HealthCheckConfig, HealthChecker
-from repro.lb.maglev import MaglevTable, next_prime
-
-# NOTE: repro.lb.oracle is intentionally not re-exported here — it
-# depends on repro.core (the controller it drives), which depends on
-# this package; import it as `from repro.lb.oracle import OracleFeedback`.
-from repro.lb.policies import (
-    LeastConnections,
-    MaglevPolicy,
-    PowerOfTwoChoices,
-    RandomPolicy,
-    RoundRobin,
-    RoutingPolicy,
-    WeightedRandom,
-)
+from repro._exports import lazy_exports
 
 __all__ = [
     "Backend",
@@ -51,3 +34,26 @@ __all__ = [
     "LeastConnections",
     "PowerOfTwoChoices",
 ]
+
+# repro.lb.oracle is not re-exported: it depends on repro.core,
+# a layer above this package; import it as
+# `from repro.lb.oracle import OracleFeedback`.
+_EXPORTS = {
+    "Backend": ".backend",
+    "BackendPool": ".backend",
+    "ConnTrack": ".conntrack",
+    "LoadBalancer": ".dataplane",
+    "HealthCheckConfig": ".health",
+    "HealthChecker": ".health",
+    "MaglevTable": ".maglev",
+    "next_prime": ".maglev",
+    "LeastConnections": ".policies",
+    "MaglevPolicy": ".policies",
+    "PowerOfTwoChoices": ".policies",
+    "RandomPolicy": ".policies",
+    "RoundRobin": ".policies",
+    "RoutingPolicy": ".policies",
+    "WeightedRandom": ".policies",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

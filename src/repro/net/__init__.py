@@ -12,12 +12,7 @@ a bounded FIFO queue, and a run-time adjustable *extra delay* — the knob
 the Fig 3 experiment turns to inject 1 ms on an LB→server path.
 """
 
-from repro.net.addr import Endpoint, FlowKey
-from repro.net.packet import Packet, TcpFlags, MessageBoundary
-from repro.net.pipe import Pipe, PipeStats
-from repro.net.network import Network
-from repro.net.node import Node
-from repro.net.trace import PacketTrace, TraceRecord
+from repro._exports import lazy_exports
 
 __all__ = [
     "Endpoint",
@@ -32,3 +27,19 @@ __all__ = [
     "PacketTrace",
     "TraceRecord",
 ]
+
+_EXPORTS = {
+    "Endpoint": ".addr",
+    "FlowKey": ".addr",
+    "Packet": ".packet",
+    "TcpFlags": ".packet",
+    "MessageBoundary": ".packet",
+    "Pipe": ".pipe",
+    "PipeStats": ".pipe",
+    "Network": ".network",
+    "Node": ".node",
+    "PacketTrace": ".trace",
+    "TraceRecord": ".trace",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

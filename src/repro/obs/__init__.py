@@ -21,26 +21,7 @@ Enable via ``ScenarioConfig.obs``::
     print(result.scenario.obs.registry.to_prometheus())
 """
 
-from repro.obs.config import ObsConfig
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    HistogramMetric,
-    MetricError,
-    Registry,
-    parse_prometheus_text,
-)
-from repro.obs.plane import ObsPlane
-from repro.obs.profiler import EngineProfiler, SiteStats, site_name
-from repro.obs.trace import (
-    CausalTracer,
-    ResponseSpan,
-    RouteSpan,
-    SendSpan,
-    render_request_tree,
-    render_shift_attribution,
-    render_shift_list,
-)
+from repro._exports import lazy_exports
 
 __all__ = [
     "CausalTracer",
@@ -62,3 +43,26 @@ __all__ = [
     "render_shift_list",
     "site_name",
 ]
+
+_EXPORTS = {
+    "ObsConfig": ".config",
+    "Counter": ".metrics",
+    "Gauge": ".metrics",
+    "HistogramMetric": ".metrics",
+    "MetricError": ".metrics",
+    "Registry": ".metrics",
+    "parse_prometheus_text": ".metrics",
+    "ObsPlane": ".plane",
+    "EngineProfiler": ".profiler",
+    "SiteStats": ".profiler",
+    "site_name": ".profiler",
+    "CausalTracer": ".trace",
+    "ResponseSpan": ".trace",
+    "RouteSpan": ".trace",
+    "SendSpan": ".trace",
+    "render_request_tree": ".trace",
+    "render_shift_attribution": ".trace",
+    "render_shift_list": ".trace",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

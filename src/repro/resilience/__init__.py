@@ -23,27 +23,7 @@ through the stack: **never shift on a signal you don't trust**.
   aggregate block scenarios carry (``ScenarioConfig.resilience``).
 """
 
-from repro.resilience.breaker import (
-    BreakerBoard,
-    BreakerConfig,
-    BreakerState,
-    BreakerTransition,
-    CircuitBreaker,
-)
-from repro.resilience.config import ResilienceConfig
-from repro.resilience.ladder import (
-    ControllerMode,
-    DegradationConfig,
-    DegradationLadder,
-    ModeTransition,
-)
-from repro.resilience.quality import (
-    SignalGrade,
-    SignalQuality,
-    SignalQualityConfig,
-    SignalQualityTracker,
-)
-from repro.resilience.retry import RetryBudget, RetryConfig, RetryStats, backoff_delay
+from repro._exports import lazy_exports
 
 __all__ = [
     "SignalGrade",
@@ -65,3 +45,26 @@ __all__ = [
     "backoff_delay",
     "ResilienceConfig",
 ]
+
+_EXPORTS = {
+    "BreakerBoard": ".breaker",
+    "BreakerConfig": ".breaker",
+    "BreakerState": ".breaker",
+    "BreakerTransition": ".breaker",
+    "CircuitBreaker": ".breaker",
+    "ResilienceConfig": ".config",
+    "ControllerMode": ".ladder",
+    "DegradationConfig": ".ladder",
+    "DegradationLadder": ".ladder",
+    "ModeTransition": ".ladder",
+    "SignalGrade": ".quality",
+    "SignalQuality": ".quality",
+    "SignalQualityConfig": ".quality",
+    "SignalQualityTracker": ".quality",
+    "RetryBudget": ".retry",
+    "RetryConfig": ".retry",
+    "RetryStats": ".retry",
+    "backoff_delay": ".retry",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

@@ -6,7 +6,14 @@ nanosecond clock and a priority queue of callbacks.  All other packages
 through it, which makes every experiment fully deterministic given a seed.
 """
 
-from repro.sim.engine import Simulator, Timer
-from repro.sim.random import RandomStreams
+from repro._exports import lazy_exports
 
 __all__ = ["Simulator", "Timer", "RandomStreams"]
+
+_EXPORTS = {
+    "Simulator": ".engine",
+    "Timer": ".engine",
+    "RandomStreams": ".random",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

@@ -30,25 +30,7 @@ Quickstart::
     print(report.summary(spec.name))   # rerun → all points are cache hits
 """
 
-from repro.sweep.canon import canonical_json, canonicalize, config_key
-from repro.sweep.executor import (
-    Outcome,
-    SweepReport,
-    Task,
-    print_progress,
-    run_tasks,
-    task,
-)
-from repro.sweep.points import run_sweep, simulate_point
-from repro.sweep.spec import (
-    SweepPoint,
-    SweepSpec,
-    apply_overrides,
-    load_spec,
-    parse_axis,
-    parse_scalar,
-)
-from repro.sweep.store import ResultStore
+from repro._exports import lazy_exports
 
 __all__ = [
     "SweepSpec",
@@ -70,3 +52,26 @@ __all__ = [
     "canonical_json",
     "config_key",
 ]
+
+_EXPORTS = {
+    "canonical_json": ".canon",
+    "canonicalize": ".canon",
+    "config_key": ".canon",
+    "Outcome": ".executor",
+    "SweepReport": ".executor",
+    "Task": ".executor",
+    "print_progress": ".executor",
+    "run_tasks": ".executor",
+    "task": ".executor",
+    "run_sweep": ".points",
+    "simulate_point": ".points",
+    "SweepPoint": ".spec",
+    "SweepSpec": ".spec",
+    "apply_overrides": ".spec",
+    "load_spec": ".spec",
+    "parse_axis": ".spec",
+    "parse_scalar": ".spec",
+    "ResultStore": ".store",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

@@ -11,11 +11,7 @@ load balancer's per-packet path can afford it:
 * :class:`~repro.telemetry.summary.summarize` — one-shot distribution report.
 """
 
-from repro.telemetry.ewma import Ewma
-from repro.telemetry.quantiles import WindowedQuantile, exact_quantile
-from repro.telemetry.histogram import LogHistogram
-from repro.telemetry.timeseries import TimeSeries, BucketedSeries
-from repro.telemetry.summary import DistributionSummary, summarize
+from repro._exports import lazy_exports
 
 __all__ = [
     "Ewma",
@@ -27,3 +23,16 @@ __all__ = [
     "DistributionSummary",
     "summarize",
 ]
+
+_EXPORTS = {
+    "Ewma": ".ewma",
+    "WindowedQuantile": ".quantiles",
+    "exact_quantile": ".quantiles",
+    "LogHistogram": ".histogram",
+    "TimeSeries": ".timeseries",
+    "BucketedSeries": ".timeseries",
+    "DistributionSummary": ".summary",
+    "summarize": ".summary",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

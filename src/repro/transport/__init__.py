@@ -18,11 +18,7 @@ Components:
   packet timing behaviors" of the paper's open question #2.
 """
 
-from repro.transport.ack_policy import AckPolicy, DelayedAck, ImmediateAck
-from repro.transport.connection import Connection, ConnectionState, TransportConfig
-from repro.transport.endpoint import Host, Listener
-from repro.transport.pacing import Pacer
-from repro.transport.retransmit import RttEstimator
+from repro._exports import lazy_exports
 
 __all__ = [
     "AckPolicy",
@@ -36,3 +32,18 @@ __all__ = [
     "Pacer",
     "RttEstimator",
 ]
+
+_EXPORTS = {
+    "AckPolicy": ".ack_policy",
+    "DelayedAck": ".ack_policy",
+    "ImmediateAck": ".ack_policy",
+    "Connection": ".connection",
+    "ConnectionState": ".connection",
+    "TransportConfig": ".connection",
+    "Host": ".endpoint",
+    "Listener": ".endpoint",
+    "Pacer": ".pacing",
+    "RttEstimator": ".retransmit",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
