@@ -42,6 +42,11 @@ from repro.transport.connection import Connection, ConnectionState, TransportCon
 from repro.transport.endpoint import Host
 from repro.units import MICROSECONDS
 
+# Bound once: a member read inside a function costs an
+# ``EnumType.__getattr__`` call on CPython 3.11.
+_ESTABLISHED = ConnectionState.ESTABLISHED
+_CLOSED = ConnectionState.CLOSED
+
 
 @dataclass
 class RequestRecord:
@@ -246,7 +251,7 @@ class _ConnLoop:
     def try_pump(self) -> None:
         """Offer a free pipeline slot to the client's retry queue."""
         if (
-            self.conn.state is ConnectionState.ESTABLISHED
+            self.conn.state is _ESTABLISHED
             and len(self.outstanding) < self.client.config.pipeline
         ):
             self._send_one()
@@ -256,36 +261,39 @@ class _ConnLoop:
         config = client.config
         if not client._running:
             return False
-        retry = client._take_retry()
-        if retry is not None:
-            # Re-sends bypass the per-connection budget: the request was
-            # already admitted once, this is its recovery attempt.
-            retry.sent_at = self._sim._now
-            self.outstanding[retry.request_id] = retry
-            self.conn.send_message(retry, retry.wire_size)
-            self._arm_deadline(retry.request_id)
-            if client.on_send is not None:
-                client.on_send(retry, self.conn.local.port, True)
-            return True
+        # With the retry plane off the retry queue stays empty and no
+        # request has a deadline: skip both calls.
+        retry_plane = client.retry is not None
+        if retry_plane:
+            retry = client._take_retry()
+            if retry is not None:
+                # Re-sends bypass the per-connection budget: the request
+                # was already admitted once, this is its recovery attempt.
+                retry.sent_at = self._sim._now
+                self.outstanding[retry.request_id] = retry
+                self.conn.send_message(retry, retry.wire_size)
+                self._arm_deadline(retry.request_id)
+                if client.on_send is not None:
+                    client.on_send(retry, self.conn.local.port, True)
+                return True
         if self.sent >= config.requests_per_connection:
             return False
         request = config.workload.make_request(client.rng)
         request.sent_at = self._sim._now
         self.outstanding[request.request_id] = request
         self.sent += 1
-        if client.retry is not None:
+        if retry_plane:
             client.retry_budget.deposit()
             client.retry_stats.first_attempts += 1
             client._attempts[request.request_id] = 1
         self.conn.send_message(request, request.wire_size)
-        self._arm_deadline(request.request_id)
+        if retry_plane:
+            self._arm_deadline(request.request_id)
         if client.on_send is not None:
             client.on_send(request, self.conn.local.port, False)
         return True
 
     def _arm_deadline(self, request_id: int) -> None:
-        if self.client.retry is None:
-            return
         timer = Timer(self._sim, lambda: self._on_deadline(request_id))
         timer.start(self.client.retry.deadline)
         self._deadlines[request_id] = timer
@@ -354,7 +362,7 @@ class _ConnLoop:
         if not self._send_one() and not self.outstanding:
             # Budget exhausted and pipeline drained: recycle the
             # connection so the LB can route a fresh one.
-            if self.conn.state is not ConnectionState.CLOSED:
+            if self.conn.state is not _CLOSED:
                 self.conn.close()
 
     def _on_closed(self, conn: Connection) -> None:
@@ -414,7 +422,7 @@ class BacklogClient:
         self.rtt_samples.append(now, rtt)
         if self.on_rtt is not None:
             self.on_rtt(now, rtt)
-        if conn.state is ConnectionState.ESTABLISHED:
+        if conn.state is _ESTABLISHED:
             self._refill()
 
     def stop(self) -> None:

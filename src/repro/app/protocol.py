@@ -31,6 +31,13 @@ class Op(enum.Enum):
     SET = "set"
 
 
+# Bound once: a member read inside a function costs an
+# ``EnumType.__getattr__`` call on CPython 3.11, and every request reads
+# its op.
+_GET = Op.GET
+_SET = Op.SET
+
+
 @dataclass
 class Request:
     """One client operation.
@@ -49,16 +56,16 @@ class Request:
     def __post_init__(self) -> None:
         if not self.key:
             raise ProtocolError("empty key")
-        if self.op is Op.SET and self.value_size <= 0:
+        if self.op is _SET and self.value_size <= 0:
             raise ProtocolError("SET requires a positive value size")
-        if self.op is Op.GET and self.value_size != 0:
+        if self.op is _GET and self.value_size != 0:
             raise ProtocolError("GET carries no value")
 
     @property
     def wire_size(self) -> int:
         """Bytes this request occupies on the wire (excl. TCP header)."""
         size = REQUEST_OVERHEAD + len(self.key)
-        if self.op is Op.SET:
+        if self.op is _SET:
             size += self.value_size
         return size
 
@@ -78,7 +85,7 @@ class Response:
     @property
     def wire_size(self) -> int:
         """Bytes of the response on the wire (excl. TCP header)."""
-        if self.op is Op.GET:
+        if self.op is _GET:
             if self.hit:
                 return RESPONSE_OVERHEAD + self.value_size
             return MISS_RESPONSE_SIZE

@@ -14,6 +14,11 @@ from typing import List, Optional
 
 from repro.app.protocol import Op, Request
 
+# Bound once: a member read inside a function costs an
+# ``EnumType.__getattr__`` call on CPython 3.11.
+_GET = Op.GET
+_SET = Op.SET
+
 
 class KeyGenerator:
     """Draws keys from ``key-0 … key-(n-1)``.
@@ -70,7 +75,7 @@ class OpMixer:
 
     def draw(self, rng: random.Random) -> Op:
         """Sample an operation."""
-        return Op.GET if rng.random() < self._get_ratio else Op.SET
+        return _GET if rng.random() < self._get_ratio else _SET
 
 
 class ValueSizer:
@@ -110,6 +115,6 @@ class WorkloadModel:
         """Draw one request from the configured distributions."""
         op = self.ops.draw(rng)
         key = self.keys.draw(rng)
-        if op is Op.SET:
+        if op is _SET:
             return Request(op=op, key=key, value_size=self.values.draw(rng))
         return Request(op=op, key=key)

@@ -40,7 +40,6 @@ from repro.lb.policies import (
 )
 from repro.net.addr import Endpoint
 from repro.net.network import Network
-from repro.resilience.breaker import BreakerBoard
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 from repro.transport.endpoint import Host
@@ -53,6 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.lb.oracle import OracleFeedback
     from repro.net.trace import PacketTrace
     from repro.obs.plane import ObsPlane
+    from repro.resilience.breaker import BreakerBoard
 
 VIP_HOST = "vip"
 
@@ -169,6 +169,8 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     resilience = config.resilience
     board: Optional[BreakerBoard] = None
     if resilience.enabled:
+        from repro.resilience.breaker import BreakerBoard
+
         board = BreakerBoard(resilience.breaker)
         policy = BreakerGatedPolicy(policy, pool, board)
 

@@ -33,6 +33,8 @@ class BackendPool:
     """Ordered collection of backends with weight management."""
 
     def __init__(self, backends: Optional[List[Backend]] = None):
+        # Mutated in place, never replaced: a LoadBalancer binds it for
+        # its per-packet membership test.
         self._backends: Dict[str, Backend] = {}
         self._listeners: List[Callable[[], None]] = []
         for backend in backends or []:

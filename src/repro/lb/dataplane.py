@@ -109,6 +109,10 @@ class LoadBalancer:
         self.name = name
         self.vip = vip
         self.pool = pool
+        # The pool's name -> backend dict, for the per-packet membership
+        # test without a ``__contains__`` call.  The pool mutates this
+        # one dict and never replaces it.
+        self._members = pool._backends
         self.policy = policy
         # ``is None`` test, not truthiness: an *empty* ConnTrack is falsy
         # (it defines __len__), and the caller-supplied table is always
@@ -154,7 +158,7 @@ class LoadBalancer:
 
         now = self._sim._now
         backend = self.conntrack.lookup(key, now)
-        if backend is not None and backend not in self.pool:
+        if backend is not None and backend not in self._members:
             # The backend left the pool but the flow is pinned: keep
             # draining it (§2.5 — membership churn must not break
             # established connections).  Only new flows avoid it.

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from heapq import heappush
 from typing import Callable, Deque, List, Optional
 
 from repro.errors import NetworkError
@@ -139,7 +140,7 @@ class Pipe:
         "_slab",
         "_taps",
         "_payload_len",
-        "_schedule_call_at",
+        "_queue",
     )
 
     def __init__(
@@ -192,9 +193,10 @@ class Pipe:
         # pipe owns a handle from send() until delivery or drop.
         self._slab = slab
         self._taps = [] if taps is None else taps
-        # Bound once: send() and _arrive() run per packet.
+        # Bound once: send() and _arrive() run per packet.  The engine
+        # mutates its heap list in place and never replaces it.
         self._payload_len = slab.payload_len
-        self._schedule_call_at = sim.schedule_call_at
+        self._queue = sim._queue
 
     @property
     def prop_delay(self) -> int:
@@ -342,7 +344,8 @@ class Pipe:
                     stats.packets_dropped_loss += 1
                     return self._drop(packet, size)
 
-        now = self._sim._now
+        sim = self._sim
+        now = sim._now
         bandwidth = self._eff_bw
         if bandwidth is None:
             departure = now
@@ -388,7 +391,15 @@ class Pipe:
         if arrival < self._last_arrival:
             arrival = self._last_arrival
         self._last_arrival = arrival
-        self._schedule_call_at(arrival, self._on_arrival, packet)
+        # Simulator.schedule_call_at's body, inlined (an arrival is never
+        # in the past): the next seq, the push, the peak-depth mark.
+        seq = sim._seq + 1
+        sim._seq = seq
+        queue = self._queue
+        heappush(queue, (arrival, seq, self._on_arrival, packet))
+        depth = len(queue) + sim._column_pending
+        if depth > sim._peak_queue_depth:
+            sim._peak_queue_depth = depth
         return True
 
     def _drop(self, packet: int, size: int) -> bool:

@@ -20,7 +20,8 @@ through the stack: **never shift on a signal you don't trust**.
   per-request deadlines, exponential backoff + jitter, and a
   token-bucket retry budget that bounds retry storms.
 * :mod:`~repro.resilience.config` — :class:`ResilienceConfig`, the
-  aggregate block scenarios carry (``ScenarioConfig.resilience``).
+  aggregate block scenarios carry (``ScenarioConfig.resilience``), and
+  the quality, ladder and breaker tunables it holds.
 """
 
 from repro._exports import lazy_exports
@@ -48,18 +49,18 @@ __all__ = [
 
 _EXPORTS = {
     "BreakerBoard": ".breaker",
-    "BreakerConfig": ".breaker",
     "BreakerState": ".breaker",
     "BreakerTransition": ".breaker",
     "CircuitBreaker": ".breaker",
+    "BreakerConfig": ".config",
+    "DegradationConfig": ".config",
     "ResilienceConfig": ".config",
+    "SignalQualityConfig": ".config",
     "ControllerMode": ".ladder",
-    "DegradationConfig": ".ladder",
     "DegradationLadder": ".ladder",
     "ModeTransition": ".ladder",
     "SignalGrade": ".quality",
     "SignalQuality": ".quality",
-    "SignalQualityConfig": ".quality",
     "SignalQualityTracker": ".quality",
     "RetryBudget": ".retry",
     "RetryConfig": ".retry",

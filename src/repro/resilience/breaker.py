@@ -34,7 +34,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.units import MILLISECONDS
+from repro.resilience.config import BreakerConfig
 
 
 class BreakerState(enum.Enum):
@@ -45,25 +45,12 @@ class BreakerState(enum.Enum):
     HALF_OPEN = "half_open"
 
 
-@dataclass
-class BreakerConfig:
-    """Breaker tunables (Envoy-flavoured defaults, scaled to sim time)."""
-
-    #: Consecutive failures that trip a closed breaker.
-    failure_threshold: int = 3
-    #: Time an open breaker waits before probing recovery.
-    reset_timeout: int = 200 * MILLISECONDS
-    #: Trial flows admitted (and successes required) while half-open.
-    half_open_trials: int = 2
-
-    def validate(self) -> None:
-        """Raise ValueError on malformed parameters."""
-        if self.failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if self.reset_timeout <= 0:
-            raise ValueError("reset_timeout must be positive")
-        if self.half_open_trials < 1:
-            raise ValueError("half_open_trials must be >= 1")
+# Bound once: a member read inside a function costs an
+# ``EnumType.__getattr__`` call on CPython 3.11, and the LB polls a
+# breaker per forwarded packet.
+_CLOSED = BreakerState.CLOSED
+_OPEN = BreakerState.OPEN
+_HALF_OPEN = BreakerState.HALF_OPEN
 
 
 @dataclass(frozen=True)
@@ -88,7 +75,7 @@ class CircuitBreaker:
     ):
         self.backend = backend
         self.config = config
-        self.state = BreakerState.CLOSED
+        self.state = _CLOSED
         self._on_transition = on_transition
         self._consecutive_failures = 0
         self._opened_at = 0
@@ -102,9 +89,9 @@ class CircuitBreaker:
         ``admit=False`` to test candidates without spending slots.
         """
         self._poll(now)
-        if self.state is BreakerState.CLOSED:
+        if self.state is _CLOSED:
             return True
-        if self.state is BreakerState.OPEN:
+        if self.state is _OPEN:
             return False
         if self._trial_admissions >= self.config.half_open_trials:
             return False
@@ -116,22 +103,22 @@ class CircuitBreaker:
         """Positive evidence: probe success or a live traffic sample."""
         self._poll(now)
         self._consecutive_failures = 0
-        if self.state is BreakerState.HALF_OPEN:
+        if self.state is _HALF_OPEN:
             self._trial_successes += 1
             if self._trial_successes >= self.config.half_open_trials:
                 self._transition(
                     now,
-                    BreakerState.CLOSED,
+                    _CLOSED,
                     "%d trial successes" % self._trial_successes,
                 )
 
     def record_failure(self, now: int) -> None:
         """Negative evidence: probe failure or signal invalidation."""
         self._poll(now)
-        if self.state is BreakerState.HALF_OPEN:
+        if self.state is _HALF_OPEN:
             self._open(now, "trial failure")
             return
-        if self.state is BreakerState.CLOSED:
+        if self.state is _CLOSED:
             self._consecutive_failures += 1
             if self._consecutive_failures >= self.config.failure_threshold:
                 self._open(
@@ -143,17 +130,17 @@ class CircuitBreaker:
 
     def _poll(self, now: int) -> None:
         if (
-            self.state is BreakerState.OPEN
+            self.state is _OPEN
             and now - self._opened_at >= self.config.reset_timeout
         ):
             self._trial_admissions = 0
             self._trial_successes = 0
-            self._transition(now, BreakerState.HALF_OPEN, "reset timeout elapsed")
+            self._transition(now, _HALF_OPEN, "reset timeout elapsed")
 
     def _open(self, now: int, reason: str) -> None:
         self._opened_at = now
         self._consecutive_failures = 0
-        self._transition(now, BreakerState.OPEN, reason)
+        self._transition(now, _OPEN, reason)
 
     def _transition(self, now: int, to_state: BreakerState, reason: str) -> None:
         event = BreakerTransition(
@@ -211,7 +198,7 @@ class BreakerBoard:
     def state(self, backend: str) -> BreakerState:
         """Current state (CLOSED for backends never seen)."""
         breaker = self._breakers.get(backend)
-        return breaker.state if breaker is not None else BreakerState.CLOSED
+        return breaker.state if breaker is not None else _CLOSED
 
     def is_open(self, backend: str, now: int) -> bool:
         """Whether ``backend`` currently refuses flows (polls time)."""
@@ -219,7 +206,7 @@ class BreakerBoard:
         if breaker is None:
             return False
         breaker._poll(now)
-        return breaker.state is BreakerState.OPEN
+        return breaker.state is _OPEN
 
     def states(self) -> Dict[str, BreakerState]:
         """Backend → state for every breaker instantiated so far."""
@@ -230,5 +217,5 @@ class BreakerBoard:
         return sorted(
             name
             for name, b in self._breakers.items()
-            if b.state is BreakerState.OPEN
+            if b.state is _OPEN
         )

@@ -29,9 +29,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.controllers.base import ShiftEvent
 from repro.core.controller import AlphaShiftController
 from repro.lb.backend import BackendPool
+from repro.resilience.config import DegradationConfig
 from repro.resilience.quality import SignalGrade, SignalQualityTracker
 from repro.telemetry.timeseries import TimeSeries
-from repro.units import MILLISECONDS
 
 import enum
 
@@ -51,37 +51,14 @@ SEVERITY = {
     ControllerMode.FALLBACK: 2,
 }
 
-
-@dataclass
-class DegradationConfig:
-    """Ladder tunables."""
-
-    #: Enter FALLBACK when the usable (non-invalid) fraction of the
-    #: pool drops to this or below.  0.5 means: once half the pool is
-    #: unrankable, give up on differentiating and go uniform.
-    fallback_fraction: float = 0.5
-    #: A better mode must persist this long before the ladder upgrades.
-    reentry_hold: int = 100 * MILLISECONDS
-    #: Period of the starvation check (signal loss produces no packets,
-    #: so the ladder cannot rely on sample-driven evaluation alone).
-    check_interval: int = 10 * MILLISECONDS
-    #: Minimum gap between *sample-driven* ladder evaluations.  Each
-    #: evaluation grades the whole pool, so at 1000 backends the default
-    #: evaluate-per-sample becomes quadratic in fleet size; large-fleet
-    #: scenarios set a gap and lean on the periodic check.  0 keeps the
-    #: original per-sample behaviour.
-    min_evaluate_gap: int = 0
-
-    def validate(self) -> None:
-        """Raise ValueError on malformed parameters."""
-        if not 0.0 <= self.fallback_fraction < 1.0:
-            raise ValueError("fallback_fraction must be in [0, 1)")
-        if self.reentry_hold < 0:
-            raise ValueError("reentry_hold must be >= 0")
-        if self.check_interval <= 0:
-            raise ValueError("check_interval must be positive")
-        if self.min_evaluate_gap < 0:
-            raise ValueError("min_evaluate_gap must be >= 0")
+# Bound once: a member read inside a function costs an
+# ``EnumType.__getattr__`` call on CPython 3.11, and ``_target`` reads
+# them per backend.
+_FEEDBACK = ControllerMode.FEEDBACK
+_HOLD = ControllerMode.HOLD
+_FALLBACK = ControllerMode.FALLBACK
+_FRESH = SignalGrade.FRESH
+_INVALID = SignalGrade.INVALID
 
 
 @dataclass
@@ -117,7 +94,7 @@ class DegradationLadder:
         self.config = config or DegradationConfig()
         self.config.validate()
         self.controller = controller
-        self.mode = ControllerMode.HOLD
+        self.mode = _HOLD
         self.transitions: List[ModeTransition] = []
         #: (time, severity ordinal) — plots the ladder over time.
         self.mode_series = TimeSeries(name="controller_mode")
@@ -162,22 +139,22 @@ class DegradationLadder:
         grades = {name: self.tracker.grade(name, now) for name in names}
         rendered = {name: grade.value for name, grade in grades.items()}
         if not names:
-            return ControllerMode.FALLBACK, "empty pool", rendered
-        usable = [n for n, g in grades.items() if g is not SignalGrade.INVALID]
+            return _FALLBACK, "empty pool", rendered
+        usable = [n for n, g in grades.items() if g is not _INVALID]
         if len(usable) / len(names) <= self.config.fallback_fraction:
             reason = "signal collapse: %d/%d backends usable" % (
                 len(usable),
                 len(names),
             )
-            return ControllerMode.FALLBACK, reason, rendered
+            return _FALLBACK, reason, rendered
         distrusted = sorted(
-            n for n, g in grades.items() if g is not SignalGrade.FRESH
+            n for n, g in grades.items() if g is not _FRESH
         )
         if distrusted:
             reason = "stale/starved signal on %s" % ", ".join(distrusted)
-            return ControllerMode.HOLD, reason, rendered
+            return _HOLD, reason, rendered
         return (
-            ControllerMode.FEEDBACK,
+            _FEEDBACK,
             "signal fresh on all %d backends" % len(names),
             rendered,
         )
@@ -201,9 +178,9 @@ class DegradationLadder:
             )
         )
         self.mode_series.append(now, float(SEVERITY[to_mode]))
-        if to_mode is ControllerMode.FALLBACK:
+        if to_mode is _FALLBACK:
             self._relax_to_uniform(now, reason)
-        elif from_mode is ControllerMode.FALLBACK and self.controller is not None:
+        elif from_mode is _FALLBACK and self.controller is not None:
             # The next executed shift is the post-fallback rebalance —
             # tag it so reaction benches can tell it from a normal pass.
             self.controller.pending_reason = "post-fallback-rebalance"

@@ -33,7 +33,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.units import MILLISECONDS
+from repro.resilience.config import SignalQualityConfig
 
 
 class SignalGrade(enum.Enum):
@@ -44,35 +44,12 @@ class SignalGrade(enum.Enum):
     INVALID = "invalid"
 
 
-@dataclass
-class SignalQualityConfig:
-    """Staleness policy tunables.
-
-    Defaults are sized for the reproduction's traffic rates (hundreds
-    of samples per backend per second): a healthy backend refreshes its
-    signal every few ms, so 50 ms of silence is already anomalous and
-    200 ms means the estimate describes a dead regime.
-    """
-
-    #: Sliding window over which rate/dispersion are computed.
-    window: int = 100 * MILLISECONDS
-    #: Sample age beyond which the signal is stale (hold, don't shift).
-    stale_after: int = 50 * MILLISECONDS
-    #: Sample age beyond which the estimate is unusable.
-    invalid_after: int = 200 * MILLISECONDS
-    #: Confidence decay constant once past ``stale_after``.
-    decay_tau: int = 100 * MILLISECONDS
-    #: A backend that never produced this many samples is not yet fresh.
-    min_samples: int = 3
-
-    def validate(self) -> None:
-        """Raise ValueError on malformed parameters."""
-        if min(self.window, self.stale_after, self.decay_tau) <= 0:
-            raise ValueError("signal-quality durations must be positive")
-        if self.invalid_after <= self.stale_after:
-            raise ValueError("invalid_after must exceed stale_after")
-        if self.min_samples < 1:
-            raise ValueError("min_samples must be >= 1")
+# Bound once: a member read inside a function costs an
+# ``EnumType.__getattr__`` call on CPython 3.11, and the ladder grades
+# every backend per evaluation.
+_FRESH = SignalGrade.FRESH
+_STALE = SignalGrade.STALE
+_INVALID = SignalGrade.INVALID
 
 
 @dataclass
@@ -142,13 +119,13 @@ class SignalQualityTracker:
         """Trust level of ``backend``'s signal at time ``now``."""
         signal = self._signals.get(backend)
         if signal is None:
-            return SignalGrade.INVALID
+            return _INVALID
         age = now - signal.last_sample_at
         if age >= self.config.invalid_after:
-            return SignalGrade.INVALID
+            return _INVALID
         if age >= self.config.stale_after or signal.samples < self.config.min_samples:
-            return SignalGrade.STALE
-        return SignalGrade.FRESH
+            return _STALE
+        return _FRESH
 
     def confidence(self, backend: str, now: int) -> float:
         """1.0 while fresh, exponentially decaying to 0.0 at invalid."""
@@ -168,7 +145,7 @@ class SignalQualityTracker:
         if signal is None:
             return SignalQuality(
                 backend=backend,
-                grade=SignalGrade.INVALID,
+                grade=_INVALID,
                 age=now,
                 samples=0,
                 rate_hz=0.0,

@@ -10,7 +10,8 @@ deterministic.  An entry has one of three shapes:
   :meth:`Simulator.schedule_fire_at`: fire-and-forget, never cancelled.
 * ``(time, seq, receiver, arg)`` — :meth:`Simulator.schedule_call_at`
   fires ``receiver(arg)`` without a closure: each packet a pipe delivers
-  — the bulk of a simulation's events — is one such entry.
+  — the bulk of a simulation's events — is one such entry, which
+  ``Pipe.send`` pushes itself.
 * ``(time, seq, timer entry)`` — a :class:`Timer`, the only event that
   can be cancelled (protocol timers — retransmission, delayed ACKs —
   need to disarm).
@@ -98,6 +99,8 @@ class Simulator:
     def __init__(self) -> None:
         self._now = 0
         self._seq = 0
+        # Mutated in place, never replaced: each Pipe binds it and pushes
+        # its deliveries directly.
         self._queue: List[tuple] = []
         self._tombstones = 0
         # Column events schedule_fire_many reserved that are not yet on
@@ -177,8 +180,10 @@ class Simulator:
     ) -> None:
         """Fire-and-forget ``receiver(arg)`` at absolute time ``time``.
 
-        One heap entry and no closure per event: a pipe schedules each
-        packet's delivery this way.
+        One heap entry and no closure per event.  ``Pipe.send`` pushes
+        each packet's delivery in this shape with this body inlined, so a
+        change to the seq or peak-depth bookkeeping here must be made
+        there too.
         """
         if time < self._now:
             raise _past(time, self._now)

@@ -66,6 +66,18 @@ class ConnectionState(enum.Enum):
     CLOSE_WAIT = "close_wait"      # peer sent FIN, we may still send
 
 
+# The members, bound once as module globals: the state machine reads
+# them per segment, and under CPython 3.11 ``ConnectionState.CLOSED``
+# inside a function goes through ``EnumType.__getattr__`` at about eight
+# times the cost of a global.
+_CLOSED = ConnectionState.CLOSED
+_SYN_SENT = ConnectionState.SYN_SENT
+_SYN_RCVD = ConnectionState.SYN_RCVD
+_ESTABLISHED = ConnectionState.ESTABLISHED
+_FIN_WAIT = ConnectionState.FIN_WAIT
+_CLOSE_WAIT = ConnectionState.CLOSE_WAIT
+
+
 @dataclass
 class TransportConfig:
     """Tunable transport parameters.
@@ -234,7 +246,7 @@ class Connection:
         self.remote = remote
         self.config = config
         self.is_client = is_client
-        self.state = ConnectionState.CLOSED
+        self.state = _CLOSED
         self.stats = ConnectionStats()
 
         # --- send side -------------------------------------------------
@@ -318,10 +330,7 @@ class Connection:
     @property
     def established(self) -> bool:
         """True once the handshake completed."""
-        return self.state in (
-            ConnectionState.ESTABLISHED,
-            ConnectionState.CLOSE_WAIT,
-        )
+        return self.state in (_ESTABLISHED, _CLOSE_WAIT)
 
     @property
     def bytes_in_flight(self) -> int:
@@ -340,11 +349,11 @@ class Connection:
 
     def open(self) -> None:
         """Client side: start the 3-way handshake (sends SYN)."""
-        if self.state is not ConnectionState.CLOSED:
+        if self.state is not _CLOSED:
             raise TransportError("open() on %s connection" % self.state.value)
         if not self.is_client:
             raise TransportError("open() is client-side only")
-        self.state = ConnectionState.SYN_SENT
+        self.state = _SYN_SENT
         self._snd_nxt = self._iss + 1  # SYN consumes one sequence number
         self._transmit(
             flags=FLAG_SYN, seq=self._iss, payload_len=0, boundaries=None
@@ -361,7 +370,7 @@ class Connection:
             raise TransportError("message size must be positive, got %r" % size)
         if self._fin_queued:
             raise TransportError("send_message after close()")
-        if self.state is ConnectionState.CLOSED and not self.is_client:
+        if self.state is _CLOSED and not self.is_client:
             raise TransportError("send on closed connection")
         self._stream_len += size
         self._pending_boundaries.append(
@@ -372,22 +381,22 @@ class Connection:
         # A full window (a backlogged sender's usual state) sends nothing
         # until the next ACK: skip the call.
         if (
-            state is ConnectionState.ESTABLISHED
-            or state is ConnectionState.CLOSE_WAIT
+            state is _ESTABLISHED
+            or state is _CLOSE_WAIT
         ) and self._snd_nxt - self._snd_una < self.config.window:
             self._try_send()
 
     def close(self) -> None:
         """Graceful close: FIN goes out after all queued data is sent."""
-        if self._fin_queued or self.state is ConnectionState.CLOSED:
+        if self._fin_queued or self.state is _CLOSED:
             return
         self._fin_queued = True
-        if self.established or self.state is ConnectionState.SYN_SENT:
+        if self.established or self.state is _SYN_SENT:
             self._try_send()
 
     def abort(self) -> None:
         """Send RST and drop all state immediately."""
-        if self.state is ConnectionState.CLOSED:
+        if self.state is _CLOSED:
             return
         self._transmit(
             flags=_RST_ACK,
@@ -431,7 +440,7 @@ class Connection:
         if flags & FLAG_ACK and ack > self._snd_una:
             self._handle_ack(ack)
 
-        if self.state is ConnectionState.CLOSED:
+        if self.state is _CLOSED:
             return
 
         if payload_len > 0 or flags & FLAG_FIN:
@@ -456,7 +465,7 @@ class Connection:
                 # a closed connection sends it at once, never arming the
                 # policy's timer.
                 on_data = self._ack_on_data
-                if on_data is None or self.state is ConnectionState.CLOSED:
+                if on_data is None or self.state is _CLOSED:
                     self._send_pure_ack()
                 else:
                     on_data(True, self._send_pure_ack)
@@ -472,11 +481,11 @@ class Connection:
     # ------------------------------------------------------------------
 
     def _handle_syn(self, flags: int, seq: int, ack: int) -> None:
-        if not self.is_client and self.state is ConnectionState.CLOSED:
+        if not self.is_client and self.state is _CLOSED:
             # Passive open: record peer ISN, send SYN-ACK.
             self._irs = seq
             self._rcv_nxt = seq + 1
-            self.state = ConnectionState.SYN_RCVD
+            self.state = _SYN_RCVD
             self._snd_nxt = self._iss + 1
             self._transmit(
                 flags=_SYN_ACK,
@@ -487,14 +496,14 @@ class Connection:
             self._arm_rto()
             return
 
-        if self.is_client and self.state is ConnectionState.SYN_SENT:
+        if self.is_client and self.state is _SYN_SENT:
             if flags & FLAG_ACK and ack == self._iss + 1:
                 self._irs = seq
                 self._rcv_nxt = seq + 1
                 self._snd_una = self._iss + 1
                 self._inflight.clear()
                 self._rto_timer.stop()
-                self.state = ConnectionState.ESTABLISHED
+                self.state = _ESTABLISHED
                 # Complete the handshake.  If the app already queued data,
                 # the first data segment carries this ACK implicitly;
                 # otherwise send a pure ACK.
@@ -506,7 +515,7 @@ class Connection:
                     self._notify_established()
                 return
 
-        if not self.is_client and self.state is ConnectionState.SYN_RCVD:
+        if not self.is_client and self.state is _SYN_RCVD:
             # Duplicate SYN from the peer (our SYN-ACK was lost): resend.
             self._transmit(
                 flags=_SYN_ACK,
@@ -556,11 +565,11 @@ class Connection:
             flags, payload_len, boundaries = segment
 
     def _handle_peer_fin(self) -> None:
-        if self.state is ConnectionState.ESTABLISHED:
-            self.state = ConnectionState.CLOSE_WAIT
+        if self.state is _ESTABLISHED:
+            self.state = _CLOSE_WAIT
             if self.on_peer_close is not None:
                 self.on_peer_close(self)
-        elif self.state is ConnectionState.FIN_WAIT:
+        elif self.state is _FIN_WAIT:
             # Both sides closed.
             self._send_pure_ack()
             self._teardown()
@@ -581,17 +590,16 @@ class Connection:
     # ------------------------------------------------------------------
 
     def _handle_ack(self, ack: int) -> None:
-        if self.state is ConnectionState.SYN_RCVD and ack == self._iss + 1:
+        if self.state is _SYN_RCVD and ack == self._iss + 1:
             self._snd_una = ack
             self._inflight.clear()
             self._rto_timer.stop()
-            self.state = ConnectionState.ESTABLISHED
+            self.state = _ESTABLISHED
             self._notify_established()
             self._try_send()
             return
 
         self._snd_una = ack
-        self._rtt.reset_backoff()
 
         # Retire the acked prefix and sample RTT per Karn's rule (RFC
         # 6298 §3): an ACK that covers a retransmitted segment yields no
@@ -618,6 +626,10 @@ class Connection:
                 if rtt_cb is not None:
                     rtt_cb(self, rtt)
         del inflight[:retired]
+        if karn or not retired:
+            # New data was acked but not sampled; a sample has already
+            # cleared the back-off.
+            rtt_estimator.reset_backoff()
 
         timer = self._rto_timer
         # None when an on_rtt_sample callback tore the connection down.
@@ -628,10 +640,10 @@ class Connection:
                 timer.stop()
 
         if self._fin_sent and ack >= self._snd_nxt:
-            if self.state is ConnectionState.CLOSE_WAIT:
+            if self.state is _CLOSE_WAIT:
                 self._teardown()
                 return
-            self.state = ConnectionState.FIN_WAIT
+            self.state = _FIN_WAIT
 
         # The window just opened: this is where ACK-clocked (causally
         # triggered) transmissions happen.
@@ -658,9 +670,9 @@ class Connection:
             return
         state = self.state
         if not (
-            state is ConnectionState.ESTABLISHED
-            or state is ConnectionState.CLOSE_WAIT
-            or state is ConnectionState.FIN_WAIT
+            state is _ESTABLISHED
+            or state is _CLOSE_WAIT
+            or state is _FIN_WAIT
         ):
             return
         mss = self.config.mss
@@ -677,7 +689,10 @@ class Connection:
         alloc = self._slab.alloc
         send = self._send
         stats = self.stats
-        armed = False
+        # Unpaced in an open state, the RTO timer runs exactly when
+        # something is in flight: the first segment into an empty
+        # ``inflight`` arms it.
+        arm = not inflight
         while self._unsent_offset < self._stream_len:
             window_left = window - (self._snd_nxt - self._snd_una)
             if window_left <= 0:
@@ -727,12 +742,9 @@ class Connection:
                 )
             )
             stats.bytes_sent += chunk
-            if not armed:
-                # Nothing in this loop stops the RTO timer: one check
-                # per call is enough.
-                if not self._rto_timer.running:
-                    self._arm_rto()
-                armed = True
+            if arm:
+                self._rto_timer.start(self._rtt.rto)  # _arm_rto, inlined
+                arm = False
 
         if (
             self._fin_queued
@@ -742,8 +754,8 @@ class Connection:
             fin_seq = self._snd_nxt
             self._snd_nxt += 1
             self._fin_sent = True
-            if self.state is ConnectionState.ESTABLISHED:
-                self.state = ConnectionState.FIN_WAIT
+            if self.state is _ESTABLISHED:
+                self.state = _FIN_WAIT
             self._send_data_segment(fin_seq, 0, None, _FIN_ACK)
 
     def _send_data_segment(
@@ -780,7 +792,7 @@ class Connection:
             self._arm_rto()
 
     def _emit_segment(self, segment: _SentSegment) -> None:
-        if self.state is ConnectionState.CLOSED:
+        if self.state is _CLOSED:
             return  # torn down while this paced segment waited
         segment.sent_at = self._sim.now
         self._transmit(
@@ -847,17 +859,17 @@ class Connection:
         self._rto_timer.start(self._rtt.rto)
 
     def _on_rto(self) -> None:
-        if self.state is ConnectionState.CLOSED:
+        if self.state is _CLOSED:
             return
         self._rtt.on_timeout()
 
-        if self.state is ConnectionState.SYN_SENT:
+        if self.state is _SYN_SENT:
             self._transmit(
                 flags=FLAG_SYN, seq=self._iss, payload_len=0, boundaries=None
             )
             self._arm_rto()
             return
-        if self.state is ConnectionState.SYN_RCVD:
+        if self.state is _SYN_RCVD:
             self._transmit(
                 flags=_SYN_ACK,
                 seq=self._iss,
@@ -888,8 +900,8 @@ class Connection:
     # ------------------------------------------------------------------
 
     def _teardown(self) -> None:
-        already_closed = self.state is ConnectionState.CLOSED
-        self.state = ConnectionState.CLOSED
+        already_closed = self.state is _CLOSED
+        self.state = _CLOSED
         timer = self._rto_timer
         if timer is not None:
             timer.stop()

@@ -33,6 +33,7 @@ class RttEstimator:
         "_rto_max",
         "_backoff",
         "samples",
+        "rto",
     )
 
     def __init__(
@@ -50,16 +51,15 @@ class RttEstimator:
         self._rto_max = rto_max
         self._backoff = 1
         self.samples = 0
+        #: Current retransmission timeout (ns), including back-off:
+        #: ``min(rto_max, _rto * _backoff)``, kept current by every method
+        #: that moves either factor, since the connection reads it per ACK.
+        self.rto = initial_rto
 
     @property
     def srtt(self) -> Optional[float]:
         """Smoothed RTT in ns, or None before the first sample."""
         return self._srtt
-
-    @property
-    def rto(self) -> int:
-        """Current retransmission timeout (ns), including back-off."""
-        return min(self._rto_max, self._rto * self._backoff)
 
     def sample(self, rtt: int) -> None:
         """Fold in a fresh (non-retransmitted, per Karn) RTT sample."""
@@ -74,13 +74,15 @@ class RttEstimator:
             self._rttvar += self.BETA * (abs(self._srtt - rtt) - self._rttvar)
             self._srtt += self.ALPHA * (rtt - self._srtt)
         raw = self._srtt + 4.0 * self._rttvar
-        self._rto = max(self._rto_min, min(self._rto_max, round(raw)))
+        self._rto = self.rto = max(self._rto_min, min(self._rto_max, round(raw)))
         self._backoff = 1
 
     def on_timeout(self) -> None:
         """Exponentially back off after a retransmission timeout."""
         self._backoff = min(self._backoff * 2, 64)
+        self.rto = min(self._rto_max, self._rto * self._backoff)
 
     def reset_backoff(self) -> None:
         """Clear back-off (called when new data is acked)."""
         self._backoff = 1
+        self.rto = self._rto  # never above rto_max

@@ -50,6 +50,9 @@ UNARMED = (
     "repro.faults.injector",
     "repro.lb.health",
     "repro.lb.oracle",
+    "repro.resilience.breaker",
+    "repro.resilience.ladder",
+    "repro.resilience.quality",
     "multiprocessing",
     "concurrent.futures",
 )
@@ -206,8 +209,7 @@ CLI_PLANES = UNARMED + (
     "repro.insight.diff",
     "repro.insight.timeline",
     "repro.fleet.lifecycle",
-    "repro.sweep.points",
-    "repro.sweep.store",
+    "repro.harness.ablations",
 )
 
 
@@ -220,6 +222,15 @@ def test_cli_help_loads_no_plane():
         "        main(['--help'])\n"
         "    except SystemExit:\n"
         "        pass\n"
-        "print(json.dumps([m for m in %r if m in sys.modules]))\n" % (CLI_PLANES,)
+        "print(json.dumps([m for m in sys.modules\n"
+        "                  if m in %r or m.startswith('repro.sweep.')]))\n"
+        % (CLI_PLANES,)
     )
     assert loaded == []
+
+
+def test_cli_ablation_names_are_the_ablations():
+    from repro.cli import ABLATION_NAMES
+    from repro.harness.ablations import ABLATIONS
+
+    assert ABLATION_NAMES == tuple(sorted(ABLATIONS))

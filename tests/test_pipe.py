@@ -5,6 +5,7 @@ import pytest
 from repro.errors import NetworkError
 from repro.net.packet import HEADER_BYTES
 from repro.net.pipe import Pipe
+from repro.sim.engine import Simulator, Timer
 from repro.units import serialization_delay
 
 from tests.conftest import make_packet
@@ -231,6 +232,52 @@ class TestDeliveryPump:
         sim.schedule_fire_at(1000, lambda: order.append("event2"))
         sim.run()
         assert order == ["pkt", "event1", "pkt", "event2"]
+
+    def test_own_push_matches_schedule_call_at(self, slab):
+        """Pipe.send pushes its delivery entry itself.  Ties still fire in
+        call order, and the engine's counts are what a
+        ``schedule_call_at`` of the same delivery gives."""
+
+        def scenario(send):
+            sim = Simulator()
+            order = []
+            counts = []
+
+            def note():
+                counts.append(
+                    (sim.peak_queue_depth, sim.live_events, sim.pending_events)
+                )
+
+            sim.schedule_fire_many([1000, 1000, 3000], lambda: order.append("column"))
+            timer = Timer(sim, lambda: order.append("timer"))
+            timer.start(500)
+            timer.stop()  # a tombstone: live and pending now differ
+            note()
+            send(sim, order)
+            note()
+            sim.schedule_call_at(1000, order.append, "call")
+            send(sim, order)
+            note()
+            sim.schedule_fire_at(1000, lambda: order.append("fire"))
+            sim.run()
+            note()
+            return order, counts, sim.events_processed
+
+        def pipe_send(sim, order):
+            pipe = Pipe(sim, "a->b", prop_delay=1000, bandwidth_bps=None, slab=slab)
+            pipe.connect(lambda pkt: order.append("pkt"))
+            pipe.send(make_packet(slab))
+
+        def call_at(sim, order):
+            sim.schedule_call_at(1000, lambda pkt: order.append("pkt"), make_packet(slab))
+
+        piped = scenario(pipe_send)
+        assert piped == scenario(call_at)
+        assert piped == (
+            ["column", "column", "pkt", "call", "pkt", "fire", "column"],
+            [(4, 3, 4), (5, 4, 5), (7, 6, 7), (8, 0, 0)],
+            7,
+        )
 
     def test_send_from_delivery_callback_keeps_pumping(self, sim, slab):
         """A delivery that triggers another send on the same pipe

@@ -1,6 +1,8 @@
 """RTO estimation (RFC 6298 subset)."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.transport.retransmit import RttEstimator
 from repro.units import MILLISECONDS, SECONDS
@@ -80,3 +82,28 @@ class TestRttEstimator:
         est.sample(1000)
         est.sample(1000)
         assert est.samples == 2
+
+
+#: One estimator call: an RTT sample (ns), a timeout, or a back-off reset.
+STEPS = st.one_of(
+    st.tuples(st.just("sample"), st.integers(0, 20 * SECONDS)),
+    st.tuples(st.just("on_timeout"), st.none()),
+    st.tuples(st.just("reset_backoff"), st.none()),
+)
+
+
+@given(
+    initial=st.integers(5 * MILLISECONDS, 3 * SECONDS),
+    steps=st.lists(STEPS, max_size=40),
+)
+def test_rto_attribute_tracks_its_formula(initial, steps):
+    """``rto`` is stored, not computed: every call that moves ``_rto`` or
+    ``_backoff`` must leave it at ``min(rto_max, _rto * _backoff)``."""
+    est = RttEstimator(initial_rto=initial, rto_max=3 * SECONDS)
+    assert est.rto == initial
+    for name, rtt in steps:
+        if name == "sample":
+            est.sample(rtt)
+        else:
+            getattr(est, name)()
+        assert est.rto == min(est._rto_max, est._rto * est._backoff)

@@ -7,6 +7,9 @@ and the test checks:
 * every message, and every echo, arrives exactly once and in order;
 * after every ACK, the unacked segments have strictly increasing end
   seqs, all past ``snd_una``: an ACK retires exactly an acked prefix;
+* after every ACK on an open connection, the RTO timer runs exactly
+  when something is in flight (the unpaced send loop arms it on that
+  rule alone);
 * each data segment carries exactly the message boundaries the
   two-list partition below assigns it.
 """
@@ -20,7 +23,7 @@ from repro.net.addr import Endpoint
 from repro.net.network import Network
 from repro.net.packet import MessageBoundary
 from repro.sim.engine import Simulator
-from repro.transport.connection import Connection, TransportConfig
+from repro.transport.connection import Connection, ConnectionState, TransportConfig
 from repro.transport.endpoint import Host
 from repro.units import GIGABITS_PER_SECOND, MICROSECONDS, SECONDS
 
@@ -52,9 +55,18 @@ class PartitionOracle:
         return carried
 
 
+#: States in which the connection may send data or its FIN.
+OPEN_STATES = (
+    ConnectionState.ESTABLISHED,
+    ConnectionState.CLOSE_WAIT,
+    ConnectionState.FIN_WAIT,
+)
+
+
 class CheckedConnection(Connection):
     """Checks the in-flight queue after every ACK: strictly increasing
-    end seqs, all past ``snd_una``."""
+    end seqs, all past ``snd_una``; and, unpaced and open, an RTO timer
+    that runs exactly when the queue is non-empty."""
 
     __slots__ = ()
 
@@ -63,6 +75,8 @@ class CheckedConnection(Connection):
         ends = [segment.end_seq for segment in self._inflight]
         assert ends == sorted(set(ends))
         assert all(end > self._snd_una for end in ends)
+        if self._pacer is None and self.state in OPEN_STATES:
+            assert self._rto_timer.running == bool(self._inflight)
 
 
 def instrument(conn, oracle):
